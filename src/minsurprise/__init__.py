@@ -2,34 +2,18 @@
 
 Robots on a wraparound grid push blocks; paired action/prediction networks
 are evolved with the only reward being the accuracy of each robot's own
-sensor predictions. The package covers the deterministic world model, the
-batched simulation engine, the genetic algorithm, post-evaluation metrics
-including block-structure classification, and a batch experiment CLI.
+sensor predictions. The package covers the world geometry and snapshot
+format, the batched deterministic simulation engine, the genetic algorithm,
+post-evaluation metrics including block-structure classification, and a
+batch experiment CLI.
 """
 
-from .world import (
-    ActionCommand,
-    Heading,
-    MoveOutcome,
-    RobotPose,
-    SimConfig,
-    World,
-    attempt_actuate,
-    parse_snapshot,
-    random_world,
-    render_snapshot,
-    sense,
-    step,
-)
+from .world import Heading, RobotPose, SimConfig
 from .networks import (
-    ControllerState,
     Genome,
     Scenario,
-    act,
     decode,
-    encode,
     load_genome,
-    predict,
     random_genome,
     save_genome,
     scenario_prediction,
@@ -51,7 +35,6 @@ from .metrics import (
     StructureReport,
     classify_blocks,
     movement,
-    post_evaluate,
     score_run,
     similarity,
     structure_report,

@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: evolve, posteval, classify, render, replay. The output root
-defaults to $MINSURPRISE_OUT (falling back to ./out); --seed overrides the
-config file's seed.
+defaults to $MINSURPRISE_OUT (falling back to ./out). For evolve, --seed
+overrides the config file's seed; for posteval and replay it is the world
+seed of the one recorded simulation.
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ from .experiment import (
     matrix_plan,
     parse_config,
     posteval_csv_row,
+    posteval_seed_for,
     POSTEVAL_COLUMNS,
     replay,
     run_experiment,
+    run_index_for,
 )
-from .evolution import STREAM_POSTEVAL, mix64
-from .metrics import post_evaluate, structure_report, StructureLabel
+from .metrics import structure_report, StructureLabel
 from .networks import load_genome
-from .world import parse_snapshot, parse_snapshot_cells, render_snapshot
+from .world import parse_snapshot_cells, render_cells
 
 
 def _default_out() -> str:
@@ -55,14 +57,21 @@ def _cmd_evolve(args) -> int:
     return run_experiment(plan, args.out, workers=args.workers)
 
 
-def _cmd_posteval(args) -> int:
+def _stored_genome_run(args):
+    """The genome file, the plan's first row and the world seed: --seed if
+    given, else the seed row0_run0 of the plan was post-evaluated at."""
     plan = _load_plan(args)
     genome = load_genome(args.genome)
-    row = plan.rows[0]
-    seed = args.seed if args.seed is not None else mix64(
-        plan.master_seed, 0, STREAM_POSTEVAL, 0, 0
+    seed = args.seed if args.seed is not None else posteval_seed_for(
+        plan.master_seed, run_index_for(0, 0)
     )
-    metrics_row = post_evaluate(genome, row.sim, row.scenario, seed)
+    return genome, plan.rows[0], seed
+
+
+def _cmd_posteval(args) -> int:
+    genome, row, seed = _stored_genome_run(args)
+    _, metrics_row, _ = replay(genome, row.sim, row.scenario, seed,
+                               every=row.sim.steps)
     print(POSTEVAL_COLUMNS)
     print(posteval_csv_row("posteval", row.scenario, row.sim, metrics_row))
     return 0
@@ -80,17 +89,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_render(args) -> int:
     text = Path(args.snapshot).read_text(encoding="utf-8")
-    sys.stdout.write(render_snapshot(parse_snapshot(text)))
+    sys.stdout.write(render_cells(*parse_snapshot_cells(text)))
     return 0
 
 
 def _cmd_replay(args) -> int:
-    plan = _load_plan(args)
-    genome = load_genome(args.genome)
-    row = plan.rows[0]
-    seed = args.seed if args.seed is not None else mix64(
-        plan.master_seed, 0, STREAM_POSTEVAL, 0, 0
-    )
+    genome, row, seed = _stored_genome_run(args)
     snapshots, metrics_row, _ = replay(genome, row.sim, row.scenario, seed,
                                        args.every)
     for t, snap in snapshots:
@@ -101,6 +105,13 @@ def _cmd_replay(args) -> int:
     return 0
 
 
+POSTEVAL_SEED_HELP = (
+    "world seed of the simulation (default: the post-evaluation seed of "
+    "row0_run0 under the config's seed; any other run's seed is "
+    "posteval_seed in its run.json)"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minsurprise",
@@ -109,11 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_plan_args(p):
+    def add_plan_args(p, seed_help="master seed (overrides the config)"):
         p.add_argument("config", nargs="?", default=None,
                        help="key=value experiment config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (overrides the config)")
+        p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--runs", type=int, default=None,
                        help="runs per row (overrides the config)")
         p.add_argument("--matrix", action="store_true",
@@ -131,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_post = sub.add_parser("posteval", help="post-evaluate a stored genome")
     p_post.add_argument("genome", help="genome file")
-    add_plan_args(p_post)
+    add_plan_args(p_post, POSTEVAL_SEED_HELP)
     p_post.set_defaults(func=_cmd_posteval)
 
     p_classify = sub.add_parser("classify",
@@ -147,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_replay = sub.add_parser("replay", help="re-simulate a stored genome")
     p_replay.add_argument("genome", help="genome file")
-    add_plan_args(p_replay)
+    add_plan_args(p_replay, POSTEVAL_SEED_HELP)
     p_replay.add_argument("--every", type=int, default=100,
                           help="snapshot emission interval in steps")
     p_replay.set_defaults(func=_cmd_replay)

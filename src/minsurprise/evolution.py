@@ -27,13 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import metrics
-from .networks import (
-    ACTION_LENGTH,
-    PREDICTION_LENGTH,
-    WEIGHT_LIMIT,
-    Genome,
-    Scenario,
-)
+from .networks import WEIGHT_LIMIT, Genome, Scenario, random_genome
 from .simulation import simulate_batch
 from .world import SimConfig
 
@@ -50,6 +44,9 @@ STREAM_POSTEVAL = (1 << 32) + 2
 # drift toward saturated (quiet) prediction outputs needs well over the
 # default 100-generation budget; 1.0 converges with margin to spare.
 MUTATION_SPAN = 1.0
+
+# How many of each generation's best genomes pass verbatim into the next.
+ELITE_COUNT = 1
 
 
 def mix64(*counters: int) -> int:
@@ -78,7 +75,6 @@ class EvolutionConfig:
     generations: int = 100
     eval_runs: int = 10
     mutation_rate: float = 0.1
-    elitism: int = 1
     master_seed: int = 0
     freeze_eval_seeds: bool = False
 
@@ -91,8 +87,6 @@ class EvolutionConfig:
             raise ValueError("eval_runs must be >= 1")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must lie in [0, 1]")
-        if not 0 <= self.elitism <= self.population_size:
-            raise ValueError("elitism must lie in [0, population_size]")
 
 
 @dataclass(frozen=True)
@@ -144,20 +138,29 @@ def eval_seeds_for(config: EvolutionConfig, run_index: int, generation: int,
     )
 
 
+def _score(genomes: Sequence[Genome], config: EvolutionConfig,
+           seeds: np.ndarray, generation: int) -> list[EvaluatedGenome]:
+    """Simulate seeds.shape[1] worlds per genome in one engine call; each
+    genome's fitness is the minimum over its worlds."""
+    errors, comparisons = simulate_batch(genomes, config.sim, config.scenario,
+                                         seeds)
+    out = []
+    for genome, row in zip(genomes, errors):
+        per_run = tuple(
+            metrics.score_run(float(e), config.sim.swarm_size, comparisons)
+            for e in row
+        )
+        out.append(EvaluatedGenome(genome, min(per_run), per_run, generation))
+    return out
+
+
 def evaluate(genome: Genome, config: EvolutionConfig,
              eval_seeds: Sequence[int], generation: int = 0) -> EvaluatedGenome:
     """Score one genome: the minimum fitness over its evaluation runs."""
     if len(eval_seeds) != config.eval_runs:
         raise ValueError(f"expected {config.eval_runs} seeds, got {len(eval_seeds)}")
     seeds = np.asarray(eval_seeds, dtype=np.uint64).reshape(1, -1)
-    errors, comparisons = simulate_batch(
-        [genome], config.sim, config.scenario, seeds
-    )
-    per_run = tuple(
-        metrics.score_run(float(e), config.sim.swarm_size, comparisons)
-        for e in errors[0]
-    )
-    return EvaluatedGenome(genome, min(per_run), per_run, generation)
+    return _score([genome], config, seeds, generation)[0]
 
 
 def evaluate_population(
@@ -173,16 +176,7 @@ def evaluate_population(
         eval_seeds_for(config, run_index, generation, i)
         for i in range(len(genomes))
     ])
-    errors, comparisons = simulate_batch(genomes, config.sim, config.scenario,
-                                         seeds)
-    out = []
-    for i, genome in enumerate(genomes):
-        per_run = tuple(
-            metrics.score_run(float(e), config.sim.swarm_size, comparisons)
-            for e in errors[i]
-        )
-        out.append(EvaluatedGenome(genome, min(per_run), per_run, generation))
-    return out
+    return _score(genomes, config, seeds, generation)
 
 
 def select_proportionate(fitnesses: Sequence[float],
@@ -227,16 +221,12 @@ def mutate(genome: Genome, rate: float, rng: np.random.Generator) -> Genome:
 
 def initial_population(config: EvolutionConfig, run_index: int) -> list[Genome]:
     """Generation 0: every weight uniform in [-1, 1]."""
-    out = []
-    for i in range(config.population_size):
-        rng = np.random.default_rng(
+    return [
+        random_genome(np.random.default_rng(
             mix64(config.master_seed, run_index, STREAM_INIT, i, 0)
-        )
-        out.append(Genome(
-            rng.uniform(-1.0, 1.0, ACTION_LENGTH),
-            rng.uniform(-1.0, 1.0, PREDICTION_LENGTH),
         ))
-    return out
+        for i in range(config.population_size)
+    ]
 
 
 ProgressSink = Callable[[int, tuple[int, float, float, float]], None]
@@ -273,7 +263,7 @@ def evolve(
             )
             ranked = sorted(range(len(evaluated)),
                             key=lambda i: (-fitnesses[i], i))
-            next_pop = [evaluated[i].genome for i in ranked[:config.elitism]]
+            next_pop = [evaluated[i].genome for i in ranked[:ELITE_COUNT]]
             while len(next_pop) < config.population_size:
                 parent = select_proportionate(fitnesses, rng)
                 next_pop.append(

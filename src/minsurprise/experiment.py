@@ -3,7 +3,8 @@ snapshot emission, and deterministic replay.
 
 Every (row, run) job is a pure function of the plan's master seed, so a
 rerun with the same configuration reproduces every artifact byte for byte,
-and completed runs are skipped on resume. Output layout:
+and completed runs are skipped on resume; a run directory that holds a run
+of a different plan is refused rather than reused. Output layout:
 
     <out>/row{i}_run{j}/fitness_history.csv   per-generation stats
     <out>/row{i}_run{j}/best.genome           best-ever genome, text format
@@ -33,12 +34,12 @@ from .evolution import (
     mix64,
 )
 from .metrics import MetricsRow, StructureLabel, metrics_from_trace
-from .networks import Genome, Scenario, load_genome, save_genome
+from .networks import Genome, Scenario, save_genome
 from .simulation import RunTrace, simulate_traced
 from .world import SimConfig
 
 DEFAULT_SIM = SimConfig(side_length=16, swarm_size=10, block_count=32,
-                        steps=1000, seed=0)
+                        steps=1000)
 
 # The experiment matrix at 12.5% block density plus the denser final row.
 MATRIX_ROWS: tuple[tuple[int, int, int], ...] = (
@@ -80,15 +81,13 @@ class ExperimentPlan:
         )
 
 
-def matrix_plan(runs_per_row: int = 20, master_seed: int = 0,
-               scenario: Scenario = Scenario.EMERGENT) -> ExperimentPlan:
+def matrix_plan() -> ExperimentPlan:
     """The default experiment matrix (six 12.5%-density rows plus 18.75%)."""
     rows = tuple(
-        PlanRow(SimConfig(L, N, B, steps=1000, seed=0), scenario)
+        PlanRow(SimConfig(L, N, B, steps=1000), Scenario.EMERGENT)
         for L, N, B in MATRIX_ROWS
     )
-    return ExperimentPlan(rows=rows, runs_per_row=runs_per_row,
-                          master_seed=master_seed)
+    return ExperimentPlan(rows=rows)
 
 
 class ConfigError(ValueError):
@@ -179,7 +178,7 @@ def parse_config(text: str) -> ExperimentPlan:
             f"line {lineno}: cannot place {robots} robots and {blocks} blocks "
             f"on a {grid}x{grid} grid"
         )
-    sim = SimConfig(grid, robots, blocks, steps=steps, seed=0)
+    sim = SimConfig(grid, robots, blocks, steps=steps)
     row = PlanRow(sim, values.get("scenario", Scenario.EMERGENT))
     return ExperimentPlan(
         rows=(row,),
@@ -195,6 +194,11 @@ def parse_config(text: str) -> ExperimentPlan:
 def run_index_for(row: int, run: int) -> int:
     """Stable run_index for seed derivation, independent of runs_per_row."""
     return row * 1_000_000 + run
+
+
+def posteval_seed_for(master_seed: int, run_index: int) -> int:
+    """World seed of a run's post-evaluation of its best genome."""
+    return mix64(master_seed, run_index, STREAM_POSTEVAL, 0, 0)
 
 
 POSTEVAL_COLUMNS = (
@@ -241,35 +245,13 @@ class RunResult:
     posteval_row: str
 
 
-def _execute_run(plan: ExperimentPlan, row_idx: int, run_idx: int,
-                 out_dir: Path) -> RunResult:
-    """Evolve one (row, run) job and write its artifacts."""
+def _plan_record(plan: ExperimentPlan, row_idx: int, run_idx: int) -> dict:
+    """The part of run.json that fixes what a run computes; resume reuses a
+    stored run only if this part matches the current plan."""
     row = plan.rows[row_idx]
-    run_id = f"row{row_idx}_run{run_idx}"
-    run_dir = out_dir / run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
-    run_index = run_index_for(row_idx, run_idx)
-    config = plan.evolution_config(row)
-
-    best, history = evolve(config, run_index=run_index)
-    posteval_seed = mix64(plan.master_seed, run_index, STREAM_POSTEVAL, 0, 0)
-    trace = simulate_traced(best.genome, row.sim, row.scenario, posteval_seed,
-                            snapshot_every=row.sim.steps)
-    metrics_row = metrics_from_trace(trace)
-
-    _write_text(run_dir / "fitness_history.csv", history.to_csv())
-    save_genome(run_dir / "best.genome", best.genome)
-    assert trace.snapshots is not None
-    _write_text(run_dir / "start_snapshot.txt", trace.snapshots[0][1])
-    _write_text(run_dir / "end_snapshot.txt", trace.snapshots[-1][1])
-    pe_row = posteval_csv_row(run_id, row.scenario, row.sim, metrics_row)
-    record = {
-        "run_id": run_id,
-        "row": row_idx,
-        "run": run_idx,
-        "run_index": run_index,
+    return {
+        "run_index": run_index_for(row_idx, run_idx),
         "master_seed": plan.master_seed,
-        "posteval_seed": posteval_seed,
         "scenario": row.scenario.value,
         "sim": {
             "side_length": row.sim.side_length,
@@ -281,6 +263,35 @@ def _execute_run(plan: ExperimentPlan, row_idx: int, run_idx: int,
         "generations": plan.generations,
         "eval_runs": plan.eval_runs,
         "mutation_rate": plan.mutation_rate,
+    }
+
+
+def _execute_run(plan: ExperimentPlan, row_idx: int, run_idx: int,
+                 out_dir: Path) -> RunResult:
+    """Evolve one (row, run) job and write its artifacts."""
+    row = plan.rows[row_idx]
+    run_id = f"row{row_idx}_run{run_idx}"
+    run_dir = out_dir / run_id
+    run_dir.mkdir(parents=True, exist_ok=True)
+    planned = _plan_record(plan, row_idx, run_idx)
+    run_index = planned["run_index"]
+
+    best, history = evolve(plan.evolution_config(row), run_index=run_index)
+    posteval_seed = posteval_seed_for(plan.master_seed, run_index)
+    snapshots, metrics_row, _ = replay(best.genome, row.sim, row.scenario,
+                                       posteval_seed, every=row.sim.steps)
+
+    _write_text(run_dir / "fitness_history.csv", history.to_csv())
+    save_genome(run_dir / "best.genome", best.genome)
+    _write_text(run_dir / "start_snapshot.txt", snapshots[0][1])
+    _write_text(run_dir / "end_snapshot.txt", snapshots[-1][1])
+    pe_row = posteval_csv_row(run_id, row.scenario, row.sim, metrics_row)
+    record = {
+        **planned,
+        "run_id": run_id,
+        "row": row_idx,
+        "run": run_idx,
+        "posteval_seed": posteval_seed,
         "best_fitness": best.fitness,
         "best_per_run": list(best.per_run),
         "best_generation": best.generation,
@@ -294,7 +305,10 @@ def _execute_run(plan: ExperimentPlan, row_idx: int, run_idx: int,
 
 def _load_completed(plan: ExperimentPlan, row_idx: int, run_idx: int,
                     out_dir: Path) -> Optional[RunResult]:
-    """Reload a finished run's results, or None if it must be (re)computed."""
+    """Reload a finished run's results, or None if it must be (re)computed.
+
+    Raises ConfigError if the stored run was made with a different plan.
+    """
     run_id = f"row{row_idx}_run{run_idx}"
     run_dir = out_dir / run_id
     record_path = run_dir / "run.json"
@@ -304,8 +318,15 @@ def _load_completed(plan: ExperimentPlan, row_idx: int, run_idx: int,
         record = json.loads(record_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError:
         return None
-    if not record.get("complete") or record.get("master_seed") != plan.master_seed:
+    if not record.get("complete"):
         return None
+    for key, wanted in _plan_record(plan, row_idx, run_idx).items():
+        if record.get(key) != wanted:
+            raise ConfigError(
+                f"{run_dir} holds a run made with {key}={record.get(key)!r}, "
+                f"this plan has {key}={wanted!r}; use another output "
+                f"directory or remove it"
+            )
     for name in ("fitness_history.csv", "best.genome", "start_snapshot.txt",
                  "end_snapshot.txt"):
         if not (run_dir / name).exists():
@@ -382,7 +403,8 @@ def run_experiment(plan: ExperimentPlan, out_dir, workers: int = 1,
     """Execute all (row, run) jobs, skipping completed ones; emit CSVs.
 
     A failing run is reported and skipped; the remaining runs still execute
-    and the exit status becomes 1.
+    and the exit status becomes 1. A completed run in ``out_dir`` made with
+    a different plan raises ConfigError before any run starts.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -428,13 +450,14 @@ def run_experiment(plan: ExperimentPlan, out_dir, workers: int = 1,
 
 def replay(genome: Genome, sim: SimConfig, scenario: Scenario, seed: int,
            every: int) -> tuple[list[tuple[int, str]], MetricsRow, RunTrace]:
-    """Deterministically re-simulate a genome, emitting periodic snapshots."""
+    """Post-evaluate a genome: one recorded simulation at ``seed``, with a
+    snapshot every ``every`` steps and at the last step, and its metrics.
+
+    The batch runner, ``posteval`` and ``replay`` all go through here.
+    """
     if every < 1:
         raise ValueError("snapshot interval must be >= 1")
     trace = simulate_traced(genome, sim, scenario, seed, snapshot_every=every)
     assert trace.snapshots is not None
     return trace.snapshots, metrics_from_trace(trace), trace
 
-
-def load_genome_file(path) -> Genome:
-    return load_genome(path)

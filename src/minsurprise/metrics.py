@@ -14,9 +14,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .networks import Genome, Scenario
-from .simulation import RunTrace, simulate_traced
-from .world import SENSOR_COUNT, SimConfig
+from .simulation import RunTrace
+from .world import SENSOR_COUNT
 
 Cell = tuple[int, int]
 
@@ -219,8 +218,7 @@ class MetricsRow:
 
 
 def metrics_from_trace(trace: RunTrace) -> MetricsRow:
-    fitness = score_run(trace.error_sum, trace.n_robots, trace.comparisons,
-                        trace.n_sensors)
+    fitness = score_run(trace.error_sum, trace.n_robots, trace.comparisons)
     sim_value = (
         similarity(trace.start_blocks, trace.end_blocks)
         if trace.n_blocks else 1.0
@@ -238,9 +236,3 @@ def metrics_from_trace(trace: RunTrace) -> MetricsRow:
         end_report=structure_report(trace.end_blocks, trace.side_length),
     )
 
-
-def post_evaluate(genome: Genome, sim: SimConfig, scenario: Scenario,
-                  seed: int) -> MetricsRow:
-    """One recorded simulation of an evolved genome, reduced to its metrics."""
-    trace = simulate_traced(genome, sim, scenario, seed)
-    return metrics_from_trace(trace)

@@ -14,11 +14,11 @@ net only), hidden-to-output row-major by hidden unit, output biases.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .world import SENSOR_COUNT, ActionCommand
+from .world import SENSOR_COUNT
 
 HIDDEN_UNITS = 8
 NET_INPUTS = SENSOR_COUNT + 1  # sensors plus one action input
@@ -124,19 +124,6 @@ def decode(genome: Genome) -> tuple[ActionNetwork, PredictionNetwork]:
     return action, prediction
 
 
-def encode(action: ActionNetwork, prediction: PredictionNetwork) -> Genome:
-    """Inverse of decode."""
-    aw = np.concatenate([
-        action.w_hidden.reshape(-1), action.b_hidden,
-        action.w_out.reshape(-1), action.b_out,
-    ])
-    pw = np.concatenate([
-        prediction.w_hidden.reshape(-1), prediction.b_hidden, prediction.w_self,
-        prediction.w_out.reshape(-1), prediction.b_out,
-    ])
-    return Genome(aw, pw)
-
-
 def random_genome(rng: np.random.Generator) -> Genome:
     """Fresh genome with every weight uniform in [-1, 1]."""
     return Genome(
@@ -165,65 +152,16 @@ def stable_rows_matmul(x: np.ndarray, w: np.ndarray,
     return out
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
 def sigmoid_inplace(x: np.ndarray) -> np.ndarray:
-    """In-place sigmoid with the same per-element operation order as
-    ``sigmoid``, so results are bit-identical."""
+    """In-place 1 / (1 + exp(-x)), one elementwise operation at a time in
+    that order, so results are bit-identical to the naive expression the
+    reference in ``tests/oracle.py`` evaluates."""
     with np.errstate(over="ignore"):
         np.negative(x, out=x)
         np.exp(x, out=x)
         np.add(x, 1.0, out=x)
         np.reciprocal(x, out=x)
     return x
-
-
-@dataclass
-class ControllerState:
-    """Per-robot mutable state, reset at every simulation start."""
-
-    last_action: float = 0.0
-    hidden: np.ndarray = field(
-        default_factory=lambda: np.zeros(HIDDEN_UNITS, dtype=np.float64)
-    )
-
-
-def act(net: ActionNetwork, sensors: np.ndarray,
-        state: ControllerState) -> ActionCommand:
-    """Run the action network once and update last_action.
-
-    Outputs pass through a sigmoid; >= 0.5 selects move for the first output
-    and +90 degrees for the second.
-    """
-    x = np.empty((1, NET_INPUTS), dtype=np.float64)
-    x[0, :SENSOR_COUNT] = sensors
-    x[0, SENSOR_COUNT] = state.last_action
-    hidden = np.tanh(stable_rows_matmul(x, net.w_hidden) + net.b_hidden)
-    out = sigmoid(stable_rows_matmul(hidden, net.w_out) + net.b_out)[0]
-    action = 1 if out[0] >= 0.5 else 0
-    turn_dir = 1 if out[1] >= 0.5 else -1
-    state.last_action = float(action)
-    return ActionCommand(action, turn_dir)
-
-
-def predict(net: PredictionNetwork, sensors: np.ndarray, action: int,
-            state: ControllerState) -> np.ndarray:
-    """Run the prediction network once, updating the recurrent hidden state.
-
-    Returns the 12 predicted sensor values for the next time step, each in
-    [0, 1].
-    """
-    x = np.empty((1, NET_INPUTS), dtype=np.float64)
-    x[0, :SENSOR_COUNT] = sensors
-    x[0, SENSOR_COUNT] = float(action)
-    pre = stable_rows_matmul(x, net.w_hidden) + net.w_self * state.hidden + net.b_hidden
-    hidden = np.tanh(pre)
-    out = sigmoid(stable_rows_matmul(hidden, net.w_out) + net.b_out)[0]
-    state.hidden = hidden[0]
-    return out
 
 
 class Scenario(enum.Enum):

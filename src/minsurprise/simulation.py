@@ -2,8 +2,8 @@
 
 One engine call simulates K = genomes x worlds_per_genome worlds that share
 (L, N, B, T, scenario) but have independent seeds. Every world is a pure
-function of (genome, seed) and reproduces the single-world reference in
-``world.py`` bit-exactly.
+function of (genome, seed) and reproduces the scalar single-world reference
+in ``tests/oracle.py`` bit-exactly.
 
 Per-world RNG contract (PCG64 seeded with the world seed):
   1. ``sample_placement`` draws: N + B distinct cells, then N headings.
@@ -86,7 +86,6 @@ class RunTrace:
     n_robots: int
     n_blocks: int
     steps: int
-    n_sensors: int
     comparisons: int
     error_sum: float
     tau: int
@@ -100,10 +99,11 @@ class RunTrace:
 
 
 class _Recorder:
-    """Collects windows, optional prediction/sensor logs and snapshots."""
+    """Collects one world's windows, optional prediction/sensor logs and
+    snapshots. The engine hands it (1, ...) arrays of a one-world batch."""
 
-    def __init__(self, K: int, N: int, B: int, T: int, L: int,
-                 record_io: bool, snapshot_every: Optional[int]):
+    def __init__(self, N: int, B: int, T: int, L: int, record_io: bool,
+                 snapshot_every: Optional[int]):
         self.L = L
         self.tau = (L * L) // 2
         if T < self.tau:
@@ -112,43 +112,39 @@ class _Recorder:
                 f"tau={self.tau}"
             )
         self.window_start = T - self.tau
-        self.robot_window = np.zeros((K, self.tau + 1, N, 2), dtype=np.int64)
-        self.block_window = np.zeros((K, self.tau + 1, max(B, 1), 2), dtype=np.int64)
+        self.robot_window = np.zeros((self.tau + 1, N, 2), dtype=np.int64)
+        self.block_window = np.zeros((self.tau + 1, B, 2), dtype=np.int64)
         self.record_io = record_io
         self.preds: list[np.ndarray] = []
         self.sensors: list[np.ndarray] = []
         self.snapshot_every = snapshot_every
-        self.snapshots: list[list[tuple[int, str]]] = [[] for _ in range(K)]
+        self.snapshots: list[tuple[int, str]] = []
+        self.start_blocks: Optional[np.ndarray] = None  # (1, B) flat cells
+        self.end_blocks: Optional[np.ndarray] = None
 
     def record_positions(self, t: int, pos_x, pos_y, blk_x, blk_y) -> None:
         if t >= self.window_start:
             i = t - self.window_start
-            self.robot_window[:, i, :, 0] = pos_x
-            self.robot_window[:, i, :, 1] = pos_y
-            if blk_x.shape[1]:
-                self.block_window[:, i, :, 0] = blk_x
-                self.block_window[:, i, :, 1] = blk_y
+            self.robot_window[i, :, 0] = pos_x[0]
+            self.robot_window[i, :, 1] = pos_y[0]
+            self.block_window[i, :, 0] = blk_x[0]
+            self.block_window[i, :, 1] = blk_y[0]
 
     def record_io_pair(self, preds: np.ndarray, sensors: np.ndarray) -> None:
         if self.record_io:
-            self.preds.append(preds.copy())
-            self.sensors.append(sensors.copy())
+            self.preds.append(preds[0].copy())
+            self.sensors.append(sensors[0].copy())
 
     def maybe_snapshot(self, t: int, T: int, pos_x, pos_y, rh, blk_x, blk_y) -> None:
         if self.snapshot_every is None:
             return
         if t % self.snapshot_every == 0 or t == T:
-            for k in range(len(self.snapshots)):
-                robots = [
-                    RobotPose(int(pos_x[k, n]), int(pos_y[k, n]),
-                              Heading(int(rh[k, n])))
-                    for n in range(pos_x.shape[1])
-                ]
-                blocks = [
-                    (int(blk_x[k, j]), int(blk_y[k, j]))
-                    for j in range(blk_x.shape[1])
-                ]
-                self.snapshots[k].append((t, render_cells(self.L, robots, blocks)))
+            robots = [
+                RobotPose(int(x), int(y), Heading(int(h)))
+                for x, y, h in zip(pos_x[0], pos_y[0], rh[0])
+            ]
+            blocks = [(int(x), int(y)) for x, y in zip(blk_x[0], blk_y[0])]
+            self.snapshots.append((t, render_cells(self.L, robots, blocks)))
 
 
 def _verify_state(L, N, B, occ, pos, bcell, bid, woff):
@@ -275,7 +271,7 @@ def _run_batch(
     if recorder is not None:
         recorder.record_positions(0, pos % L, pos // L, bcell % L, bcell // L)
         recorder.maybe_snapshot(0, T, pos % L, pos // L, rh, bcell % L, bcell // L)
-        start_blocks_snapshot = bcell.copy()
+        recorder.start_blocks = bcell.copy()
 
     for t in range(T):
         # Sense: occupancy codes of the six cells ahead, both entity banks.
@@ -387,8 +383,7 @@ def _run_batch(
 
     comparisons = T - 1 if emergent else T
     if recorder is not None:
-        recorder.start_blocks = start_blocks_snapshot  # type: ignore[attr-defined]
-        recorder.end_blocks = bcell.copy()  # type: ignore[attr-defined]
+        recorder.end_blocks = bcell.copy()
     return err.reshape(G, W), comparisons
 
 
@@ -419,59 +414,29 @@ def simulate_traced(
     snapshot_every: Optional[int] = None,
 ) -> RunTrace:
     """Run one fully recorded simulation (positions window, optional I/O)."""
-    traces = simulate_traced_many(
-        [genome], sim, scenario, [seed],
-        record_io=record_io, snapshot_every=snapshot_every,
-    )
-    return traces[0]
-
-
-def simulate_traced_many(
-    genomes: Sequence[Genome],
-    sim: SimConfig,
-    scenario: Scenario,
-    seeds: Sequence[int],
-    record_io: bool = False,
-    snapshot_every: Optional[int] = None,
-) -> list[RunTrace]:
-    """Recorded single-world runs, one per (genome, seed) pair."""
-    if len(genomes) != len(seeds):
-        raise ValueError("need exactly one seed per genome")
     L, N, B, T = sim.side_length, sim.swarm_size, sim.block_count, sim.steps
-    recorder = _Recorder(len(genomes), N, B, T, L, record_io, snapshot_every)
-    seed_arr = np.asarray(seeds, dtype=np.uint64).reshape(len(genomes), 1)
+    recorder = _Recorder(N, B, T, L, record_io, snapshot_every)
     err, comparisons = _run_batch(
-        genomes, L, N, B, T, scenario, seed_arr, recorder=recorder,
+        [genome], L, N, B, T, scenario,
+        np.array([[seed]], dtype=np.uint64), recorder=recorder,
     )
-    preds_all = sensors_all = None
-    if record_io:
-        preds_all = np.stack(recorder.preds, axis=1)  # (K, C, N, 12)
-        sensors_all = np.stack(recorder.sensors, axis=1)
-    traces = []
-    for k in range(len(genomes)):
-        start = frozenset(
-            (int(c % L), int(c // L)) for c in recorder.start_blocks[k]
-        )
-        end = frozenset(
-            (int(c % L), int(c // L)) for c in recorder.end_blocks[k]
-        )
-        preds = preds_all[k] if record_io else None
-        sensors = sensors_all[k] if record_io else None
-        traces.append(RunTrace(
-            side_length=L,
-            n_robots=N,
-            n_blocks=B,
-            steps=T,
-            n_sensors=SENSOR_COUNT,
-            comparisons=comparisons,
-            error_sum=float(err[k, 0]),
-            tau=recorder.tau,
-            start_blocks=start,
-            end_blocks=end,
-            robot_window=recorder.robot_window[k],
-            block_window=recorder.block_window[k][:, :B, :],
-            predictions=preds,
-            sensor_log=sensors,
-            snapshots=recorder.snapshots[k] if snapshot_every else None,
-        ))
-    return traces
+
+    def cells(flat: np.ndarray) -> frozenset[tuple[int, int]]:
+        return frozenset((int(c % L), int(c // L)) for c in flat[0])
+
+    return RunTrace(
+        side_length=L,
+        n_robots=N,
+        n_blocks=B,
+        steps=T,
+        comparisons=comparisons,
+        error_sum=float(err[0, 0]),
+        tau=recorder.tau,
+        start_blocks=cells(recorder.start_blocks),
+        end_blocks=cells(recorder.end_blocks),
+        robot_window=recorder.robot_window,
+        block_window=recorder.block_window,
+        predictions=np.stack(recorder.preds) if record_io else None,
+        sensor_log=np.stack(recorder.sensors) if record_io else None,
+        snapshots=recorder.snapshots if snapshot_every else None,
+    )

@@ -1,8 +1,10 @@
-"""Torus grid world: entity placement, sensing, movement, and block pushing.
+"""Torus grid world: geometry, placement, and the snapshot text format.
 
-This is the single-world reference implementation. The vectorized engine in
-``simulation.py`` reproduces it bit-exactly given the same seeds; the RNG
-draw contract both sides follow is documented in ``simulation.py``.
+The definitions the engine in ``simulation.py`` and the scalar reference in
+``tests/oracle.py`` share: sensor layout, headings, simulation parameters,
+initial placement draws, and snapshot rendering and parsing. Sensing,
+movement and block pushing live in the engine; the reference re-implements
+them one robot at a time for the bit-exact tests.
 
 Coordinate convention: x grows East, y grows South, so North is -y. All
 coordinates are reduced modulo the grid side length (the grid is a torus).
@@ -12,11 +14,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 import numpy as np
-
-EMPTY = -1
 
 SENSOR_COUNT = 12
 
@@ -52,28 +51,6 @@ HEADING_VECTORS = {
 _LETTER_TO_HEADING = {h.letter: h for h in Heading}
 
 
-class MoveOutcome(enum.Enum):
-    MOVED = "moved"
-    PUSHED = "pushed"
-    TURNED = "turned"
-    BLOCKED = "blocked"
-
-
-class ActionCommand(NamedTuple):
-    """A robot's decision for one time step.
-
-    action: 1 = move forward, 0 = turn on the spot.
-    turn_dir: +1 for +90 degrees, -1 for -90; only applied when turning.
-    """
-
-    action: int
-    turn_dir: int
-
-
-MOVE = 1
-TURN = 0
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Static parameters of one simulation."""
@@ -82,7 +59,6 @@ class SimConfig:
     swarm_size: int
     block_count: int
     steps: int = 1000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         L, N, B, T = self.side_length, self.swarm_size, self.block_count, self.steps
@@ -98,8 +74,6 @@ class SimConfig:
             )
         if T < 1:
             raise ValueError(f"steps must be >= 1, got {T}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
 
 
 @dataclass
@@ -109,79 +83,13 @@ class RobotPose:
     heading: Heading
 
 
-class World:
-    """Mutable simulation state: a torus grid holding robots and blocks.
-
-    Robots and blocks carry stable integer ids; the occupancy grid encodes
-    robot i as i and block j as swarm_size + j, with EMPTY elsewhere.
-    """
-
-    def __init__(self, config: SimConfig, robots: list[RobotPose],
-                 blocks: list[tuple[int, int]]):
-        if len(robots) != config.swarm_size or len(blocks) != config.block_count:
-            raise ValueError("entity counts do not match config")
-        self.config = config
-        self.robots = robots
-        self.blocks = blocks
-        L, N = config.side_length, config.swarm_size
-        self._grid = np.full((L, L), EMPTY, dtype=np.int32)
-        for i, pose in enumerate(robots):
-            if self._grid[pose.y, pose.x] != EMPTY:
-                raise ValueError(f"cell ({pose.x},{pose.y}) doubly occupied")
-            self._grid[pose.y, pose.x] = i
-        for j, (bx, by) in enumerate(blocks):
-            if self._grid[by, bx] != EMPTY:
-                raise ValueError(f"cell ({bx},{by}) doubly occupied")
-            self._grid[by, bx] = N + j
-
-    def occupant(self, x: int, y: int) -> Optional[tuple[str, int]]:
-        """Return ("robot", id) or ("block", id) for the cell, else None."""
-        code = int(self._grid[y, x])
-        if code == EMPTY:
-            return None
-        n = self.config.swarm_size
-        return ("robot", code) if code < n else ("block", code - n)
-
-    def is_empty(self, x: int, y: int) -> bool:
-        return self._grid[y, x] == EMPTY
-
-    def block_cells(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.blocks)
-
-    def copy(self) -> "World":
-        return World(
-            self.config,
-            [RobotPose(p.x, p.y, p.heading) for p in self.robots],
-            list(self.blocks),
-        )
-
-    def validate(self) -> None:
-        """Re-derive the grid from entity lists and check all invariants."""
-        cfg = self.config
-        L = cfg.side_length
-        assert len(self.robots) == cfg.swarm_size
-        assert len(self.blocks) == cfg.block_count
-        seen: set[tuple[int, int]] = set()
-        for i, pose in enumerate(self.robots):
-            assert 0 <= pose.x < L and 0 <= pose.y < L, f"robot {i} out of range"
-            assert (pose.x, pose.y) not in seen, f"robot {i} overlaps"
-            seen.add((pose.x, pose.y))
-            assert self._grid[pose.y, pose.x] == i
-        for j, (bx, by) in enumerate(self.blocks):
-            assert 0 <= bx < L and 0 <= by < L, f"block {j} out of range"
-            assert (bx, by) not in seen, f"block {j} overlaps"
-            seen.add((bx, by))
-            assert self._grid[by, bx] == cfg.swarm_size + j
-        assert int(np.sum(self._grid != EMPTY)) == len(seen)
-
-
 def sample_placement(L: int, N: int, B: int,
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw initial placement: flat cell indices (robots first) and headings.
 
     Draw order (part of the reproducibility contract): one choice of N + B
     distinct cells, then one batch of N headings. Flat cell index is
-    y * L + x. Both the reference world and the batch engine initialize
+    y * L + x. Both the batch engine and the test reference initialize
     through this function.
     """
     if N + B > L * L:
@@ -189,104 +97,6 @@ def sample_placement(L: int, N: int, B: int,
     cells = rng.choice(L * L, size=N + B, replace=False)
     headings = rng.integers(0, 4, size=N)
     return cells, headings
-
-
-def random_world(config: SimConfig, rng: np.random.Generator) -> World:
-    """Place robots and blocks on distinct uniform cells, uniform headings."""
-    L, N, B = config.side_length, config.swarm_size, config.block_count
-    cells, headings = sample_placement(L, N, B, rng)
-    robots = [
-        RobotPose(int(c % L), int(c // L), Heading(int(h)))
-        for c, h in zip(cells[:N], headings)
-    ]
-    blocks = [(int(c % L), int(c // L)) for c in cells[N:]]
-    return World(config, robots, blocks)
-
-
-def sensed_cells(pose: RobotPose, L: int) -> list[tuple[int, int]]:
-    """The six sensed cells ahead of a pose, torus-wrapped, in index order."""
-    fx, fy = HEADING_VECTORS[pose.heading]
-    lx, ly = HEADING_VECTORS[pose.heading.turned(-1)]
-    return [
-        ((pose.x + f * fx + s * lx) % L, (pose.y + f * fy + s * ly) % L)
-        for f, s in SENSOR_FRAME
-    ]
-
-
-def sense(world: World, robot_id: int) -> np.ndarray:
-    """Read the 12 binary sensors of one robot.
-
-    Indices 0..5 report robots over (C1, L1, R1, C2, L2, R2); indices 6..11
-    report blocks over the same cells. No occlusion: far cells are sensed
-    regardless of near-cell contents.
-    """
-    pose = world.robots[robot_id]
-    cells = sensed_cells(pose, world.config.side_length)
-    reading = np.zeros(SENSOR_COUNT, dtype=np.int8)
-    for idx, (cx, cy) in enumerate(cells):
-        occ = world.occupant(cx, cy)
-        if occ is None:
-            continue
-        kind, _ = occ
-        if kind == "robot":
-            reading[idx] = 1
-        else:
-            reading[6 + idx] = 1
-    return reading
-
-
-def attempt_actuate(world: World, robot_id: int, cmd: ActionCommand) -> MoveOutcome:
-    """Apply one robot's command in place and report what happened.
-
-    Moving into a block pushes that single block one cell forward, but only
-    if the cell beyond is free of both robots and blocks; chain pushes never
-    happen. Blocked is a normal outcome, not an error.
-    """
-    pose = world.robots[robot_id]
-    if cmd.action == TURN:
-        pose.heading = pose.heading.turned(cmd.turn_dir)
-        return MoveOutcome.TURNED
-    L = world.config.side_length
-    n = world.config.swarm_size
-    fx, fy = HEADING_VECTORS[pose.heading]
-    c1 = ((pose.x + fx) % L, (pose.y + fy) % L)
-    front = world.occupant(*c1)
-    if front is None:
-        world._grid[pose.y, pose.x] = EMPTY
-        pose.x, pose.y = c1
-        world._grid[pose.y, pose.x] = robot_id
-        return MoveOutcome.MOVED
-    kind, occupant_id = front
-    if kind == "robot":
-        return MoveOutcome.BLOCKED
-    c2 = ((pose.x + 2 * fx) % L, (pose.y + 2 * fy) % L)
-    if world.occupant(*c2) is not None:
-        return MoveOutcome.BLOCKED
-    world._grid[c2[1], c2[0]] = n + occupant_id
-    world.blocks[occupant_id] = c2
-    world._grid[pose.y, pose.x] = EMPTY
-    pose.x, pose.y = c1
-    world._grid[pose.y, pose.x] = robot_id
-    return MoveOutcome.PUSHED
-
-
-def step(world: World, commands: list[ActionCommand],
-         rng: np.random.Generator) -> list[MoveOutcome]:
-    """Actuate all robots once, in a fresh random order drawn from rng.
-
-    Commands must have been computed from the pre-step world (synchronous
-    sensing). The order is the argsort of swarm_size uniform draws -- the
-    same contract the batch engine uses -- so a later robot whose target was
-    just taken simply comes out Blocked.
-    """
-    n = world.config.swarm_size
-    if len(commands) != n:
-        raise ValueError(f"expected {n} commands, got {len(commands)}")
-    order = np.argsort(rng.random(n))
-    outcomes: list[MoveOutcome] = [MoveOutcome.BLOCKED] * n
-    for rid in order:
-        outcomes[rid] = attempt_actuate(world, int(rid), commands[rid])
-    return outcomes
 
 
 def render_cells(L: int, robots: list[RobotPose],
@@ -298,10 +108,6 @@ def render_cells(L: int, robots: list[RobotPose],
     for pose in robots:
         grid[pose.y][pose.x] = pose.heading.letter
     return "".join("".join(row) + "\n" for row in grid)
-
-
-def render_snapshot(world: World) -> str:
-    return render_cells(world.config.side_length, world.robots, world.blocks)
 
 
 class SnapshotError(ValueError):
@@ -333,10 +139,3 @@ def parse_snapshot_cells(
             else:
                 raise SnapshotError(f"line {y + 1}: invalid character {ch!r}")
     return L, robots, blocks
-
-
-def parse_snapshot(text: str, steps: int = 1, seed: int = 0) -> World:
-    """Parse snapshot text back into a World; inverse of render_snapshot."""
-    L, robots, blocks = parse_snapshot_cells(text)
-    config = SimConfig(L, len(robots), len(blocks), steps=steps, seed=seed)
-    return World(config, robots, blocks)

