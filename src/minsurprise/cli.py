@@ -27,8 +27,8 @@ from .experiment import (
     run_index_for,
 )
 from .metrics import structure_report, StructureLabel
-from .networks import load_genome
-from .world import parse_snapshot_cells, render_cells
+from .networks import MalformedGenomeError, load_genome
+from .world import SnapshotError, parse_snapshot_cells, render_cells
 
 
 def _default_out() -> str:
@@ -47,13 +47,13 @@ def _load_plan(args) -> ExperimentPlan:
         plan = parse_config(path.read_text(encoding="utf-8"))
     if args.seed is not None:
         plan = replace(plan, master_seed=args.seed)
-    if args.runs is not None:
-        plan = replace(plan, runs_per_row=args.runs)
     return plan
 
 
 def _cmd_evolve(args) -> int:
     plan = _load_plan(args)
+    if args.runs is not None:
+        plan = replace(plan, runs_per_row=args.runs)
     return run_experiment(plan, args.out, workers=args.workers)
 
 
@@ -124,14 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", nargs="?", default=None,
                        help="key=value experiment config file")
         p.add_argument("--seed", type=int, default=None, help=seed_help)
-        p.add_argument("--runs", type=int, default=None,
-                       help="runs per row (overrides the config)")
         p.add_argument("--matrix", action="store_true",
                        help="use the built-in experiment matrix instead of "
                             "the config rows")
 
     p_evolve = sub.add_parser("evolve", help="run the evolutionary experiment")
     add_plan_args(p_evolve)
+    p_evolve.add_argument("--runs", type=int, default=None,
+                          help="runs per row (overrides the config)")
     p_evolve.add_argument("--out", default=_default_out(),
                           help="output directory (default $MINSURPRISE_OUT "
                                "or ./out)")
@@ -171,6 +171,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except SnapshotError as exc:
+        print(f"snapshot error: {exc}", file=sys.stderr)
+        return 2
+    except MalformedGenomeError as exc:
+        print(f"genome error: {exc}", file=sys.stderr)
         return 2
 
 

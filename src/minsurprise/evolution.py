@@ -102,15 +102,12 @@ class FitnessHistory:
     """Per-generation fitness statistics of one evolutionary run."""
 
     rows: list[tuple[int, float, float, float]] = field(default_factory=list)
-    best_so_far: list[float] = field(default_factory=list)
 
     def append(self, generation: int, fitnesses: Sequence[float]) -> None:
         arr = np.asarray(fitnesses, dtype=np.float64)
         best = float(arr.max())
         self.rows.append((generation, best, float(np.median(arr)),
                           float(arr.mean())))
-        prev = self.best_so_far[-1] if self.best_so_far else -np.inf
-        self.best_so_far.append(max(prev, best))
 
     def to_csv(self) -> str:
         lines = ["generation,best,median,mean"]

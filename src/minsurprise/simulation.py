@@ -16,6 +16,17 @@ network; in emergent mode run the prediction network; actuate robots
 sequentially in the step's shuffled order. Emergent mode therefore yields
 T - 1 comparisons (a prediction meets the *next* step's sensors), fixed
 vectors yield T.
+
+Actuation schedule. The reference actuates one robot at a time in the
+step's shuffled order. A robot reads and writes only its own cell and the
+two ahead of it (c1, c2); a turner touches none of them, so all turns are
+applied at once. A mover's heading is fixed and its cell changes only in
+its own pass, so its cell, c1 and c2 are looked up once per step. The
+movers are then listed by order position, then by world, and actuated one
+order position at a time. The movers at one position lie in distinct
+worlds, and each sees every cell that movers at earlier positions freed,
+took or pushed a block into: the same state the sequential reference shows
+it, so the results are bit-equal.
 """
 
 from __future__ import annotations
@@ -122,29 +133,34 @@ class _Recorder:
         self.start_blocks: Optional[np.ndarray] = None  # (1, B) flat cells
         self.end_blocks: Optional[np.ndarray] = None
 
-    def record_positions(self, t: int, pos_x, pos_y, blk_x, blk_y) -> None:
+    def record_positions(self, t: int, pos: np.ndarray,
+                         bcell: np.ndarray) -> None:
+        """Store (x, y) of the flat robot and block cells if t is in the
+        metrics window."""
         if t >= self.window_start:
-            i = t - self.window_start
-            self.robot_window[i, :, 0] = pos_x[0]
-            self.robot_window[i, :, 1] = pos_y[0]
-            self.block_window[i, :, 0] = blk_x[0]
-            self.block_window[i, :, 1] = blk_y[0]
+            i, L = t - self.window_start, self.L
+            self.robot_window[i, :, 0] = pos[0] % L
+            self.robot_window[i, :, 1] = pos[0] // L
+            self.block_window[i, :, 0] = bcell[0] % L
+            self.block_window[i, :, 1] = bcell[0] // L
 
     def record_io_pair(self, preds: np.ndarray, sensors: np.ndarray) -> None:
         if self.record_io:
             self.preds.append(preds[0].copy())
             self.sensors.append(sensors[0].copy())
 
-    def maybe_snapshot(self, t: int, T: int, pos_x, pos_y, rh, blk_x, blk_y) -> None:
+    def maybe_snapshot(self, t: int, T: int, pos: np.ndarray, rh: np.ndarray,
+                       bcell: np.ndarray) -> None:
         if self.snapshot_every is None:
             return
         if t % self.snapshot_every == 0 or t == T:
+            L = self.L
             robots = [
-                RobotPose(int(x), int(y), Heading(int(h)))
-                for x, y, h in zip(pos_x[0], pos_y[0], rh[0])
+                RobotPose(int(c % L), int(c // L), Heading(int(h)))
+                for c, h in zip(pos[0], rh[0])
             ]
-            blocks = [(int(x), int(y)) for x, y in zip(blk_x[0], blk_y[0])]
-            self.snapshots.append((t, render_cells(self.L, robots, blocks)))
+            blocks = [(int(c % L), int(c // L)) for c in bcell[0]]
+            self.snapshots.append((t, render_cells(L, robots, blocks)))
 
 
 def _verify_state(L, N, B, occ, pos, bcell, bid, woff):
@@ -236,7 +252,6 @@ def _run_batch(
     bid = np.full(K * L2, -1, dtype=np.int64)
     woff = np.arange(K, dtype=np.int64) * L2
     rowoff = np.arange(K, dtype=np.int64) * N
-    boff = np.arange(K, dtype=np.int64) * B
     occ[(woff[:, None] + pos).ravel()] = _ROBOT
     if B:
         flat_b = (woff[:, None] + bcell).ravel()
@@ -264,13 +279,11 @@ def _run_batch(
         diff = np.empty((G, M, SENSOR_COUNT), dtype=np.float64)
         p_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
     step_err = np.empty(K, dtype=np.float64)
-    order = np.empty((K, N), dtype=np.int64)
-    rf = np.empty(K, dtype=np.int64)
     woff3 = woff[:, None, None]
 
     if recorder is not None:
-        recorder.record_positions(0, pos % L, pos // L, bcell % L, bcell // L)
-        recorder.maybe_snapshot(0, T, pos % L, pos // L, rh, bcell % L, bcell // L)
+        recorder.record_positions(0, pos, bcell)
+        recorder.maybe_snapshot(0, T, pos, rh, bcell)
         recorder.start_blocks = bcell.copy()
 
     for t in range(T):
@@ -308,11 +321,8 @@ def _run_batch(
                 + (blocks_seen != fixed_block).reshape(K, -1).sum(axis=1)
             )
             if recorder is not None:
-                fixed_full = np.concatenate([fixed_robot, fixed_block]).astype(
-                    np.float64
-                )
                 recorder.record_io_pair(
-                    np.broadcast_to(fixed_full, (K, N, SENSOR_COUNT)),
+                    np.broadcast_to(fixed, (K, N, SENSOR_COUNT)),
                     sensors.reshape(K, N, SENSOR_COUNT),
                 )
 
@@ -342,42 +352,46 @@ def _run_batch(
 
         X[:, :, SENSOR_COUNT] = moving  # becomes A(t-1) for the next step
 
-        # Actuate sequentially in this step's shuffled order, worlds in
-        # lockstep; later robots see the cells earlier ones just claimed.
+        # Actuate (schedule in the module docstring): all turns at once, then
+        # the movers position-major, one slice per order position; a mover's
+        # pos_f entry is only read before the loop, so it is written after.
         moving_f = moving.reshape(-1)
-        turn_f = turn_dir.reshape(-1)
-        np.copyto(order, perms[:, t, :], casting="unsafe")
-        for k in range(N):
-            np.add(rowoff, order[:, k], out=rf)
-            h = rh_f[rf]
-            a = moving_f[rf]
-            rh_f[rf] = np.where(a, h, (h + turn_f[rf]) & 3)
-            cell = pos_f[rf]
-            c1 = ahead[cell * 4 + h]
-            wc1 = woff + c1
-            o1 = occ[wc1]
-            c2 = ahead[c1 * 4 + h]
-            wc2 = woff + c2
-            push = a & (o1 == _BLOCK) & (occ[wc2] == _FREE)
-            advance = (a & (o1 == _FREE)) | push
-            pidx = np.nonzero(push)[0]
-            if pidx.size:
-                bids = bid[wc1[pidx]]
-                bcell_f[boff[pidx] + bids] = c2[pidx]
-                occ[wc2[pidx]] = _BLOCK
-                bid[wc2[pidx]] = bids
-                bid[wc1[pidx]] = -1
-            aidx = np.nonzero(advance)[0]
-            if aidx.size:
-                occ[(woff + cell)[aidx]] = _FREE
-                occ[wc1[aidx]] = _ROBOT
-                pos_f[rf[aidx]] = c1[aidx]
+        np.copyto(rh_f, (rh_f + turn_dir.reshape(-1)) & 3, where=~moving_f)
+        slot = perms[:, t, :].T + rowoff  # (N, K): robot at position k, world w
+        held = moving_f[slot]
+        mover = slot[held]
+        ends = np.cumsum(held.sum(axis=1)).tolist()  # slice ends per position
+        mcell = pos_f[mover]
+        mh = rh_f[mover]
+        c1 = ahead[mcell * 4 + mh]
+        c2 = ahead[c1 * 4 + mh]
+        wbase = mover // N * L2
+        wcell, wc1, wc2 = wbase + mcell, wbase + c1, wbase + c2
+        advanced = np.empty(mover.size, dtype=bool)
+        lo = 0
+        for hi in ends:
+            if hi == lo:
+                continue  # no mover at this order position
+            s1, s2 = wc1[lo:hi], wc2[lo:hi]
+            o1 = occ[s1]
+            push = (o1 == _BLOCK) & (occ[s2] == _FREE)
+            advance = (o1 == _FREE) | push
+            if push.any():
+                p1, p2 = s1[push], s2[push]
+                bids = bid[p1]
+                bcell_f[mover[lo:hi][push] // N * B + bids] = c2[lo:hi][push]
+                occ[p2] = _BLOCK
+                bid[p2] = bids
+                bid[p1] = -1
+            occ[wcell[lo:hi][advance]] = _FREE
+            occ[s1[advance]] = _ROBOT
+            advanced[lo:hi] = advance
+            lo = hi
+        pos_f[mover[advanced]] = c1[advanced]
 
         if recorder is not None:
-            recorder.record_positions(t + 1, pos % L, pos // L,
-                                      bcell % L, bcell // L)
-            recorder.maybe_snapshot(t + 1, T, pos % L, pos // L, rh,
-                                    bcell % L, bcell // L)
+            recorder.record_positions(t + 1, pos, bcell)
+            recorder.maybe_snapshot(t + 1, T, pos, rh, bcell)
         if verify_every and ((t + 1) % verify_every == 0 or t + 1 == T):
             _verify_state(L, N, B, occ, pos, bcell, bid, woff)
 

@@ -207,10 +207,6 @@ class TestEvolve:
         config = small_config(population_size=5, generations=4)
         best, history = evolve(config)
         assert best.fitness == pytest.approx(max(r[1] for r in history.rows))
-        assert history.best_so_far == [
-            max(r[1] for r in history.rows[: i + 1])
-            for i in range(len(history.rows))
-        ]
 
     def test_reproducible_bit_identical(self):
         config = small_config(population_size=4, generations=3)

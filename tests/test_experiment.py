@@ -250,6 +250,41 @@ class TestCli:
         total = sum(int(v) for k, v in counts.items() if k != "scene")
         assert total == 6
 
+    def test_malformed_inputs_are_one_line_errors(self, tmp_path, capsys):
+        world = random_world(SimConfig(8, 2, 6, steps=5),
+                             np.random.default_rng(1))
+        snap = tmp_path / "w.snap"
+        snap.write_text(render_snapshot(world).replace(".", "X", 1))
+        for command in ("render", "classify"):
+            assert main([command, str(snap)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("snapshot error: ")
+            assert "'X'" in captured.err and captured.err.count("\n") == 1
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMOKE)
+        genome = tmp_path / "bad.genome"
+        genome.write_text("garbage\n")
+        for command in ("posteval", "replay"):
+            assert main([command, str(genome), str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("genome error: ")
+            assert "garbage" in err and err.count("\n") == 1
+
+    def test_runs_flag_only_on_evolve(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMOKE)
+        out = tmp_path / "results"
+        assert main(["evolve", str(cfg), "--out", str(out), "--runs", "2"]) == 0
+        assert (out / "row0_run1" / "best.genome").exists()
+        genome = out / "row0_run0" / "best.genome"
+        capsys.readouterr()
+        for command in ("posteval", "replay"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, str(genome), str(cfg), "--runs", "7"])
+            assert exc.value.code == 2
+            assert "--runs" in capsys.readouterr().err
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(SMOKE)

@@ -12,8 +12,10 @@ from minsurprise.networks import (
     random_genome,
 )
 from minsurprise.simulation import simulate_batch, simulate_traced
-from minsurprise.world import SimConfig
-from oracle import reference_simulation
+from minsurprise.world import HEADING_VECTORS, Heading, RobotPose, SimConfig, \
+    render_cells
+import oracle
+from oracle import MOVE, reference_simulation
 
 
 def spread_genome(seed, scale=3.0):
@@ -66,6 +68,100 @@ class TestReferenceEquivalence:
         final = trace.robot_window[-1]
         assert sorted(map(tuple, final.tolist())) == \
                sorted((x, y) for x, y, _ in ref_robots)
+
+
+def never_moving_genome():
+    # all-zero action net with a negative move bias: every robot only turns
+    weights = np.zeros(ACTION_LENGTH)
+    weights[-2] = -1.0  # b_out[0], the move output's bias
+    return Genome(weights, np.zeros(PREDICTION_LENGTH))
+
+
+def count_crowd_events(monkeypatch, genome, config, scenario, seed):
+    """Run the oracle on one world and count, over all steps, robots that
+    advance into a cell another robot left earlier in the same step, extra
+    movers aiming at an already aimed-at cell, and blocks pushed twice."""
+    counts = {"train": 0, "shared_target": 0, "double_push": 0}
+    L = config.side_length
+    real_step = oracle.step
+
+    def counting_step(world, commands, rng):
+        before = [(p.x, p.y) for p in world.robots]
+        blocks_before = list(world.blocks)
+        targets = [
+            ((p.x + HEADING_VECTORS[p.heading][0]) % L,
+             (p.y + HEADING_VECTORS[p.heading][1]) % L)
+            for p, c in zip(world.robots, commands) if c.action == MOVE
+        ]
+        outcomes = real_step(world, commands, rng)
+        robot_cells_before = set(before)
+        counts["train"] += sum(
+            (p.x, p.y) != b and (p.x, p.y) in robot_cells_before
+            for p, b in zip(world.robots, before)
+        )
+        counts["shared_target"] += len(targets) - len(set(targets))
+        for (x0, y0), (x1, y1) in zip(blocks_before, world.blocks):
+            dx, dy = abs(x1 - x0), abs(y1 - y0)
+            counts["double_push"] += min(dx, L - dx) + min(dy, L - dy) == 2
+        return outcomes
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "step", counting_step)
+        result = reference_simulation(genome, config, scenario, seed)
+    return result, counts
+
+
+class TestDenseWorlds:
+    """Crowded worlds: robot trains into cells vacated earlier in the same
+    step, several movers aiming at one cell, blocks pushed twice in one
+    step, and (with the never-moving genome in the call) order positions
+    that hold a mover in some worlds and none in others. Genomes 17 and 6
+    push a block twice at world seeds 0 and 1 of the first two configs."""
+
+    GENOMES = [Genome(np.zeros(ACTION_LENGTH), np.zeros(PREDICTION_LENGTH)),
+               never_moving_genome(), spread_genome(17), spread_genome(6)]
+    SEEDS = np.tile(np.array([0, 1], dtype=np.uint64), (4, 1))
+
+    @pytest.mark.parametrize("scenario", [Scenario.EMERGENT, Scenario.CLUSTERS])
+    @pytest.mark.parametrize("config", [
+        SimConfig(6, 12, 12, steps=40), SimConfig(5, 10, 8, steps=40),
+        SimConfig(6, 1, 10, steps=40),
+    ], ids=["6x6-N12-B12", "5x5-N10-B8", "6x6-N1-B10"])
+    def test_multi_world_call_matches_reference(self, config, scenario,
+                                                monkeypatch):
+        L = config.side_length
+        seeds = self.SEEDS
+        batched, comp = simulate_batch(self.GENOMES, config, scenario, seeds,
+                                       verify_every=1)
+        events = {"train": 0, "shared_target": 0, "double_push": 0}
+        for g, genome in enumerate(self.GENOMES):
+            for w in range(seeds.shape[1]):
+                seed = int(seeds[g, w])
+                (ref_err, ref_comp, ref_robots, ref_blocks), counts = \
+                    count_crowd_events(monkeypatch, genome, config, scenario,
+                                       seed)
+                for key in events:
+                    events[key] += counts[key]
+                assert comp == ref_comp
+                assert batched[g, w] == ref_err  # bitwise
+                alone, _ = simulate_batch([genome], config, scenario,
+                                          seeds[g:g + 1, w:w + 1],
+                                          verify_every=1)
+                assert alone[0, 0] == ref_err
+                trace = simulate_traced(genome, config, scenario, seed,
+                                        snapshot_every=config.steps)
+                assert trace.error_sum == ref_err
+                assert trace.robot_window[-1].tolist() == \
+                    [[x, y] for x, y, _ in ref_robots]
+                assert trace.block_window[-1].tolist() == \
+                    [list(b) for b in ref_blocks]
+                assert trace.snapshots[-1][1] == render_cells(
+                    L, [RobotPose(x, y, Heading(h)) for x, y, h in ref_robots],
+                    ref_blocks,
+                )
+        if config.swarm_size > 1:
+            # the worlds above really contain the orderings they are for
+            assert all(n > 0 for n in events.values()), events
 
 
 class TestBatchingInvariance:
