@@ -34,7 +34,7 @@ from .evolution import (
     mix64,
 )
 from .metrics import MetricsRow, StructureLabel, metrics_from_trace
-from .networks import Genome, Scenario, save_genome
+from .networks import Genome, Scenario, save_genome, write_text_atomic
 from .simulation import RunTrace, simulate_traced
 from .world import SimConfig
 
@@ -231,8 +231,7 @@ def _ratio(n: int, b: int) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    write_text_atomic(path, text)
 
 
 @dataclass

@@ -14,7 +14,9 @@ net only), hidden-to-output row-major by hidden unit, output biases.
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -198,8 +200,22 @@ def save_genome(path, genome: Genome) -> None:
     lines = [f"{GENOME_HEADER} {ACTION_LENGTH} {PREDICTION_LENGTH}"]
     for i in range(0, len(weights), 8):
         lines.append(" ".join(format(w, ".17g") for w in weights[i:i + 8]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write UTF-8 text to a sibling temp file, then rename it onto path, so
+    that a crash never leaves a partly written file under the final name.
+    The temp file is removed if the write fails."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_genome(path) -> Genome:

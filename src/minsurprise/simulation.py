@@ -26,7 +26,10 @@ movers are then listed by order position, then by world, and actuated one
 order position at a time. The movers at one position lie in distinct
 worlds, and each sees every cell that movers at earlier positions freed,
 took or pushed a block into: the same state the sequential reference shows
-it, so the results are bit-equal.
+it, so the results are bit-equal. A position holding one mover, as every
+position of a single-world run does, is applied with Python ints under the
+same rule and in the same order (push, vacate, occupy): at that size the
+array calls cost far more than the work they do.
 """
 
 from __future__ import annotations
@@ -264,6 +267,9 @@ def _run_batch(
     pos_f = pos.reshape(-1)
     rh_f = rh.reshape(-1)
     bcell_f = bcell.reshape(-1)
+    # Python-int views for order positions that hold a single mover.
+    occ_m, bid_m = memoryview(occ), memoryview(bid)
+    bcell_m = memoryview(bcell_f)
 
     # Scratch buffers reused every step; all writes below keep the exact
     # operation order of the naive expressions, so results stay bit-equal
@@ -335,11 +341,12 @@ def _run_batch(
         sigmoid_inplace(a_out)
         moving = a_out[:, :, 0] >= 0.5
         turn_dir = np.where(a_out[:, :, 1] >= 0.5, 1, -1).astype(np.int64)
+        # The prediction network's action input, and A(t-1) for the next step.
+        X[:, :, SENSOR_COUNT] = moving
 
         # Prediction network, fed the chosen action; the final step's
         # prediction would never meet a sensor reading, so skip it.
         if emergent and t + 1 < T:
-            X[:, :, SENSOR_COUNT] = moving
             stable_rows_matmul(X, p_wh, out=p_hid)
             # same term order as the reference: (x @ w) + self * hidden + bias
             p_hid += p_self * hidden
@@ -349,8 +356,6 @@ def _run_batch(
             stable_rows_matmul(hidden, p_wo, out=pred_prev)
             pred_prev += p_bo
             sigmoid_inplace(pred_prev)
-
-        X[:, :, SENSOR_COUNT] = moving  # becomes A(t-1) for the next step
 
         # Actuate (schedule in the module docstring): all turns at once, then
         # the movers position-major, one slice per order position; a mover's
@@ -372,6 +377,25 @@ def _run_batch(
         for hi in ends:
             if hi == lo:
                 continue  # no mover at this order position
+            if hi - lo == 1:  # one mover: the same rule on Python ints
+                a1 = wc1.item(lo)
+                o1 = occ_m[a1]
+                advance = o1 == _FREE
+                if o1 == _BLOCK:
+                    a2 = wc2.item(lo)
+                    if occ_m[a2] == _FREE:
+                        b = bid_m[a1]
+                        bcell_m[mover.item(lo) // N * B + b] = c2.item(lo)
+                        occ_m[a2] = _BLOCK
+                        bid_m[a2] = b
+                        bid_m[a1] = -1
+                        advance = True
+                if advance:
+                    occ_m[wcell.item(lo)] = _FREE
+                    occ_m[a1] = _ROBOT
+                advanced[lo] = advance
+                lo = hi
+                continue
             s1, s2 = wc1[lo:hi], wc2[lo:hi]
             o1 = occ[s1]
             push = (o1 == _BLOCK) & (occ[s2] == _FREE)

@@ -9,6 +9,7 @@ from minsurprise.cli import main
 from minsurprise.experiment import (
     ConfigError,
     MATRIX_ROWS,
+    _write_text,
     matrix_plan,
     parse_config,
     replay,
@@ -177,6 +178,14 @@ class TestRunExperiment:
         stored = record["posteval_row"].split(",")
         assert float(stored[5]) == metrics_row.fitness
         assert float(stored[6]) == metrics_row.similarity
+
+    def test_failed_artifact_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        _write_text(path, "complete\n")
+        with pytest.raises(UnicodeEncodeError):
+            _write_text(path, "half written \ud800")
+        assert path.read_text(encoding="utf-8") == "complete\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
 
 
 class TestReplay:

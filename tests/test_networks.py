@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from minsurprise import networks
 from minsurprise.networks import (
     ACTION_LENGTH,
     GENOME_LENGTH,
@@ -301,3 +302,17 @@ class TestGenomeFile:
         save_genome(a, genome)
         save_genome(b, genome)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.genome"
+        save_genome(path, random_genome(np.random.default_rng(5)))
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(networks.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_genome(path, random_genome(np.random.default_rng(6)))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["g.genome"]

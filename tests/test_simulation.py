@@ -164,6 +164,36 @@ class TestDenseWorlds:
             assert all(n > 0 for n in events.values()), events
 
 
+class TestLoneMovers:
+    """World 0 never moves and world 1 always moves, so every order position
+    holds exactly one mover, in world 1: the engine actuates each alone,
+    and a pushed block's id must be looked up in world 1's rows."""
+
+    GENOMES = [never_moving_genome(),
+               Genome(np.zeros(ACTION_LENGTH), np.zeros(PREDICTION_LENGTH))]
+    SEEDS = np.array([[3], [4]], dtype=np.uint64)
+
+    @pytest.mark.parametrize("scenario", [Scenario.EMERGENT, Scenario.CLUSTERS])
+    def test_lone_movers_in_world_one_match_reference(self, scenario):
+        config = SimConfig(6, 12, 12, steps=40)
+        batched, comp = simulate_batch(self.GENOMES, config, scenario,
+                                       self.SEEDS, verify_every=1)
+        blocks_moved = []
+        for g, genome in enumerate(self.GENOMES):
+            seed = int(self.SEEDS[g, 0])
+            ref_err, ref_comp, _, ref_blocks = reference_simulation(
+                genome, config, scenario, seed)
+            start_blocks = oracle.random_world(
+                config, np.random.default_rng(seed)).blocks
+            assert comp == ref_comp
+            assert batched[g, 0] == ref_err  # bitwise
+            alone, _ = simulate_batch([genome], config, scenario,
+                                      self.SEEDS[g:g + 1], verify_every=1)
+            assert alone[0, 0] == ref_err
+            blocks_moved.append(ref_blocks != start_blocks)
+        assert blocks_moved == [False, True]  # only world 1 pushes
+
+
 class TestBatchingInvariance:
     def test_population_batch_equals_single_genome_calls(self):
         # One vectorized call over many genomes must be bit-identical to
