@@ -29,7 +29,18 @@ took or pushed a block into: the same state the sequential reference shows
 it, so the results are bit-equal. A position holding one mover, as every
 position of a single-world run does, is applied with Python ints under the
 same rule and in the same order (push, vacate, occupy): at that size the
-array calls cost far more than the work they do.
+array calls cost far more than the work they do. A step in which no robot
+moves applies its turns and skips the rest.
+
+Operand layout. The operands of a step's arithmetic at the full batch size
+are contiguous arrays of their full (G, M, .) or (K * N, .) shape, so numpy
+runs one inner loop per operation instead of one per robot row: biases and
+the prediction network's self weights are repeated per robot row once per
+call, the two sensor banks are compared into one bool buffer that one copy
+turns into the float buffer S, and c1/c2 come from one (2, L * L * 4)
+table. Only the writes of the two banks and of X's columns stay strided. The
+floating-point operations and their order are those of the reference, so
+the layout changes speed only, never a bit of the results.
 """
 
 from __future__ import annotations
@@ -70,26 +81,26 @@ _TABLE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 def _tables(L: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-grid lookup tables indexed by cell * 4 + heading.
 
-    ahead[i]: flat cell one step forward. sensed[i]: the six sensed flat
-    cells in sensor index order.
+    sensed[i]: the six sensed flat cells in sensor index order. ahead[:, i]:
+    the two flat cells straight ahead (c1, c2), which are sensor cells 0
+    and 3, one row each so that a lookup yields contiguous c1 and c2.
     """
     cached = _TABLE_CACHE.get(L)
     if cached is not None:
         return cached
     cells = np.arange(L * L, dtype=np.int64)
     x, y = cells % L, cells // L
-    ahead = np.empty(L * L * 4, dtype=np.int64)
     sensed = np.empty((L * L * 4, 6), dtype=np.int64)
     for h in Heading:
         fx, fy = HEADING_VECTORS[h]
         lx, ly = HEADING_VECTORS[h.turned(-1)]
-        ahead[cells * 4 + h] = ((y + fy) % L) * L + (x + fx) % L
         for s_idx, (f, s) in enumerate(SENSOR_FRAME):
             sx = (x + f * fx + s * lx) % L
             sy = (y + f * fy + s * ly) % L
             sensed[cells * 4 + h, s_idx] = sy * L + sx
-    _TABLE_CACHE[L] = (ahead, sensed)
-    return ahead, sensed
+    ahead = np.ascontiguousarray(sensed[:, [0, 3]].T)
+    _TABLE_CACHE[L] = (sensed, ahead)
+    return sensed, ahead
 
 
 @dataclass
@@ -193,6 +204,12 @@ def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.ascontiguousarray(np.stack(arrays))
 
 
+def _rows(arrays: Sequence[np.ndarray], M: int) -> np.ndarray:
+    """Per-genome vectors repeated for each of a genome's M robot rows: a
+    contiguous (G, M, n) operand in place of a broadcast (G, 1, n) one."""
+    return np.repeat(np.stack(arrays)[:, None, :], M, axis=1)
+
+
 def _run_batch(
     genomes: Sequence[Genome],
     L: int,
@@ -220,27 +237,27 @@ def _run_batch(
 
     decoded = [decode(g) for g in genomes]
     a_wh = _stack([d[0].w_hidden for d in decoded])  # (G, 13, 8)
-    a_bh = _stack([d[0].b_hidden for d in decoded])[:, None, :]  # (G, 1, 8)
+    a_bh = _rows([d[0].b_hidden for d in decoded], M)  # (G, M, 8)
     a_wo = _stack([d[0].w_out for d in decoded])
-    a_bo = _stack([d[0].b_out for d in decoded])[:, None, :]
+    a_bo = _rows([d[0].b_out for d in decoded], M)
     if emergent:
         p_wh = _stack([d[1].w_hidden for d in decoded])
-        p_bh = _stack([d[1].b_hidden for d in decoded])[:, None, :]
-        p_self = _stack([d[1].w_self for d in decoded])[:, None, :]
+        p_bh = _rows([d[1].b_hidden for d in decoded], M)
+        p_self = _rows([d[1].w_self for d in decoded], M)
         p_wo = _stack([d[1].w_out for d in decoded])
-        p_bo = _stack([d[1].b_out for d in decoded])[:, None, :]
+        p_bo = _rows([d[1].b_out for d in decoded], M)
         hidden = np.zeros((G, M, HIDDEN_UNITS), dtype=np.float64)
         pred_prev = np.zeros((G, M, SENSOR_COUNT), dtype=np.float64)
     else:
         fixed = scenario_prediction(scenario)
-        fixed_robot = fixed[:6].astype(bool)  # all zeros by construction
-        fixed_block = fixed[6:].astype(bool)
+        fixed_bits = np.tile(fixed.astype(bool), (K, N))  # (K, N * 12)
 
     L2 = L * L
     pos = np.empty((K, N), dtype=np.int64)  # robot flat cells
     rh = np.empty((K, N), dtype=np.int64)  # headings
     bcell = np.empty((K, B), dtype=np.int64)  # block flat cells by id
-    perm_dtype = np.int16 if N < 2**15 else np.int64
+    perm_dtype = (np.int8 if N < 2**7 else np.int16 if N < 2**15
+                  else np.int64)
     perms = np.empty((K, T, N), dtype=perm_dtype)
     for k in range(K):
         rng = np.random.default_rng(int(seeds[k // W, k % W]))
@@ -261,7 +278,10 @@ def _run_batch(
         occ[flat_b] = _BLOCK
         bid[flat_b] = np.tile(np.arange(B, dtype=np.int64), K)
 
-    ahead, sensed_tbl = _tables(L)
+    sensed_tbl, ahead_tbl = _tables(L)
+    # World offsets of every sensed cell, and of every robot slot.
+    sensed_woff = np.repeat(woff, N * 6).reshape(K * N, 6)
+    slot_woff = np.repeat(woff, N)
     X = np.zeros((G, M, NET_INPUTS), dtype=np.float64)
     err = np.zeros(K, dtype=np.float64)
     pos_f = pos.reshape(-1)
@@ -274,18 +294,22 @@ def _run_batch(
     # Scratch buffers reused every step; all writes below keep the exact
     # operation order of the naive expressions, so results stay bit-equal
     # to the single-world reference.
-    sense_idx = np.empty((K, N), dtype=np.int64)
-    scell_buf = np.empty((K, N, 6), dtype=np.int64)
-    occv = np.empty((K, N, 6), dtype=np.int8)
-    robots_seen = np.empty((K, N, 6), dtype=bool)
-    blocks_seen = np.empty((K, N, 6), dtype=bool)
+    sense_idx = np.empty(K * N, dtype=np.int64)
+    scell = np.empty((K * N, 6), dtype=np.int64)  # world flat sensed cells
+    occv = np.empty((K * N, 6), dtype=np.int8)
+    seen = np.empty((K * N, 2, 6), dtype=bool)  # robot bank, block bank
+    S = np.empty((G, M, SENSOR_COUNT), dtype=np.float64)
     a_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
     a_out = np.empty((G, M, ACTION_OUTPUTS), dtype=np.float64)
+    decide = np.empty((G, M, ACTION_OUTPUTS), dtype=bool)  # move, turn right
+    moving_f = decide[:, :, 0].reshape(-1)
+    turning_f = decide[:, :, 1].reshape(-1)
     if emergent:
         diff = np.empty((G, M, SENSOR_COUNT), dtype=np.float64)
         p_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
+    else:
+        mismatch = np.empty((K, N * SENSOR_COUNT), dtype=bool)
     step_err = np.empty(K, dtype=np.float64)
-    woff3 = woff[:, None, None]
 
     if recorder is not None:
         recorder.record_positions(0, pos, bcell)
@@ -293,43 +317,41 @@ def _run_batch(
         recorder.start_blocks = bcell.copy()
 
     for t in range(T):
-        # Sense: occupancy codes of the six cells ahead, both entity banks.
-        np.multiply(pos, 4, out=sense_idx)
-        sense_idx += rh
-        np.take(sensed_tbl, sense_idx, axis=0, out=scell_buf)
-        scell_buf += woff3
-        np.take(occ, scell_buf, out=occv)
-        np.equal(occv, _ROBOT, out=robots_seen)
-        np.equal(occv, _BLOCK, out=blocks_seen)
-        X[:, :, 0:6] = robots_seen.reshape(G, M, 6)
-        X[:, :, 6:12] = blocks_seen.reshape(G, M, 6)
-        sensors = X[:, :, :SENSOR_COUNT]
+        # Sense: occupancy codes of the six cells ahead, both entity banks,
+        # into one bool buffer, then one copy each into S and X.
+        np.multiply(pos_f, 4, out=sense_idx)
+        sense_idx += rh_f
+        np.take(sensed_tbl, sense_idx, axis=0, out=scell)
+        scell += sensed_woff
+        np.take(occ, scell, out=occv)
+        np.equal(occv, _ROBOT, out=seen[:, 0])
+        np.equal(occv, _BLOCK, out=seen[:, 1])
+        np.copyto(S, seen.reshape(G, M, SENSOR_COUNT))
+        X[:, :, :SENSOR_COUNT] = S
 
         # Score the prediction pending from the previous step (emergent) or
         # the scenario's fixed vector (predefined; exact integer mismatches).
         if emergent:
             if t > 0:
-                np.subtract(pred_prev, sensors.reshape(G, M, SENSOR_COUNT),
-                            out=diff)
+                np.subtract(pred_prev, S, out=diff)
                 np.abs(diff, out=diff)
                 np.sum(diff.reshape(K, N * SENSOR_COUNT), axis=1, out=step_err)
                 err += step_err
                 if recorder is not None:
                     recorder.record_io_pair(
                         pred_prev.reshape(K, N, SENSOR_COUNT),
-                        sensors.reshape(K, N, SENSOR_COUNT),
+                        S.reshape(K, N, SENSOR_COUNT),
                     )
         else:
             # Binary targets against binary sensors: |p - s| is exactly the
             # mismatch count, so the error sum stays integer-exact.
-            err += (
-                (robots_seen != fixed_robot).reshape(K, -1).sum(axis=1)
-                + (blocks_seen != fixed_block).reshape(K, -1).sum(axis=1)
-            )
+            np.not_equal(seen.reshape(K, N * SENSOR_COUNT), fixed_bits,
+                         out=mismatch)
+            err += mismatch.sum(axis=1)
             if recorder is not None:
                 recorder.record_io_pair(
                     np.broadcast_to(fixed, (K, N, SENSOR_COUNT)),
-                    sensors.reshape(K, N, SENSOR_COUNT),
+                    S.reshape(K, N, SENSOR_COUNT),
                 )
 
         # Action network (X holds sensors + previous action).
@@ -339,17 +361,18 @@ def _run_batch(
         stable_rows_matmul(a_hid, a_wo, out=a_out)
         a_out += a_bo
         sigmoid_inplace(a_out)
-        moving = a_out[:, :, 0] >= 0.5
-        turn_dir = np.where(a_out[:, :, 1] >= 0.5, 1, -1).astype(np.int64)
+        np.greater_equal(a_out, 0.5, out=decide)
         # The prediction network's action input, and A(t-1) for the next step.
-        X[:, :, SENSOR_COUNT] = moving
+        X[:, :, SENSOR_COUNT] = decide[:, :, 0]
 
         # Prediction network, fed the chosen action; the final step's
         # prediction would never meet a sensor reading, so skip it.
         if emergent and t + 1 < T:
             stable_rows_matmul(X, p_wh, out=p_hid)
-            # same term order as the reference: (x @ w) + self * hidden + bias
-            p_hid += p_self * hidden
+            # same term order as the reference: (x @ w) + self * hidden + bias;
+            # the old hidden state is read only here, so it holds the product
+            hidden *= p_self
+            p_hid += hidden
             p_hid += p_bh
             np.tanh(p_hid, out=p_hid)
             hidden, p_hid = p_hid, hidden
@@ -360,58 +383,58 @@ def _run_batch(
         # Actuate (schedule in the module docstring): all turns at once, then
         # the movers position-major, one slice per order position; a mover's
         # pos_f entry is only read before the loop, so it is written after.
-        moving_f = moving.reshape(-1)
-        np.copyto(rh_f, (rh_f + turn_dir.reshape(-1)) & 3, where=~moving_f)
-        slot = perms[:, t, :].T + rowoff  # (N, K): robot at position k, world w
-        held = moving_f[slot]
-        mover = slot[held]
-        ends = np.cumsum(held.sum(axis=1)).tolist()  # slice ends per position
-        mcell = pos_f[mover]
-        mh = rh_f[mover]
-        c1 = ahead[mcell * 4 + mh]
-        c2 = ahead[c1 * 4 + mh]
-        wbase = mover // N * L2
-        wcell, wc1, wc2 = wbase + mcell, wbase + c1, wbase + c2
-        advanced = np.empty(mover.size, dtype=bool)
-        lo = 0
-        for hi in ends:
-            if hi == lo:
-                continue  # no mover at this order position
-            if hi - lo == 1:  # one mover: the same rule on Python ints
-                a1 = wc1.item(lo)
-                o1 = occ_m[a1]
-                advance = o1 == _FREE
-                if o1 == _BLOCK:
-                    a2 = wc2.item(lo)
-                    if occ_m[a2] == _FREE:
-                        b = bid_m[a1]
-                        bcell_m[mover.item(lo) // N * B + b] = c2.item(lo)
-                        occ_m[a2] = _BLOCK
-                        bid_m[a2] = b
-                        bid_m[a1] = -1
-                        advance = True
-                if advance:
-                    occ_m[wcell.item(lo)] = _FREE
-                    occ_m[a1] = _ROBOT
-                advanced[lo] = advance
+        np.copyto(rh_f, (rh_f + np.where(turning_f, 1, -1)) & 3,
+                  where=~moving_f)
+        if moving_f.any():
+            # slot[k, w]: the robot at order position k in world w
+            slot = perms[:, t, :].T + rowoff
+            held = moving_f[slot]
+            mover = slot[held]
+            ends = np.cumsum(held.sum(axis=1)).tolist()  # ends per position
+            # sense_idx still holds each mover's cell * 4 + heading
+            c1, c2 = np.take(ahead_tbl, sense_idx[mover], axis=1)
+            wbase = slot_woff[mover]
+            wcell = wbase + pos_f[mover]
+            wc1, wc2 = c1 + wbase, c2 + wbase
+            advanced = np.empty(mover.size, dtype=bool)
+            lo = 0
+            for hi in ends:
+                if hi == lo:
+                    continue  # no mover at this order position
+                if hi - lo == 1:  # one mover: the same rule on Python ints
+                    a1 = wc1.item(lo)
+                    o1 = occ_m[a1]
+                    advance = o1 == _FREE
+                    if o1 == _BLOCK:
+                        a2 = wc2.item(lo)
+                        if occ_m[a2] == _FREE:
+                            b = bid_m[a1]
+                            bcell_m[mover.item(lo) // N * B + b] = c2.item(lo)
+                            occ_m[a2] = _BLOCK
+                            bid_m[a2] = b
+                            advance = True
+                    if advance:
+                        occ_m[wcell.item(lo)] = _FREE
+                        occ_m[a1] = _ROBOT
+                    advanced[lo] = advance
+                    lo = hi
+                    continue
+                s1, s2 = wc1[lo:hi], wc2[lo:hi]
+                o1 = occ[s1]
+                push = (o1 == _BLOCK) & (occ[s2] == _FREE)
+                advance = (o1 == _FREE) | push
+                if push.any():
+                    p2 = s2[push]
+                    bids = bid[s1[push]]
+                    bcell_f[mover[lo:hi][push] // N * B + bids] = \
+                        c2[lo:hi][push]
+                    occ[p2] = _BLOCK
+                    bid[p2] = bids
+                occ[wcell[lo:hi][advance]] = _FREE
+                occ[s1[advance]] = _ROBOT
+                advanced[lo:hi] = advance
                 lo = hi
-                continue
-            s1, s2 = wc1[lo:hi], wc2[lo:hi]
-            o1 = occ[s1]
-            push = (o1 == _BLOCK) & (occ[s2] == _FREE)
-            advance = (o1 == _FREE) | push
-            if push.any():
-                p1, p2 = s1[push], s2[push]
-                bids = bid[p1]
-                bcell_f[mover[lo:hi][push] // N * B + bids] = c2[lo:hi][push]
-                occ[p2] = _BLOCK
-                bid[p2] = bids
-                bid[p1] = -1
-            occ[wcell[lo:hi][advance]] = _FREE
-            occ[s1[advance]] = _ROBOT
-            advanced[lo:hi] = advance
-            lo = hi
-        pos_f[mover[advanced]] = c1[advanced]
+            pos_f[mover[advanced]] = c1[advanced]
 
         if recorder is not None:
             recorder.record_positions(t + 1, pos, bcell)

@@ -49,6 +49,33 @@ def report(criterion: str, passed: bool, detail: str) -> None:
     assert passed, f"{criterion}: {detail}"
 
 
+def platform_note() -> str:
+    """numpy version, SIMD dispatch targets and BLAS build of this process.
+
+    Artifacts are bit-identical only on the same numpy build and SIMD
+    dispatch level: numpy picks its tanh/exp kernels by CPU.
+    """
+    try:
+        from numpy._core._multiarray_umath import (
+            __cpu_baseline__, __cpu_dispatch__, __cpu_features__)
+        simd = (f"SIMD baseline {' '.join(__cpu_baseline__) or 'none'}, "
+                "dispatch " + (" ".join(f for f in __cpu_dispatch__
+                                        if __cpu_features__.get(f))
+                               or "none"))
+    except ImportError:
+        simd = "SIMD dispatch unknown"
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}) \
+        .get("blas", {})
+    return (f"numpy {np.__version__}, {simd}, BLAS {blas.get('name')} "
+            f"{blas.get('version')} ({blas.get('openblas configuration')})")
+
+
+def test_platform_note_names_numpy_simd_and_blas():
+    note = platform_note()
+    assert f"numpy {np.__version__}" in note
+    assert "dispatch" in note and "BLAS" in note
+
+
 # --- criteria 5-8 share three experiment batches -------------------------
 
 
@@ -81,13 +108,15 @@ def heavy_results():
             )
             assert posteval_csv_row(record["run_id"], row.scenario, row.sim,
                                     metrics_row) == record["posteval_row"], \
-                f"{run_dir}: replay differs from the stored posteval_row"
+                (f"{run_dir}: replay differs from the stored posteval_row "
+                 f"under {platform_note()}")
             for (_, text), snap in zip(
                 (snapshots[0], snapshots[-1]),
                 ("start_snapshot.txt", "end_snapshot.txt"),
             ):
                 assert text.encode("utf-8") == (run_dir / snap).read_bytes(), \
-                    f"{run_dir}: replay differs from the stored {snap}"
+                    (f"{run_dir}: replay differs from the stored {snap} "
+                     f"under {platform_note()}")
             rows.append(record)
         posteval = (batch_dir / "posteval.csv").read_text().strip().splitlines()
         out[name] = {"plan": plan, "records": rows, "posteval": posteval[1:]}

@@ -56,6 +56,26 @@ class TestReferenceEquivalence:
                                  np.array([[77]], dtype=np.uint64))
         assert errs[0, 0] == ref_err
 
+    @pytest.mark.parametrize("robots", [127, 128, 129])
+    def test_order_table_type_boundary_matches_reference(self, robots):
+        # 127 robots keep the step orders in int8, 128 use int16, and 129
+        # would overflow int8 (order indices reach 128); crowded
+        # always-moving worlds make the error sums depend on the order.
+        config = SimConfig(16, robots, 16, steps=10)
+        always_moving = Genome(np.zeros(ACTION_LENGTH),
+                               np.zeros(PREDICTION_LENGTH))
+        genomes = [always_moving, spread_genome(5)]
+        seeds = np.array([[31], [32]], dtype=np.uint64)
+        batched, _ = simulate_batch(genomes, config, Scenario.EMERGENT, seeds,
+                                    verify_every=1)
+        for g, genome in enumerate(genomes):
+            ref_err, _, _, _ = reference_simulation(
+                genome, config, Scenario.EMERGENT, int(seeds[g, 0]))
+            assert batched[g, 0] == ref_err  # bitwise
+            alone, _ = simulate_batch([genome], config, Scenario.EMERGENT,
+                                      seeds[g:g + 1])
+            assert alone[0, 0] == ref_err
+
     def test_engine_final_state_matches_reference(self):
         config = SimConfig(8, 4, 6, steps=40)
         genome = spread_genome(9)
@@ -122,7 +142,7 @@ class TestDenseWorlds:
                never_moving_genome(), spread_genome(17), spread_genome(6)]
     SEEDS = np.tile(np.array([0, 1], dtype=np.uint64), (4, 1))
 
-    @pytest.mark.parametrize("scenario", [Scenario.EMERGENT, Scenario.CLUSTERS])
+    @pytest.mark.parametrize("scenario", list(Scenario))
     @pytest.mark.parametrize("config", [
         SimConfig(6, 12, 12, steps=40), SimConfig(5, 10, 8, steps=40),
         SimConfig(6, 1, 10, steps=40),
