@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -421,6 +420,9 @@ def run_experiment(plan: ExperimentPlan, out_dir, workers: int = 1,
 
     failures = 0
     if workers > 1 and len(pending) > 1:
+        # imported here: it costs a noticeable share of every CLI start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(_execute_run, plan, i, j, out): (i, j)

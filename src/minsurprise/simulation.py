@@ -17,28 +17,47 @@ sequentially in the step's shuffled order. Emergent mode therefore yields
 T - 1 comparisons (a prediction meets the *next* step's sensors), fixed
 vectors yield T.
 
+Grid. All K worlds share one flat grid, L * L cells each: 0 free, 1 robot,
+2 + b block b (int8 while B + 2 < 2**7). A push copies the block's code, so
+block identity needs no other state. Block cells by id are read off the grid
+only where a result reads them: start blocks and snapshots when taken, the
+metrics window once after the run, and the ``verify_every`` sweep.
+
+Action decisions. The reference moves, and turns right, on
+1 / (1 + exp(-y)) >= 0.5. In doubles fl(1 / x) >= 0.5 iff x <= 2, and
+fl(1 + e) <= 2 iff e <= 1 + 2**-52. For |y| > 1e-12, exp(-y) is more than
+0.99e-12 from 1, so any exp within a relative 1e-13 (numpy's is within a few
+ulp) puts e on the side of 1 that the sign of y gives: the decision is
+y >= 0. The engine takes the sign and runs ``sigmoid_inplace`` only where
+|y| <= 1e-12; there the two can differ (y = -2**-53 gives exactly 0.5).
+
 Actuation schedule. The reference actuates one robot at a time in the
 step's shuffled order. A robot reads and writes only its own cell and the
 two ahead of it (c1, c2); a turner touches none of them, so all turns are
-applied at once. A mover's heading is fixed and its cell changes only in
-its own pass, so its cell, c1 and c2 are looked up once per step. The
-movers are then listed by order position, then by world, and actuated one
-order position at a time. The movers at one position lie in distinct
-worlds, and each sees every cell that movers at earlier positions freed,
-took or pushed a block into: the same state the sequential reference shows
-it, so the results are bit-equal. A position holding one mover, as every
-position of a single-world run does, is applied with Python ints under the
-same rule and in the same order (push, vacate, occupy): at that size the
-array calls cost far more than the work they do. A step in which no robot
-moves applies its turns and skips the rest.
+applied at once, by one lookup from each robot's decision pair to a heading
+change. A mover's heading is fixed and its cell changes only in its own
+pass, so its cell, c1 and c2 are looked up once per step. The movers are
+then listed by order position, then by world, and actuated one order
+position at a time. The movers at one position lie in distinct worlds, and
+each sees every cell that movers at earlier positions freed, took or pushed
+a block into: the same state the sequential reference shows it, so the
+results are bit-equal. Several movers at one position write c2 <- (push ?
+c1's code : c2's), c1 <- (advance ? robot : c1's) and their cell <-
+(advance ? free : robot) unconditionally: a mover's three cells are
+distinct and no two movers share a world. A position holding one mover, as
+every position of a single-world run does, is applied with Python ints
+under the same rule and in the same order (push, vacate, occupy): at that
+size the array calls cost far more than the work they do. A step in which
+no robot moves applies its turns and skips the rest.
 
 Operand layout. The operands of a step's arithmetic at the full batch size
 are contiguous arrays of their full (G, M, .) or (K * N, .) shape, so numpy
 runs one inner loop per operation instead of one per robot row: biases and
 the prediction network's self weights are repeated per robot row once per
-call, the two sensor banks are compared into one bool buffer that one copy
-turns into the float buffer S, and c1/c2 come from one (2, L * L * 4)
-table. Only the writes of the two banks and of X's columns stay strided. The
+call, the six sensed cell codes of every robot are gathered from the grid
+and compared into one bool buffer of both sensor banks that one copy turns
+into the float buffer S, and c1/c2 come from one (2, L * L * 4) table. Only
+the writes of the two banks and of X's columns stay strided. The
 floating-point operations and their order are those of the reference, so
 the layout changes speed only, never a bit of the results.
 """
@@ -72,8 +91,17 @@ from .world import (
     sample_placement,
 )
 
-# Occupancy codes used by the engine grids.
+# Grid cell codes; block b is stored as _BLOCK + b.
 _FREE, _ROBOT, _BLOCK = 0, 1, 2
+
+# Action outputs this close to 0 take the sigmoid, all others their sign.
+_DECISION_BAND = 1e-12
+
+# Heading change keyed by a robot's (move, turn right) bool pair read as one
+# uint16: -1 and +1 for the two turning pairs, 0 for a mover; 0x0102 entries
+# cover the keys in either byte order.
+_TURN_DELTA = np.zeros(0x0102, dtype=np.int64)
+_TURN_DELTA[np.array([0, 0, 0, 1], dtype=bool).view(np.uint16)] = -1, 1
 
 _TABLE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -129,7 +157,7 @@ class _Recorder:
 
     def __init__(self, N: int, B: int, T: int, L: int, record_io: bool,
                  snapshot_every: Optional[int]):
-        self.L = L
+        self.L, self.B = L, B
         self.tau = (L * L) // 2
         if T < self.tau:
             raise ValueError(
@@ -137,67 +165,72 @@ class _Recorder:
                 f"tau={self.tau}"
             )
         self.window_start = T - self.tau
-        self.robot_window = np.zeros((self.tau + 1, N, 2), dtype=np.int64)
-        self.block_window = np.zeros((self.tau + 1, B, 2), dtype=np.int64)
+        # The metrics window as stored per step: robot cells and the grid.
+        self.robot_cells = np.empty((self.tau + 1, N), dtype=np.int64)
+        self.grids = np.empty((self.tau + 1, L * L), dtype=_int_type(B + 2))
         self.record_io = record_io
         self.preds: list[np.ndarray] = []
         self.sensors: list[np.ndarray] = []
         self.snapshot_every = snapshot_every
         self.snapshots: list[tuple[int, str]] = []
-        self.start_blocks: Optional[np.ndarray] = None  # (1, B) flat cells
-        self.end_blocks: Optional[np.ndarray] = None
+        self.start_blocks: Optional[np.ndarray] = None  # (B,) flat cells
 
-    def record_positions(self, t: int, pos: np.ndarray,
-                         bcell: np.ndarray) -> None:
-        """Store (x, y) of the flat robot and block cells if t is in the
-        metrics window."""
-        if t >= self.window_start:
-            i, L = t - self.window_start, self.L
-            self.robot_window[i, :, 0] = pos[0] % L
-            self.robot_window[i, :, 1] = pos[0] // L
-            self.block_window[i, :, 0] = bcell[0] % L
-            self.block_window[i, :, 1] = bcell[0] // L
-
-    def record_io_pair(self, preds: np.ndarray, sensors: np.ndarray) -> None:
-        if self.record_io:
-            self.preds.append(preds[0].copy())
-            self.sensors.append(sensors[0].copy())
-
-    def maybe_snapshot(self, t: int, T: int, pos: np.ndarray, rh: np.ndarray,
-                       bcell: np.ndarray) -> None:
-        if self.snapshot_every is None:
-            return
-        if t % self.snapshot_every == 0 or t == T:
+    def record(self, t: int, T: int, pos: np.ndarray, rh: np.ndarray,
+               occ: np.ndarray) -> None:
+        """Keep what a result reads of the state after t steps: robot cells
+        and grid in the metrics window, start blocks, snapshots."""
+        i = t - self.window_start
+        if i >= 0:
+            self.robot_cells[i] = pos[0]
+            self.grids[i] = occ
+        if t == 0:
+            self.start_blocks = _block_cells(occ, 1, self.B)[0]
+        every = self.snapshot_every
+        if every is not None and (t % every == 0 or t == T):
             L = self.L
             robots = [
                 RobotPose(int(c % L), int(c // L), Heading(int(h)))
                 for c, h in zip(pos[0], rh[0])
             ]
-            blocks = [(int(c % L), int(c // L)) for c in bcell[0]]
+            blocks = [(int(c % L), int(c // L))
+                      for c in _block_cells(occ, 1, self.B)[0]]
             self.snapshots.append((t, render_cells(L, robots, blocks)))
 
+    def record_io_pair(self, preds: np.ndarray, sensors: np.ndarray) -> None:
+        self.preds.append(preds[0].copy())
+        self.sensors.append(sensors[0].copy())
 
-def _verify_state(L, N, B, occ, pos, bcell, bid, woff):
+
+def _int_type(n: int):
+    """The narrowest of int8, int16 and int64 that holds 0..n - 1."""
+    return np.int8 if n < 2**7 else np.int16 if n < 2**15 else np.int64
+
+
+def _block_cells(occ: np.ndarray, K: int, B: int) -> np.ndarray:
+    """(K, B) flat block cells by id, read off the grid of K worlds."""
+    L2 = occ.size // K
+    cells = np.flatnonzero(occ >= _BLOCK)
+    world = cells // L2
+    bcell = np.empty(K * B, dtype=np.int64)
+    bcell[world * B + occ[cells] - _BLOCK] = cells - world * L2
+    return bcell.reshape(K, B)
+
+
+def _verify_state(L, N, B, occ, pos, woff):
     """Invariant sweep used by fuzz tests (verify_every mode)."""
     K = pos.shape[0]
     grid = occ.reshape(K, L * L)
     assert np.all((grid == _ROBOT).sum(axis=1) == N), "robot count violated"
-    assert np.all((grid == _BLOCK).sum(axis=1) == B), "block count violated"
     assert np.all((pos >= 0) & (pos < L * L)), "robot cell out of range"
     assert np.all(occ[(woff[:, None] + pos).ravel()] == _ROBOT), \
         "robot cell not marked occupied"
     sorted_pos = np.sort(pos, axis=1)
     assert np.all(sorted_pos[:, 1:] != sorted_pos[:, :-1]), "robots overlap"
-    if B:
-        assert np.all((bcell >= 0) & (bcell < L * L)), "block cell out of range"
-        assert np.all(occ[(woff[:, None] + bcell).ravel()] == _BLOCK), \
-            "block cell not marked occupied"
-        sorted_b = np.sort(bcell, axis=1)
-        assert np.all(sorted_b[:, 1:] != sorted_b[:, :-1]), "blocks overlap"
-        assert np.all(
-            bid[(woff[:, None] + bcell).ravel()]
-            == np.tile(np.arange(B), K)
-        ), "block id map inconsistent"
+    blocks = grid >= _BLOCK
+    assert np.all(blocks.sum(axis=1) == B), "block count violated"
+    ids = np.sort(grid[blocks].reshape(K, B), axis=1)
+    assert np.all(ids == np.arange(_BLOCK, _BLOCK + B)), \
+        "block ids are not 0..B-1"
 
 
 def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -255,10 +288,8 @@ def _run_batch(
     L2 = L * L
     pos = np.empty((K, N), dtype=np.int64)  # robot flat cells
     rh = np.empty((K, N), dtype=np.int64)  # headings
-    bcell = np.empty((K, B), dtype=np.int64)  # block flat cells by id
-    perm_dtype = (np.int8 if N < 2**7 else np.int16 if N < 2**15
-                  else np.int64)
-    perms = np.empty((K, T, N), dtype=perm_dtype)
+    bcell = np.empty((K, B), dtype=np.int64)  # initial block flat cells by id
+    perms = np.empty((K, T, N), dtype=_int_type(N))
     for k in range(K):
         rng = np.random.default_rng(int(seeds[k // W, k % W]))
         cells, headings = sample_placement(L, N, B, rng)
@@ -268,15 +299,15 @@ def _run_batch(
         keys = rng.random((T, N))
         perms[k] = np.argsort(keys, axis=-1)
 
-    occ = np.zeros(K * L2, dtype=np.int8)
-    bid = np.full(K * L2, -1, dtype=np.int64)
+    # The one grid of all K worlds: _FREE, _ROBOT or _BLOCK + block id.
+    occ = np.zeros(K * L2, dtype=_int_type(B + 2))
     woff = np.arange(K, dtype=np.int64) * L2
     rowoff = np.arange(K, dtype=np.int64) * N
     occ[(woff[:, None] + pos).ravel()] = _ROBOT
-    if B:
-        flat_b = (woff[:, None] + bcell).ravel()
-        occ[flat_b] = _BLOCK
-        bid[flat_b] = np.tile(np.arange(B, dtype=np.int64), K)
+    occ[(woff[:, None] + bcell).ravel()] = np.tile(
+        np.arange(_BLOCK, _BLOCK + B), K)
+    # (k + 1) * K: the end of order position k in a position-major list
+    position_ends = np.arange(K, K * N + 1, K)
 
     sensed_tbl, ahead_tbl = _tables(L)
     # World offsets of every sensed cell, and of every robot slot.
@@ -286,24 +317,24 @@ def _run_batch(
     err = np.zeros(K, dtype=np.float64)
     pos_f = pos.reshape(-1)
     rh_f = rh.reshape(-1)
-    bcell_f = bcell.reshape(-1)
-    # Python-int views for order positions that hold a single mover.
-    occ_m, bid_m = memoryview(occ), memoryview(bid)
-    bcell_m = memoryview(bcell_f)
+    # Python-int view for order positions that hold a single mover.
+    occ_m = memoryview(occ)
 
     # Scratch buffers reused every step; all writes below keep the exact
     # operation order of the naive expressions, so results stay bit-equal
     # to the single-world reference.
     sense_idx = np.empty(K * N, dtype=np.int64)
     scell = np.empty((K * N, 6), dtype=np.int64)  # world flat sensed cells
-    occv = np.empty((K * N, 6), dtype=np.int8)
+    occv = np.empty((K * N, 6), dtype=occ.dtype)
     seen = np.empty((K * N, 2, 6), dtype=bool)  # robot bank, block bank
     S = np.empty((G, M, SENSOR_COUNT), dtype=np.float64)
     a_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
     a_out = np.empty((G, M, ACTION_OUTPUTS), dtype=np.float64)
+    a_abs = np.empty((G, M, ACTION_OUTPUTS), dtype=np.float64)
+    band = np.empty((G, M, ACTION_OUTPUTS), dtype=bool)
     decide = np.empty((G, M, ACTION_OUTPUTS), dtype=bool)  # move, turn right
     moving_f = decide[:, :, 0].reshape(-1)
-    turning_f = decide[:, :, 1].reshape(-1)
+    pair_keys = decide.view(np.uint16).reshape(-1)  # see _TURN_DELTA
     if emergent:
         diff = np.empty((G, M, SENSOR_COUNT), dtype=np.float64)
         p_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
@@ -311,21 +342,20 @@ def _run_batch(
         mismatch = np.empty((K, N * SENSOR_COUNT), dtype=bool)
     step_err = np.empty(K, dtype=np.float64)
 
+    record_io = recorder is not None and recorder.record_io
     if recorder is not None:
-        recorder.record_positions(0, pos, bcell)
-        recorder.maybe_snapshot(0, T, pos, rh, bcell)
-        recorder.start_blocks = bcell.copy()
+        recorder.record(0, T, pos, rh, occ)
 
     for t in range(T):
-        # Sense: occupancy codes of the six cells ahead, both entity banks,
-        # into one bool buffer, then one copy each into S and X.
+        # Sense: cell codes of the six cells ahead, both entity banks, into
+        # one bool buffer, then one copy each into S and X.
         np.multiply(pos_f, 4, out=sense_idx)
         sense_idx += rh_f
-        np.take(sensed_tbl, sense_idx, axis=0, out=scell)
+        sensed_tbl.take(sense_idx, axis=0, out=scell)
         scell += sensed_woff
-        np.take(occ, scell, out=occv)
+        occ.take(scell, out=occv)
         np.equal(occv, _ROBOT, out=seen[:, 0])
-        np.equal(occv, _BLOCK, out=seen[:, 1])
+        np.greater_equal(occv, _BLOCK, out=seen[:, 1])
         np.copyto(S, seen.reshape(G, M, SENSOR_COUNT))
         X[:, :, :SENSOR_COUNT] = S
 
@@ -337,7 +367,7 @@ def _run_batch(
                 np.abs(diff, out=diff)
                 np.sum(diff.reshape(K, N * SENSOR_COUNT), axis=1, out=step_err)
                 err += step_err
-                if recorder is not None:
+                if record_io:
                     recorder.record_io_pair(
                         pred_prev.reshape(K, N, SENSOR_COUNT),
                         S.reshape(K, N, SENSOR_COUNT),
@@ -348,20 +378,24 @@ def _run_batch(
             np.not_equal(seen.reshape(K, N * SENSOR_COUNT), fixed_bits,
                          out=mismatch)
             err += mismatch.sum(axis=1)
-            if recorder is not None:
+            if record_io:
                 recorder.record_io_pair(
                     np.broadcast_to(fixed, (K, N, SENSOR_COUNT)),
                     S.reshape(K, N, SENSOR_COUNT),
                 )
 
-        # Action network (X holds sensors + previous action).
+        # Action network (X holds sensors + previous action). Decisions are
+        # sigmoid >= 0.5, taken by sign outside the band about 0.
         stable_rows_matmul(X, a_wh, out=a_hid)
         a_hid += a_bh
         np.tanh(a_hid, out=a_hid)
         stable_rows_matmul(a_hid, a_wo, out=a_out)
         a_out += a_bo
-        sigmoid_inplace(a_out)
-        np.greater_equal(a_out, 0.5, out=decide)
+        np.greater_equal(a_out, 0.0, out=decide)
+        np.abs(a_out, out=a_abs)
+        np.less_equal(a_abs, _DECISION_BAND, out=band)
+        if np.count_nonzero(band):
+            decide[band] = sigmoid_inplace(a_out[band]) >= 0.5
         # The prediction network's action input, and A(t-1) for the next step.
         X[:, :, SENSOR_COUNT] = decide[:, :, 0]
 
@@ -383,16 +417,16 @@ def _run_batch(
         # Actuate (schedule in the module docstring): all turns at once, then
         # the movers position-major, one slice per order position; a mover's
         # pos_f entry is only read before the loop, so it is written after.
-        np.copyto(rh_f, (rh_f + np.where(turning_f, 1, -1)) & 3,
-                  where=~moving_f)
-        if moving_f.any():
+        rh_f += _TURN_DELTA.take(pair_keys)
+        rh_f &= 3
+        if np.count_nonzero(moving_f):
             # slot[k, w]: the robot at order position k in world w
             slot = perms[:, t, :].T + rowoff
-            held = moving_f[slot]
-            mover = slot[held]
-            ends = np.cumsum(held.sum(axis=1)).tolist()  # ends per position
+            held = moving_f[slot].ravel().nonzero()[0]  # k * K + w, ascending
+            mover = slot.take(held)
+            ends = held.searchsorted(position_ends).tolist()
             # sense_idx still holds each mover's cell * 4 + heading
-            c1, c2 = np.take(ahead_tbl, sense_idx[mover], axis=1)
+            c1, c2 = ahead_tbl.take(sense_idx[mover], axis=1)
             wbase = slot_woff[mover]
             wcell = wbase + pos_f[mover]
             wc1, wc2 = c1 + wbase, c2 + wbase
@@ -405,13 +439,10 @@ def _run_batch(
                     a1 = wc1.item(lo)
                     o1 = occ_m[a1]
                     advance = o1 == _FREE
-                    if o1 == _BLOCK:
+                    if o1 >= _BLOCK:
                         a2 = wc2.item(lo)
                         if occ_m[a2] == _FREE:
-                            b = bid_m[a1]
-                            bcell_m[mover.item(lo) // N * B + b] = c2.item(lo)
-                            occ_m[a2] = _BLOCK
-                            bid_m[a2] = b
+                            occ_m[a2] = o1
                             advance = True
                     if advance:
                         occ_m[wcell.item(lo)] = _FREE
@@ -419,32 +450,25 @@ def _run_batch(
                     advanced[lo] = advance
                     lo = hi
                     continue
+                # Several movers, one per world, so no two write one cell;
+                # each cell is rewritten whether or not it changes.
                 s1, s2 = wc1[lo:hi], wc2[lo:hi]
-                o1 = occ[s1]
-                push = (o1 == _BLOCK) & (occ[s2] == _FREE)
+                o1, o2 = occ[s1], occ[s2]
+                push = (o1 >= _BLOCK) & (o2 == _FREE)
                 advance = (o1 == _FREE) | push
-                if push.any():
-                    p2 = s2[push]
-                    bids = bid[s1[push]]
-                    bcell_f[mover[lo:hi][push] // N * B + bids] = \
-                        c2[lo:hi][push]
-                    occ[p2] = _BLOCK
-                    bid[p2] = bids
-                occ[wcell[lo:hi][advance]] = _FREE
-                occ[s1[advance]] = _ROBOT
+                occ[s2] = np.where(push, o1, o2)
+                occ[s1] = np.where(advance, _ROBOT, o1)
+                occ[wcell[lo:hi]] = ~advance  # _ROBOT (1) or _FREE (0)
                 advanced[lo:hi] = advance
                 lo = hi
             pos_f[mover[advanced]] = c1[advanced]
 
         if recorder is not None:
-            recorder.record_positions(t + 1, pos, bcell)
-            recorder.maybe_snapshot(t + 1, T, pos, rh, bcell)
+            recorder.record(t + 1, T, pos, rh, occ)
         if verify_every and ((t + 1) % verify_every == 0 or t + 1 == T):
-            _verify_state(L, N, B, occ, pos, bcell, bid, woff)
+            _verify_state(L, N, B, occ, pos, woff)
 
     comparisons = T - 1 if emergent else T
-    if recorder is not None:
-        recorder.end_blocks = bcell.copy()
     return err.reshape(G, W), comparisons
 
 
@@ -482,8 +506,13 @@ def simulate_traced(
         np.array([[seed]], dtype=np.uint64), recorder=recorder,
     )
 
+    blocks = _block_cells(recorder.grids.reshape(-1), recorder.tau + 1, B)
+
+    def xy(flat: np.ndarray) -> np.ndarray:
+        return np.stack((flat % L, flat // L), axis=-1)
+
     def cells(flat: np.ndarray) -> frozenset[tuple[int, int]]:
-        return frozenset((int(c % L), int(c // L)) for c in flat[0])
+        return frozenset(map(tuple, xy(flat).tolist()))
 
     return RunTrace(
         side_length=L,
@@ -494,9 +523,9 @@ def simulate_traced(
         error_sum=float(err[0, 0]),
         tau=recorder.tau,
         start_blocks=cells(recorder.start_blocks),
-        end_blocks=cells(recorder.end_blocks),
-        robot_window=recorder.robot_window,
-        block_window=recorder.block_window,
+        end_blocks=cells(blocks[-1]),
+        robot_window=xy(recorder.robot_cells),
+        block_window=xy(blocks),
         predictions=np.stack(recorder.preds) if record_io else None,
         sensor_log=np.stack(recorder.sensors) if record_io else None,
         snapshots=recorder.snapshots if snapshot_every else None,

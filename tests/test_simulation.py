@@ -11,7 +11,14 @@ from minsurprise.networks import (
     Scenario,
     random_genome,
 )
-from minsurprise.simulation import simulate_batch, simulate_traced
+from minsurprise.simulation import (
+    _BLOCK,
+    _FREE,
+    _ROBOT,
+    _verify_state,
+    simulate_batch,
+    simulate_traced,
+)
 from minsurprise.world import HEADING_VECTORS, Heading, RobotPose, SimConfig, \
     render_cells
 import oracle
@@ -88,6 +95,104 @@ class TestReferenceEquivalence:
         final = trace.robot_window[-1]
         assert sorted(map(tuple, final.tolist())) == \
                sorted((x, y) for x, y, _ in ref_robots)
+
+    @pytest.mark.parametrize("blocks", [125, 126, 127])
+    def test_grid_type_boundary_matches_reference(self, blocks):
+        # 125 blocks keep the grid's cell codes (2 + id) in int8, 126 use
+        # int16, and 127 would overflow int8 (codes reach 128); in a crowded
+        # grid nearly every move pushes or stalls.
+        config = SimConfig(12, 4, blocks, steps=72)  # tau = 72
+        always_moving = Genome(np.zeros(ACTION_LENGTH),
+                               np.zeros(PREDICTION_LENGTH))
+        for genome in (always_moving, spread_genome(5)):
+            ref_err, _, ref_robots, ref_blocks = reference_simulation(
+                genome, config, Scenario.EMERGENT, 41)
+            errs, _ = simulate_batch([genome], config, Scenario.EMERGENT,
+                                     np.array([[41]], dtype=np.uint64),
+                                     verify_every=1)
+            assert errs[0, 0] == ref_err  # bitwise
+            trace = simulate_traced(genome, config, Scenario.EMERGENT, 41,
+                                    snapshot_every=config.steps)
+            assert trace.block_window[-1].tolist() == \
+                [list(b) for b in ref_blocks]
+            assert trace.snapshots[-1][1] == render_cells(
+                12, [RobotPose(x, y, Heading(h)) for x, y, h in ref_robots],
+                ref_blocks)
+
+
+# Action output biases in and around the band where the engine takes the
+# sigmoid instead of the sign: -1e-17, -2**-53 and -5e-324 are negative, yet
+# 1 + exp(-y) rounds to exactly 2 and the sigmoid to 0.5, which decides for
+# move and for a right turn.
+BAND_BIASES = [0.0, 1e-17, -1e-17, -2.0**-53, 1e-13, -1e-13, -5e-324]
+
+
+def biased_genome(move_bias, turn_bias):
+    """Every action weight 0 except the two output biases, so each action
+    output is exactly its bias at every step."""
+    weights = np.zeros(ACTION_LENGTH)
+    weights[-2:] = move_bias, turn_bias
+    return Genome(weights, spread_genome(0).prediction_weights)
+
+
+class TestDecisionBand:
+    """Decisions on outputs next to 0 equal the reference's sigmoid >= 0.5:
+    the first genomes vary the move output; the rest turn (move bias
+    -1e-13) and vary the turn output."""
+
+    GENOMES = ([biased_genome(b, 0.0) for b in BAND_BIASES]
+               + [biased_genome(-1e-13, b) for b in BAND_BIASES])
+    SEEDS = np.arange(len(GENOMES), dtype=np.uint64)[:, None] + 90
+
+    @pytest.mark.parametrize("scenario", [Scenario.EMERGENT,
+                                          Scenario.CLUSTERS])
+    def test_decisions_match_reference(self, scenario):
+        config = SimConfig(6, 4, 6, steps=30)
+        batched, _ = simulate_batch(self.GENOMES, config, scenario,
+                                    self.SEEDS, verify_every=1)
+        for g, genome in enumerate(self.GENOMES):
+            seed = int(self.SEEDS[g, 0])
+            ref_err, _, ref_robots, ref_blocks = reference_simulation(
+                genome, config, scenario, seed)
+            assert batched[g, 0] == ref_err  # bitwise
+            trace = simulate_traced(genome, config, scenario, seed,
+                                    snapshot_every=config.steps)
+            assert trace.error_sum == ref_err
+            assert trace.snapshots[-1][1] == render_cells(
+                6, [RobotPose(x, y, Heading(h)) for x, y, h in ref_robots],
+                ref_blocks)
+
+
+class TestVerifyState:
+    """The invariant sweep over the one grid (0 free, 1 robot, 2 + id a
+    block) of two 5x5 worlds, each with robots on cells 0, 1 and blocks
+    0..2 on cells 5..7."""
+
+    L, N, B = 5, 2, 3
+    WOFF = np.array([0, 25], dtype=np.int64)
+
+    def state(self):
+        occ = np.full(2 * 25, _FREE, dtype=np.int8)
+        pos = np.array([[0, 1], [0, 1]], dtype=np.int64)
+        occ[(self.WOFF[:, None] + pos).ravel()] = _ROBOT
+        for w in self.WOFF:
+            occ[w + 5:w + 8] = _BLOCK + np.arange(3)
+        return occ, pos
+
+    def test_consistent_state_passes(self):
+        occ, pos = self.state()
+        _verify_state(self.L, self.N, self.B, occ, pos, self.WOFF)
+
+    @pytest.mark.parametrize("cell, code, message", [
+        (6, _BLOCK + 0, "block ids"),
+        (7, _FREE, "block count"),
+        (12, _ROBOT, "robot count"),
+    ], ids=["duplicated-block-id", "missing-block", "extra-robot"])
+    def test_corrupt_second_world_raises(self, cell, code, message):
+        occ, pos = self.state()
+        occ[25 + cell] = code
+        with pytest.raises(AssertionError, match=message):
+            _verify_state(self.L, self.N, self.B, occ, pos, self.WOFF)
 
 
 def never_moving_genome():
