@@ -15,6 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .experiment import (
+    _INT_KEYS,
     ExperimentPlan,
     ConfigError,
     matrix_plan,
@@ -31,8 +32,32 @@ from .networks import MalformedGenomeError, load_genome
 from .world import SnapshotError, parse_snapshot_cells, render_cells
 
 
+# Each integer flag takes the config-file range of the key whose quantity
+# it counts: a snapshot interval is a step count, workers run runs.
+_FLAG_RANGES = {"seed": "seed", "runs": "runs", "workers": "runs",
+                "every": "steps"}
+
+
 def _default_out() -> str:
     return os.environ.get("MINSURPRISE_OUT", "out")
+
+
+def _check_flags(args) -> None:
+    for flag, key in _FLAG_RANGES.items():
+        value = getattr(args, flag, None)
+        lo, hi = _INT_KEYS[key]
+        if value is not None and not lo <= value <= hi:
+            raise ConfigError(f"--{flag} {value} out of range [{lo}, {hi}]")
+
+
+def _read_input(path, error,
+                read=lambda p: Path(p).read_text(encoding="utf-8")):
+    """read(path), reporting a file that cannot be read as error."""
+    try:
+        return read(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc.reason
+        raise error(f"cannot read {path}: {reason}") from None
 
 
 def _load_plan(args) -> ExperimentPlan:
@@ -41,10 +66,7 @@ def _load_plan(args) -> ExperimentPlan:
     elif args.config is None:
         raise ConfigError("a config file (or --matrix) is required")
     else:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {args.config}")
-        plan = parse_config(path.read_text(encoding="utf-8"))
+        plan = parse_config(_read_input(args.config, ConfigError))
     if args.seed is not None:
         plan = replace(plan, master_seed=args.seed)
     return plan
@@ -61,7 +83,7 @@ def _stored_genome_run(args):
     """The genome file, the plan's first row and the world seed: --seed if
     given, else the seed row0_run0 of the plan was post-evaluated at."""
     plan = _load_plan(args)
-    genome = load_genome(args.genome)
+    genome = _read_input(args.genome, MalformedGenomeError, load_genome)
     seed = args.seed if args.seed is not None else posteval_seed_for(
         plan.master_seed, run_index_for(0, 0)
     )
@@ -78,7 +100,7 @@ def _cmd_posteval(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    text = Path(args.snapshot).read_text(encoding="utf-8")
+    text = _read_input(args.snapshot, SnapshotError)
     L, _, blocks = parse_snapshot_cells(text)
     report = structure_report(blocks, L)
     for label in StructureLabel:
@@ -88,7 +110,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    text = Path(args.snapshot).read_text(encoding="utf-8")
+    text = _read_input(args.snapshot, SnapshotError)
     sys.stdout.write(render_cells(*parse_snapshot_cells(text)))
     return 0
 
@@ -168,6 +190,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,10 +13,9 @@ seeded with ``mix64(...)``, a splitmix64-style avalanche over counters:
     initial genome i mix64(master_seed, run_index, STREAM_INIT, i, 0)
     reproduction     mix64(master_seed, run_index, generation, STREAM_GA, 0)
 
-With ``freeze_eval_seeds`` the generation counter in eval seeds is pinned to
-0, freezing the objective (useful for monotonicity tests). The elite is
-re-evaluated on each generation's fresh seeds, so per-generation best
-fitness may dip; the best-ever genome is tracked separately.
+The elite is re-evaluated on each generation's fresh seeds, so
+per-generation best fitness may dip; the best-ever genome is tracked
+separately.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ class EvolutionConfig:
     eval_runs: int = 10
     mutation_rate: float = 0.1
     master_seed: int = 0
-    freeze_eval_seeds: bool = False
 
     def __post_init__(self) -> None:
         if self.population_size < 1:
@@ -118,27 +116,31 @@ class FitnessHistory:
 
 def eval_seeds_for(config: EvolutionConfig, run_index: int, generation: int,
                    genome_index: int) -> np.ndarray:
-    """The eval_runs world seeds of one genome evaluation.
-
-    In frozen mode both the generation and genome-index counters are pinned
-    to 0, so every genome faces the same worlds in every generation: a truly
-    frozen objective under which elitism makes best fitness non-decreasing.
-    """
-    gen = 0 if config.freeze_eval_seeds else generation
-    idx = 0 if config.freeze_eval_seeds else genome_index
+    """The eval_runs world seeds of one genome evaluation: fresh worlds for
+    every genome in every generation."""
     return np.array(
         [
-            mix64(config.master_seed, run_index, gen, idx, e)
+            mix64(config.master_seed, run_index, generation, genome_index, e)
             for e in range(config.eval_runs)
         ],
         dtype=np.uint64,
     )
 
 
-def _score(genomes: Sequence[Genome], config: EvolutionConfig,
-           seeds: np.ndarray, generation: int) -> list[EvaluatedGenome]:
-    """Simulate seeds.shape[1] worlds per genome in one engine call; each
-    genome's fitness is the minimum over its worlds."""
+def evaluate_population(
+    genomes: Sequence[Genome], config: EvolutionConfig, run_index: int,
+    generation: int,
+) -> list[EvaluatedGenome]:
+    """Evaluate a whole population in one vectorized engine call.
+
+    Each genome runs the eval_runs worlds seeded by ``eval_seeds_for`` and
+    scores the minimum fitness over them. A genome's result depends only on
+    it and its seeds, not on the rest of the batch.
+    """
+    seeds = np.stack([
+        eval_seeds_for(config, run_index, generation, i)
+        for i in range(len(genomes))
+    ])
     errors, comparisons = simulate_batch(genomes, config.sim, config.scenario,
                                          seeds)
     out = []
@@ -149,31 +151,6 @@ def _score(genomes: Sequence[Genome], config: EvolutionConfig,
         )
         out.append(EvaluatedGenome(genome, min(per_run), per_run, generation))
     return out
-
-
-def evaluate(genome: Genome, config: EvolutionConfig,
-             eval_seeds: Sequence[int], generation: int = 0) -> EvaluatedGenome:
-    """Score one genome: the minimum fitness over its evaluation runs."""
-    if len(eval_seeds) != config.eval_runs:
-        raise ValueError(f"expected {config.eval_runs} seeds, got {len(eval_seeds)}")
-    seeds = np.asarray(eval_seeds, dtype=np.uint64).reshape(1, -1)
-    return _score([genome], config, seeds, generation)[0]
-
-
-def evaluate_population(
-    genomes: Sequence[Genome], config: EvolutionConfig, run_index: int,
-    generation: int,
-) -> list[EvaluatedGenome]:
-    """Evaluate a whole population in one vectorized engine call.
-
-    Per-genome results are bit-identical to individual ``evaluate`` calls;
-    the batch is purely a throughput device.
-    """
-    seeds = np.stack([
-        eval_seeds_for(config, run_index, generation, i)
-        for i in range(len(genomes))
-    ])
-    return _score(genomes, config, seeds, generation)
 
 
 def select_proportionate(fitnesses: Sequence[float],

@@ -396,12 +396,44 @@ def summary_csv(plan: ExperimentPlan, results: Sequence[RunResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _outcome(call, *args):
+    """call(*args), or the exception it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:  # noqa: BLE001 - isolate per run
+        return exc
+
+
+def _pool_outcomes(plan: ExperimentPlan, jobs: list[tuple[int, int]],
+                   out: Path, workers: int):
+    """Run (row, run) jobs in a new process pool; yield each one's RunResult
+    or exception, in job order. A worker that dies breaks its pool and fails
+    every job left in it; each such job is retried alone in another pool,
+    so only a job that breaks its own pool fails."""
+    # imported here: they cost a noticeable share of every CLI start-up
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        # submit itself raises BrokenProcessPool once a worker has died
+        futures = [_outcome(pool.submit, _execute_run, plan, i, j, out)
+                   for i, j in jobs]
+        for job, future in zip(jobs, futures):
+            outcome = (future if isinstance(future, Exception)
+                       else _outcome(future.result))
+            if isinstance(outcome, BrokenProcessPool) and len(jobs) > 1:
+                outcome, = _pool_outcomes(plan, [job], out, 1)
+            yield outcome
+
+
 def run_experiment(plan: ExperimentPlan, out_dir, workers: int = 1,
-                   log=sys.stderr) -> int:
+                   log=None) -> int:
     """Execute all (row, run) jobs, skipping completed ones; emit CSVs.
 
     A failing run is reported and skipped; the remaining runs still execute
-    and the exit status becomes 1. A completed run in ``out_dir`` made with
+    and the exit status becomes 1. With workers > 1 that holds also for a
+    run whose worker process dies. Failures go to ``log`` (default: the
+    current ``sys.stderr``). A completed run in ``out_dir`` made with
     a different plan raises ConfigError before any run starts.
     """
     out = Path(out_dir)
@@ -418,29 +450,17 @@ def run_experiment(plan: ExperimentPlan, out_dir, workers: int = 1,
         else:
             pending.append((i, j))
 
-    failures = 0
     if workers > 1 and len(pending) > 1:
-        # imported here: it costs a noticeable share of every CLI start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_execute_run, plan, i, j, out): (i, j)
-                for i, j in pending
-            }
-            for future, (i, j) in futures.items():
-                try:
-                    results.append(future.result())
-                except Exception as exc:  # noqa: BLE001 - isolate per run
-                    failures += 1
-                    print(f"row{i}_run{j} failed: {exc}", file=log)
+        outcomes = _pool_outcomes(plan, pending, out, workers)
     else:
-        for i, j in pending:
-            try:
-                results.append(_execute_run(plan, i, j, out))
-            except Exception as exc:  # noqa: BLE001 - isolate per run
-                failures += 1
-                print(f"row{i}_run{j} failed: {exc}", file=log)
+        outcomes = (_outcome(_execute_run, plan, i, j, out) for i, j in pending)
+    failures = 0
+    for (i, j), outcome in zip(pending, outcomes):
+        if isinstance(outcome, Exception):
+            failures += 1
+            print(f"row{i}_run{j} failed: {outcome}", file=log or sys.stderr)
+        else:
+            results.append(outcome)
 
     results.sort(key=lambda r: (r.row, r.run))
     posteval_lines = [POSTEVAL_COLUMNS] + [r.posteval_row for r in results]
@@ -452,13 +472,10 @@ def run_experiment(plan: ExperimentPlan, out_dir, workers: int = 1,
 def replay(genome: Genome, sim: SimConfig, scenario: Scenario, seed: int,
            every: int) -> tuple[list[tuple[int, str]], MetricsRow, RunTrace]:
     """Post-evaluate a genome: one recorded simulation at ``seed``, with a
-    snapshot every ``every`` steps and at the last step, and its metrics.
+    snapshot every ``every`` >= 1 steps and at the last one, and its metrics.
 
     The batch runner, ``posteval`` and ``replay`` all go through here.
     """
-    if every < 1:
-        raise ValueError("snapshot interval must be >= 1")
     trace = simulate_traced(genome, sim, scenario, seed, snapshot_every=every)
-    assert trace.snapshots is not None
     return trace.snapshots, metrics_from_trace(trace), trace
 

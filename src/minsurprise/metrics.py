@@ -20,8 +20,7 @@ from .world import SENSOR_COUNT
 Cell = tuple[int, int]
 
 
-def score_run(error_sum: float, n_robots: int, comparisons: int,
-              n_sensors: int = SENSOR_COUNT) -> float:
+def score_run(error_sum: float, n_robots: int, comparisons: int) -> float:
     """Fitness of one run: 1 - error_sum / (robots * comparisons * sensors).
 
     error_sum is the accumulated |prediction - sensor| over every comparison
@@ -29,7 +28,7 @@ def score_run(error_sum: float, n_robots: int, comparisons: int,
     """
     if comparisons <= 0:
         raise ValueError("a run must contain at least one comparison step")
-    return 1.0 - error_sum / (n_robots * comparisons * n_sensors)
+    return 1.0 - error_sum / (n_robots * comparisons * SENSOR_COUNT)
 
 
 def similarity(start_blocks: Iterable[Cell], end_blocks: Iterable[Cell]) -> float:

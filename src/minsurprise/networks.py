@@ -35,7 +35,6 @@ PREDICTION_LENGTH = (
     NET_INPUTS * HIDDEN_UNITS + HIDDEN_UNITS + HIDDEN_UNITS
     + HIDDEN_UNITS * PREDICTION_OUTPUTS + PREDICTION_OUTPUTS
 )  # 228
-GENOME_LENGTH = ACTION_LENGTH + PREDICTION_LENGTH  # 358
 
 WEIGHT_LIMIT = 5.0
 

@@ -138,7 +138,6 @@ class RunTrace:
     side_length: int
     n_robots: int
     n_blocks: int
-    steps: int
     comparisons: int
     error_sum: float
     tau: int
@@ -146,17 +145,14 @@ class RunTrace:
     end_blocks: frozenset[tuple[int, int]]
     robot_window: np.ndarray  # (tau + 1, N, 2) of (x, y), times T-tau .. T
     block_window: np.ndarray  # (tau + 1, B, 2), block identity preserved
-    predictions: Optional[np.ndarray] = None  # (comparisons, N, 12)
-    sensor_log: Optional[np.ndarray] = None  # (comparisons, N, 12)
-    snapshots: Optional[list[tuple[int, str]]] = None
+    snapshots: list[tuple[int, str]]  # (t, rendered world)
 
 
 class _Recorder:
-    """Collects one world's windows, optional prediction/sensor logs and
-    snapshots. The engine hands it (1, ...) arrays of a one-world batch."""
+    """Collects one world's windows and snapshots. The engine hands it
+    (1, ...) arrays of a one-world batch."""
 
-    def __init__(self, N: int, B: int, T: int, L: int, record_io: bool,
-                 snapshot_every: Optional[int]):
+    def __init__(self, N: int, B: int, T: int, L: int, snapshot_every: int):
         self.L, self.B = L, B
         self.tau = (L * L) // 2
         if T < self.tau:
@@ -168,9 +164,6 @@ class _Recorder:
         # The metrics window as stored per step: robot cells and the grid.
         self.robot_cells = np.empty((self.tau + 1, N), dtype=np.int64)
         self.grids = np.empty((self.tau + 1, L * L), dtype=_int_type(B + 2))
-        self.record_io = record_io
-        self.preds: list[np.ndarray] = []
-        self.sensors: list[np.ndarray] = []
         self.snapshot_every = snapshot_every
         self.snapshots: list[tuple[int, str]] = []
         self.start_blocks: Optional[np.ndarray] = None  # (B,) flat cells
@@ -185,8 +178,7 @@ class _Recorder:
             self.grids[i] = occ
         if t == 0:
             self.start_blocks = _block_cells(occ, 1, self.B)[0]
-        every = self.snapshot_every
-        if every is not None and (t % every == 0 or t == T):
+        if t % self.snapshot_every == 0 or t == T:
             L = self.L
             robots = [
                 RobotPose(int(c % L), int(c // L), Heading(int(h)))
@@ -195,10 +187,6 @@ class _Recorder:
             blocks = [(int(c % L), int(c // L))
                       for c in _block_cells(occ, 1, self.B)[0]]
             self.snapshots.append((t, render_cells(L, robots, blocks)))
-
-    def record_io_pair(self, preds: np.ndarray, sensors: np.ndarray) -> None:
-        self.preds.append(preds[0].copy())
-        self.sensors.append(sensors[0].copy())
 
 
 def _int_type(n: int):
@@ -282,8 +270,8 @@ def _run_batch(
         hidden = np.zeros((G, M, HIDDEN_UNITS), dtype=np.float64)
         pred_prev = np.zeros((G, M, SENSOR_COUNT), dtype=np.float64)
     else:
-        fixed = scenario_prediction(scenario)
-        fixed_bits = np.tile(fixed.astype(bool), (K, N))  # (K, N * 12)
+        fixed_bits = np.tile(scenario_prediction(scenario).astype(bool),
+                             (K, N))  # (K, N * 12)
 
     L2 = L * L
     pos = np.empty((K, N), dtype=np.int64)  # robot flat cells
@@ -342,7 +330,6 @@ def _run_batch(
         mismatch = np.empty((K, N * SENSOR_COUNT), dtype=bool)
     step_err = np.empty(K, dtype=np.float64)
 
-    record_io = recorder is not None and recorder.record_io
     if recorder is not None:
         recorder.record(0, T, pos, rh, occ)
 
@@ -367,22 +354,12 @@ def _run_batch(
                 np.abs(diff, out=diff)
                 np.sum(diff.reshape(K, N * SENSOR_COUNT), axis=1, out=step_err)
                 err += step_err
-                if record_io:
-                    recorder.record_io_pair(
-                        pred_prev.reshape(K, N, SENSOR_COUNT),
-                        S.reshape(K, N, SENSOR_COUNT),
-                    )
         else:
             # Binary targets against binary sensors: |p - s| is exactly the
             # mismatch count, so the error sum stays integer-exact.
             np.not_equal(seen.reshape(K, N * SENSOR_COUNT), fixed_bits,
                          out=mismatch)
             err += mismatch.sum(axis=1)
-            if record_io:
-                recorder.record_io_pair(
-                    np.broadcast_to(fixed, (K, N, SENSOR_COUNT)),
-                    S.reshape(K, N, SENSOR_COUNT),
-                )
 
         # Action network (X holds sensors + previous action). Decisions are
         # sigmoid >= 0.5, taken by sign outside the band about 0.
@@ -495,12 +472,12 @@ def simulate_traced(
     sim: SimConfig,
     scenario: Scenario,
     seed: int,
-    record_io: bool = False,
-    snapshot_every: Optional[int] = None,
+    snapshot_every: int,
 ) -> RunTrace:
-    """Run one fully recorded simulation (positions window, optional I/O)."""
+    """Run one fully recorded simulation: the metrics window, plus a
+    snapshot every ``snapshot_every`` steps and at the last step."""
     L, N, B, T = sim.side_length, sim.swarm_size, sim.block_count, sim.steps
-    recorder = _Recorder(N, B, T, L, record_io, snapshot_every)
+    recorder = _Recorder(N, B, T, L, snapshot_every)
     err, comparisons = _run_batch(
         [genome], L, N, B, T, scenario,
         np.array([[seed]], dtype=np.uint64), recorder=recorder,
@@ -518,7 +495,6 @@ def simulate_traced(
         side_length=L,
         n_robots=N,
         n_blocks=B,
-        steps=T,
         comparisons=comparisons,
         error_sum=float(err[0, 0]),
         tau=recorder.tau,
@@ -526,7 +502,5 @@ def simulate_traced(
         end_blocks=cells(blocks[-1]),
         robot_window=xy(recorder.robot_cells),
         block_window=xy(blocks),
-        predictions=np.stack(recorder.preds) if record_io else None,
-        sensor_log=np.stack(recorder.sensors) if record_io else None,
-        snapshots=recorder.snapshots if snapshot_every else None,
+        snapshots=recorder.snapshots,
     )

@@ -312,10 +312,12 @@ def predict(net: PredictionNetwork, sensors: np.ndarray, action: int,
 # --- whole simulation ----------------------------------------------------------
 
 
-def reference_simulation(genome, config, scenario, seed):
+def reference_simulation(genome, config, scenario, seed, io_log=None):
     """Single-world mirror of the engine built on the scalar reference API.
 
     Returns (error_sum, comparisons, final robot tuples, final block list).
+    A list passed as io_log receives, in step order, one (predictions,
+    sensors) pair of (N, 12) arrays per comparison of an emergent run.
     """
     rng = np.random.default_rng(seed)
     world = random_world(config, rng)
@@ -330,6 +332,8 @@ def reference_simulation(genome, config, scenario, seed):
         if fixed is None:
             if t > 0:
                 err += np.abs(pred_prev - sensors).reshape(-1).sum()
+                if io_log is not None:
+                    io_log.append((pred_prev.copy(), sensors))
         else:
             err += np.abs(fixed - sensors).reshape(-1).sum()
         commands = [act(action_net, sensors[i], states[i]) for i in range(n)]

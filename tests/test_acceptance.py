@@ -33,6 +33,7 @@ from minsurprise.metrics import (
 from minsurprise.networks import Genome, Scenario, load_genome, random_genome
 from minsurprise.simulation import simulate_batch, simulate_traced
 from minsurprise.world import SimConfig, sample_placement
+from oracle import reference_simulation
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -183,15 +184,21 @@ def test_criterion_3_fitness_oracle():
         genome = random_genome(rng)
         genome = Genome(np.clip(genome.action_weights * 3, -5, 5),
                         np.clip(genome.prediction_weights * 3, -5, 5))
-        trace = simulate_traced(genome, config, Scenario.EMERGENT,
-                                int(rng.integers(0, 2**63)), record_io=True)
-        # independent naive triple-loop summation over the recorded tensors
+        seed = int(rng.integers(0, 2**63))
+        trace = simulate_traced(genome, config, Scenario.EMERGENT, seed,
+                                snapshot_every=T)
+        # independent naive triple-loop summation over the predictions and
+        # sensor readings the scalar reference logs for the same world
+        io_log = []
+        reference_simulation(genome, config, Scenario.EMERGENT, seed,
+                             io_log=io_log)
+        assert len(io_log) == trace.comparisons
         total = 0.0
         for t in range(trace.comparisons):
+            predictions, sensors = io_log[t]
             for n in range(N):
                 for r in range(12):
-                    total += abs(trace.predictions[t, n, r]
-                                 - trace.sensor_log[t, n, r])
+                    total += abs(predictions[n, r] - sensors[n, r])
         oracle = 1.0 - total / (N * trace.comparisons * 12)
         scored = score_run(trace.error_sum, N, trace.comparisons)
         worst = max(worst, abs(oracle - scored))
@@ -336,7 +343,8 @@ def test_criterion_10_movement_properties():
     weights[13 * 8 + 8 + 8 * 2] = 5.0  # move-output bias
     genome = Genome(weights, np.zeros(228))
     config = SimConfig(8, 1, 0, steps=40)
-    trace = simulate_traced(genome, config, Scenario.EMERGENT, 5)
+    trace = simulate_traced(genome, config, Scenario.EMERGENT, 5,
+                            snapshot_every=config.steps)
     _, _, m_robot = movement(trace.robot_window, 1, trace.tau, 8)
     assert abs(m_robot - 1.0) <= 1e-12
 

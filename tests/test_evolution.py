@@ -7,7 +7,6 @@ import minsurprise.evolution as evolution
 from minsurprise.evolution import (
     EvolutionConfig,
     eval_seeds_for,
-    evaluate,
     evaluate_population,
     evolve,
     initial_population,
@@ -38,6 +37,25 @@ def small_config(**overrides):
     return EvolutionConfig(**defaults)
 
 
+def use_seeds(monkeypatch, seeds):
+    """Make every genome evaluation run the worlds of these seeds."""
+    monkeypatch.setattr(evolution, "eval_seeds_for",
+                        lambda *_: np.array(seeds, dtype=np.uint64))
+
+
+def freeze_objective(monkeypatch):
+    """Pin the generation and genome-index seed counters to 0, so every
+    genome faces the same worlds in every generation: a frozen objective
+    under which elitism makes best fitness non-decreasing."""
+    monkeypatch.setattr(
+        evolution, "eval_seeds_for",
+        lambda config, run_index, *_: eval_seeds_for(config, run_index, 0, 0))
+
+
+def evaluate_one(genome, config, generation=0):
+    return evaluate_population([genome], config, 0, generation)[0]
+
+
 class TestMix64:
     def test_golden_values_pin_the_format_contract(self):
         # frozen reference values; changing the mixer breaks stored seeds
@@ -64,45 +82,45 @@ class TestEvaluate:
     def test_min_of_runs_is_the_fitness(self):
         config = small_config(eval_runs=4)
         genome = random_genome(np.random.default_rng(0))
-        result = evaluate(genome, config, eval_seeds_for(config, 0, 0, 0))
+        result = evaluate_one(genome, config)
         assert result.fitness == min(result.per_run)
         assert len(result.per_run) == 4
         assert all(0.0 <= f <= 1.0 for f in result.per_run)
 
-    def test_single_run_fitness_is_that_run(self):
+    def test_single_run_fitness_is_that_run(self, monkeypatch):
         config = small_config(eval_runs=1)
         genome = random_genome(np.random.default_rng(1))
-        result = evaluate(genome, config, [12345])
+        use_seeds(monkeypatch, [12345])
+        result = evaluate_one(genome, config)
         assert result.fitness == result.per_run[0]
 
-    def test_identical_seeds_identical_scores(self):
+    def test_identical_seeds_identical_scores(self, monkeypatch):
         config = small_config(eval_runs=3)
         genome = random_genome(np.random.default_rng(2))
-        result = evaluate(genome, config, [777, 777, 777])
+        use_seeds(monkeypatch, [777, 777, 777])
+        result = evaluate_one(genome, config)
         assert len(set(result.per_run)) == 1
         assert result.fitness == result.per_run[0]
 
-    def test_zero_genome_scores_exactly_half(self):
+    def test_zero_genome_scores_exactly_half(self, monkeypatch):
         config = small_config(eval_runs=3)
         genome = Genome(np.zeros(ACTION_LENGTH), np.zeros(PREDICTION_LENGTH))
-        result = evaluate(genome, config, [1, 2, 3])
+        use_seeds(monkeypatch, [1, 2, 3])
+        result = evaluate_one(genome, config)
         assert result.per_run == (0.5, 0.5, 0.5)
         assert result.fitness == 0.5
 
-    def test_wrong_seed_count_rejected(self):
-        config = small_config(eval_runs=2)
-        with pytest.raises(ValueError):
-            evaluate(random_genome(np.random.default_rng(3)), config, [1])
-
-    def test_population_batch_matches_individual_evaluation(self):
+    def test_population_batch_matches_individual_evaluation(self,
+                                                           monkeypatch):
         config = small_config(population_size=5, eval_runs=3)
         genomes = initial_population(config, run_index=1)
         batch = evaluate_population(genomes, config, run_index=1, generation=2)
         for i, genome in enumerate(genomes):
-            solo = evaluate(genome, config, eval_seeds_for(config, 1, 2, i),
-                            generation=2)
+            use_seeds(monkeypatch, eval_seeds_for(config, 1, 2, i))
+            solo = evaluate_one(genome, config, generation=2)
             assert solo.per_run == batch[i].per_run
             assert solo.fitness == batch[i].fitness
+            assert solo.generation == 2
 
 
 class TestSelectProportionate:
@@ -196,9 +214,9 @@ class TestEvolve:
             assert np.all(np.abs(genome.action_weights) <= 1.0)
             assert np.all(np.abs(genome.prediction_weights) <= 1.0)
 
-    def test_frozen_seed_mode_best_never_decreases(self):
-        config = small_config(population_size=6, generations=6,
-                              freeze_eval_seeds=True)
+    def test_frozen_seed_mode_best_never_decreases(self, monkeypatch):
+        config = small_config(population_size=6, generations=6)
+        freeze_objective(monkeypatch)
         _, history = evolve(config)
         bests = [row[1] for row in history.rows]
         assert all(b2 >= b1 - 1e-15 for b1, b2 in zip(bests, bests[1:]))
@@ -232,8 +250,8 @@ class TestEvolve:
             assert 0.0 <= median <= best
 
     def test_elite_copied_verbatim(self, monkeypatch):
-        config = small_config(population_size=4, generations=2,
-                              freeze_eval_seeds=True)
+        config = small_config(population_size=4, generations=2)
+        freeze_objective(monkeypatch)
         captured = []
         real = evolution.evaluate_population
 
@@ -267,11 +285,12 @@ class TestEvolve:
             assert float(med) == row[2]
             assert float(mean) == row[3]
 
-    def test_min_aggregation_property_random_fold(self):
+    def test_min_aggregation_property_random_fold(self, monkeypatch):
         rng = np.random.default_rng(13)
         config = small_config(eval_runs=4)
         genome = random_genome(rng)
-        result = evaluate(genome, config, [3, 14, 15, 92])
+        use_seeds(monkeypatch, [3, 14, 15, 92])
+        result = evaluate_one(genome, config)
         folded = result.per_run[0]
         for f in result.per_run[1:]:
             folded = min(folded, f)

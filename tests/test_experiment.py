@@ -1,10 +1,14 @@
 """Config parsing, batch runner artifacts, replay, and the CLI surface."""
 
+import io
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from minsurprise import experiment
 from minsurprise.cli import main
 from minsurprise.experiment import (
     ConfigError,
@@ -15,7 +19,8 @@ from minsurprise.experiment import (
     replay,
     run_experiment,
 )
-from minsurprise.networks import Scenario, load_genome
+from minsurprise.networks import Scenario, load_genome, random_genome, \
+    save_genome
 from minsurprise.world import SimConfig
 from oracle import parse_snapshot, random_world, render_snapshot
 
@@ -31,6 +36,15 @@ eval_runs=2
 runs=1
 seed=11
 """
+
+_execute_run = experiment._execute_run
+
+
+def _die_on_run1(plan, row_idx, run_idx, out_dir):
+    """A job whose worker process dies, without an exception, on run 1."""
+    if run_idx == 1:
+        os._exit(1)
+    return _execute_run(plan, row_idx, run_idx, out_dir)
 
 
 class TestParseConfig:
@@ -179,6 +193,31 @@ class TestRunExperiment:
         assert float(stored[5]) == metrics_row.fitness
         assert float(stored[6]) == metrics_row.similarity
 
+    @staticmethod
+    def assert_only_run1_fails(out, workers):
+        plan = parse_config(SMOKE.replace("runs=1", "runs=4"))
+        log = io.StringIO()
+        assert run_experiment(plan, out, workers=workers, log=log) == 1
+        assert log.getvalue().startswith("row0_run1 failed: ")
+        assert log.getvalue().count("\n") == 1
+        rows = (out / "posteval.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == \
+            ["row0_run0", "row0_run2", "row0_run3"]
+        for j in (0, 2, 3):
+            assert (out / f"row0_run{j}" / "run.json").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_run_fails_alone(self, tmp_path, workers):
+        # a file where run 1's directory belongs makes that job raise
+        (tmp_path / "row0_run1").write_text("not a run directory\n")
+        self.assert_only_run1_fails(tmp_path, workers)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched job reaches workers only by fork")
+    def test_dead_worker_fails_only_its_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiment, "_execute_run", _die_on_run1)
+        self.assert_only_run1_fails(tmp_path, workers=2)
+
     def test_failed_artifact_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "summary.csv"
         _write_text(path, "complete\n")
@@ -280,6 +319,68 @@ class TestCli:
             assert err.startswith("genome error: ")
             assert "garbage" in err and err.count("\n") == 1
 
+    def test_missing_input_files_are_one_line_errors(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMOKE)
+        missing = str(tmp_path / "missing")
+        for argv, prefix in (
+            (["posteval", missing, str(cfg)], "genome error: "),
+            (["replay", str(tmp_path), str(cfg)], "genome error: "),
+            (["classify", missing], "snapshot error: "),
+            (["render", str(tmp_path)], "snapshot error: "),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(prefix)
+            assert argv[1] in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("posteval", "--seed", "-1"),
+        ("replay", "--seed", str(2**64)),
+        ("evolve", "--seed", "-1"),
+        ("evolve", "--runs", "0"),
+        ("evolve", "--workers", "0"),
+        ("replay", "--every", "0"),
+    ])
+    def test_out_of_range_flag_is_a_one_line_error(self, tmp_path, capsys,
+                                                   command, flag, value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMOKE)
+        genome = tmp_path / "g.genome"
+        save_genome(genome, random_genome(np.random.default_rng(0)))
+        out = tmp_path / "results"
+        if command == "evolve":
+            argv = [command, str(cfg), "--out", str(out)]
+        else:
+            argv = [command, str(genome), str(cfg)]
+        assert main(argv + [flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"config error: {flag} {value} ")
+        assert captured.err.count("\n") == 1
+
+    def test_seed_flag_takes_the_whole_config_range(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMOKE)
+        genome = tmp_path / "g.genome"
+        save_genome(genome, random_genome(np.random.default_rng(0)))
+        for seed in (0, 2**64 - 1):
+            assert main(["posteval", str(genome), str(cfg),
+                         "--seed", str(seed)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_failed_run_is_one_stderr_line_and_exit_one(self, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMOKE)
+        out = tmp_path / "results"
+        out.mkdir()
+        (out / "row0_run0").write_text("not a run directory\n")
+        assert main(["evolve", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("row0_run0 failed: ") and err.count("\n") == 1
+
     def test_runs_flag_only_on_evolve(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(SMOKE)
@@ -326,9 +427,12 @@ class TestCli:
             assert "row0_run0" in err and stored in err and wanted in err
             assert {p: p.read_bytes() for p in before} == before
 
-    def test_missing_config_is_a_config_error(self, capsys):
-        assert main(["evolve", "/nonexistent/x.cfg"]) == 2
-        assert "not found" in capsys.readouterr().err
+    def test_missing_config_is_a_config_error(self, tmp_path, capsys):
+        for path in ("/nonexistent/x.cfg", str(tmp_path)):
+            assert main(["evolve", path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: cannot read {path}: ")
+            assert err.count("\n") == 1
 
     def test_bad_config_reports_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -31,11 +31,11 @@ class TestScoreRun:
     def test_half_predictions_score_half_exactly(self):
         # |0.5 - s| = 0.5 for binary s, so the error sum is N*C*R/2.
         n, c, r = 7, 99, 12
-        assert score_run(0.5 * n * c * r, n, c, r) == 0.5
+        assert score_run(0.5 * n * c * r, n, c) == 0.5
 
     def test_single_wrong_component(self):
         # N=1, C=1, R=12, one component off by one: F = 11/12.
-        assert score_run(1.0, 1, 1, 12) == pytest.approx(11 / 12, abs=1e-15)
+        assert score_run(1.0, 1, 1) == pytest.approx(11 / 12, abs=1e-15)
 
     def test_zero_comparisons_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ import pytest
 from minsurprise import networks
 from minsurprise.networks import (
     ACTION_LENGTH,
-    GENOME_LENGTH,
     HIDDEN_UNITS,
     NET_INPUTS,
     PREDICTION_LENGTH,
@@ -34,7 +33,7 @@ class TestGenomeShape:
         # action: 13*8 + 8 + 8*2 + 2; prediction: 13*8 + 8 + 8 + 8*12 + 12
         assert ACTION_LENGTH == 13 * 8 + 8 + 8 * 2 + 2 == 130
         assert PREDICTION_LENGTH == 13 * 8 + 8 + 8 + 8 * 12 + 12 == 228
-        assert GENOME_LENGTH == 358
+        assert ACTION_LENGTH + PREDICTION_LENGTH == 358
 
     def test_wrong_lengths_rejected(self):
         Genome(np.zeros(130), np.zeros(228))  # accepted

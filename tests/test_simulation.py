@@ -90,7 +90,8 @@ class TestReferenceEquivalence:
         _, _, ref_robots, ref_blocks = reference_simulation(
             genome, config, Scenario.EMERGENT, seed
         )
-        trace = simulate_traced(genome, config, Scenario.EMERGENT, seed)
+        trace = simulate_traced(genome, config, Scenario.EMERGENT, seed,
+                                snapshot_every=config.steps)
         assert set(ref_blocks) == set(trace.end_blocks)
         final = trace.robot_window[-1]
         assert sorted(map(tuple, final.tolist())) == \
@@ -359,12 +360,12 @@ class TestDeterminism:
         config = SimConfig(8, 3, 5, steps=40)
         genome = spread_genome(5)
         t1 = simulate_traced(genome, config, Scenario.EMERGENT, 11,
-                             record_io=True)
+                             snapshot_every=10)
         t2 = simulate_traced(genome, config, Scenario.EMERGENT, 11,
-                             record_io=True)
+                             snapshot_every=10)
         assert t1.error_sum == t2.error_sum
         assert np.array_equal(t1.robot_window, t2.robot_window)
-        assert np.array_equal(t1.predictions, t2.predictions)
+        assert t1.snapshots == t2.snapshots
 
 
 class TestScenarioComparisons:
@@ -401,7 +402,8 @@ class TestScenarioComparisons:
 class TestTraces:
     def test_window_shapes_and_block_identity(self):
         config = SimConfig(8, 3, 5, steps=40)  # tau = 32
-        trace = simulate_traced(spread_genome(7), config, Scenario.EMERGENT, 2)
+        trace = simulate_traced(spread_genome(7), config, Scenario.EMERGENT, 2,
+                                snapshot_every=config.steps)
         assert trace.tau == 32
         assert trace.robot_window.shape == (33, 3, 2)
         assert trace.block_window.shape == (33, 5, 2)
@@ -413,18 +415,11 @@ class TestTraces:
         diffs = np.minimum(diffs, 8 - diffs)
         assert diffs.max() <= 1
 
-    def test_io_log_matches_error_sum(self):
-        config = SimConfig(8, 3, 5, steps=40)
-        trace = simulate_traced(spread_genome(8), config, Scenario.EMERGENT, 3,
-                                record_io=True)
-        assert trace.predictions.shape == (39, 3, 12)
-        recomputed = float(np.abs(trace.predictions - trace.sensor_log).sum())
-        assert recomputed == pytest.approx(trace.error_sum, abs=1e-9)
-
     def test_too_short_run_rejected(self):
         config = SimConfig(8, 3, 5, steps=20)  # tau = 32 > 20
         with pytest.raises(ValueError):
-            simulate_traced(spread_genome(0), config, Scenario.EMERGENT, 1)
+            simulate_traced(spread_genome(0), config, Scenario.EMERGENT, 1,
+                            snapshot_every=config.steps)
 
     def test_snapshot_every_full_length_gives_start_and_end(self):
         config = SimConfig(8, 3, 5, steps=40)
