@@ -35,7 +35,7 @@ from .evolution import (
 from .metrics import MetricsRow, StructureLabel, metrics_from_trace
 from .networks import Genome, Scenario, save_genome, write_text_atomic
 from .simulation import RunTrace, simulate_traced
-from .world import SimConfig
+from .world import SimConfig, metrics_window
 
 DEFAULT_SIM = SimConfig(side_length=16, swarm_size=10, block_count=32,
                         steps=1000)
@@ -112,7 +112,8 @@ def parse_config(text: str) -> ExperimentPlan:
     Missing keys take the defaults (16x16 grid, 10 robots, 32 blocks, 1000
     steps, emergent scenario, population 50, 100 generations, 10 evaluation
     runs, mutation rate 0.1, 20 runs, seed 0). '#' starts a comment. Unknown
-    keys and out-of-range values are rejected with the offending line number.
+    keys, out-of-range values and runs shorter than the grid's metrics window
+    are rejected with the offending line number.
     """
     values: dict[str, object] = {}
     lines_of: dict[str, int] = {}
@@ -177,6 +178,11 @@ def parse_config(text: str) -> ExperimentPlan:
             f"line {lineno}: cannot place {robots} robots and {blocks} blocks "
             f"on a {grid}x{grid} grid"
         )
+    tau = metrics_window(grid)
+    if steps < tau:
+        lineno = max(lines_of.get("grid", 0), lines_of.get("steps", 0))
+        raise ConfigError(f"line {lineno}: a run of {steps} steps is shorter "
+                          f"than the metrics window tau={tau}")
     sim = SimConfig(grid, robots, blocks, steps=steps)
     row = PlanRow(sim, values.get("scenario", Scenario.EMERGENT))
     return ExperimentPlan(

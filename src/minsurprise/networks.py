@@ -156,12 +156,16 @@ def stable_rows_matmul(x: np.ndarray, w: np.ndarray,
 def sigmoid_inplace(x: np.ndarray) -> np.ndarray:
     """In-place 1 / (1 + exp(-x)), one elementwise operation at a time in
     that order, so results are bit-identical to the naive expression the
-    reference in ``tests/oracle.py`` evaluates."""
-    with np.errstate(over="ignore"):
-        np.negative(x, out=x)
-        np.exp(x, out=x)
-        np.add(x, 1.0, out=x)
-        np.reciprocal(x, out=x)
+    reference in ``tests/oracle.py`` evaluates.
+
+    The engine's inputs cannot overflow ``exp``: a network output is at most
+    HIDDEN_UNITS * WEIGHT_LIMIT + WEIGHT_LIMIT = 45 in absolute value (tanh
+    outputs lie in [-1, 1], every weight within WEIGHT_LIMIT), and the
+    action decisions pass only inputs within 1e-12 of 0."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    np.add(x, 1.0, out=x)
+    np.reciprocal(x, out=x)
     return x
 
 

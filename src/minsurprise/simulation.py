@@ -36,19 +36,20 @@ step's shuffled order. A robot reads and writes only its own cell and the
 two ahead of it (c1, c2); a turner touches none of them, so all turns are
 applied at once, by one lookup from each robot's decision pair to a heading
 change. A mover's heading is fixed and its cell changes only in its own
-pass, so its cell, c1 and c2 are looked up once per step. The movers are
-then listed by order position, then by world, and actuated one order
-position at a time. The movers at one position lie in distinct worlds, and
-each sees every cell that movers at earlier positions freed, took or pushed
-a block into: the same state the sequential reference shows it, so the
-results are bit-equal. Several movers at one position write c2 <- (push ?
-c1's code : c2's), c1 <- (advance ? robot : c1's) and their cell <-
-(advance ? free : robot) unconditionally: a mover's three cells are
-distinct and no two movers share a world. A position holding one mover, as
-every position of a single-world run does, is applied with Python ints
-under the same rule and in the same order (push, vacate, occupy): at that
-size the array calls cost far more than the work they do. A step in which
-no robot moves applies its turns and skips the rest.
+pass, so its c1 and c2 follow from its cell and heading at the start of the
+step. A single world, as in ``posteval`` and ``replay``, is then actuated
+as the reference does it: one Python pass over the step's order on Python
+ints, skipping the robots that do not move and applying each mover's rule
+(push, vacate, occupy) to the grid; at that size array calls cost far more
+than the work they do. Several worlds list their movers by order position,
+then by world, and actuate one order position at a time. The movers at one
+position lie in distinct worlds, and each sees every cell that movers at
+earlier positions freed, took or pushed a block into: the same state the
+sequential reference shows it, so the results are bit-equal. They write c2
+<- (push ? c1's code : c2's), c1 <- (advance ? robot : c1's) and their
+cell <- (advance ? free : robot) unconditionally: a mover's three cells are
+distinct and no two movers share a world. In a batch of several worlds, a
+step in which no robot moves applies its turns and skips the rest.
 
 Operand layout. The operands of a step's arithmetic at the full batch size
 are contiguous arrays of their full (G, M, .) or (K * N, .) shape, so numpy
@@ -87,6 +88,7 @@ from .world import (
     Heading,
     RobotPose,
     SimConfig,
+    metrics_window,
     render_cells,
     sample_placement,
 )
@@ -154,7 +156,7 @@ class _Recorder:
 
     def __init__(self, N: int, B: int, T: int, L: int, snapshot_every: int):
         self.L, self.B = L, B
-        self.tau = (L * L) // 2
+        self.tau = metrics_window(L)
         if T < self.tau:
             raise ValueError(
                 f"run of {T} steps is shorter than the metrics window "
@@ -305,8 +307,9 @@ def _run_batch(
     err = np.zeros(K, dtype=np.float64)
     pos_f = pos.reshape(-1)
     rh_f = rh.reshape(-1)
-    # Python-int view for order positions that hold a single mover.
+    # Python-int views for the single-world actuation pass.
     occ_m = memoryview(occ)
+    c1_of, c2_of = ahead_tbl.tolist()
 
     # Scratch buffers reused every step; all writes below keep the exact
     # operation order of the naive expressions, so results stay bit-equal
@@ -352,14 +355,16 @@ def _run_batch(
             if t > 0:
                 np.subtract(pred_prev, S, out=diff)
                 np.abs(diff, out=diff)
-                np.sum(diff.reshape(K, N * SENSOR_COUNT), axis=1, out=step_err)
+                np.add.reduce(diff.reshape(K, N * SENSOR_COUNT), axis=1,
+                              out=step_err)
                 err += step_err
         else:
             # Binary targets against binary sensors: |p - s| is exactly the
             # mismatch count, so the error sum stays integer-exact.
             np.not_equal(seen.reshape(K, N * SENSOR_COUNT), fixed_bits,
                          out=mismatch)
-            err += mismatch.sum(axis=1)
+            np.add.reduce(mismatch, axis=1, dtype=np.float64, out=step_err)
+            err += step_err
 
         # Action network (X holds sensors + previous action). Decisions are
         # sigmoid >= 0.5, taken by sign outside the band about 0.
@@ -371,7 +376,7 @@ def _run_batch(
         np.greater_equal(a_out, 0.0, out=decide)
         np.abs(a_out, out=a_abs)
         np.less_equal(a_abs, _DECISION_BAND, out=band)
-        if np.count_nonzero(band):
+        if band.any():
             decide[band] = sigmoid_inplace(a_out[band]) >= 0.5
         # The prediction network's action input, and A(t-1) for the next step.
         X[:, :, SENSOR_COUNT] = decide[:, :, 0]
@@ -392,12 +397,34 @@ def _run_batch(
             sigmoid_inplace(pred_prev)
 
         # Actuate (schedule in the module docstring): all turns at once, then
-        # the movers position-major, one slice per order position; a mover's
-        # pos_f entry is only read before the loop, so it is written after.
+        # the movers in the step's order.
         rh_f += _TURN_DELTA.take(pair_keys)
         rh_f &= 3
-        if np.count_nonzero(moving_f):
-            # slot[k, w]: the robot at order position k in world w
+        if K == 1:
+            # One world: the reference's pass on Python ints. sense_idx
+            # still holds each mover's cell * 4 + heading.
+            moving = moving_f.tolist()
+            ahead_idx = sense_idx.tolist()
+            cells = pos_f.tolist()
+            for r in perms[0, t].tolist():
+                if not moving[r]:
+                    continue
+                i = ahead_idx[r]
+                a1, a2 = c1_of[i], c2_of[i]
+                o1 = occ_m[a1]
+                if o1 >= _BLOCK and occ_m[a2] == _FREE:
+                    occ_m[a2] = o1  # push the block ahead on
+                elif o1 != _FREE:
+                    continue  # blocked: the robot stays
+                occ_m[cells[r]] = _FREE
+                occ_m[a1] = _ROBOT
+                cells[r] = a1
+            pos_f[:] = cells
+        elif moving_f.any():
+            # The movers position-major, one slice per order position; a
+            # mover's pos_f entry is only read before the loop, so it is
+            # written after. slot[k, w]: the robot at order position k in
+            # world w.
             slot = perms[:, t, :].T + rowoff
             held = moving_f[slot].ravel().nonzero()[0]  # k * K + w, ascending
             mover = slot.take(held)
@@ -412,23 +439,8 @@ def _run_batch(
             for hi in ends:
                 if hi == lo:
                     continue  # no mover at this order position
-                if hi - lo == 1:  # one mover: the same rule on Python ints
-                    a1 = wc1.item(lo)
-                    o1 = occ_m[a1]
-                    advance = o1 == _FREE
-                    if o1 >= _BLOCK:
-                        a2 = wc2.item(lo)
-                        if occ_m[a2] == _FREE:
-                            occ_m[a2] = o1
-                            advance = True
-                    if advance:
-                        occ_m[wcell.item(lo)] = _FREE
-                        occ_m[a1] = _ROBOT
-                    advanced[lo] = advance
-                    lo = hi
-                    continue
-                # Several movers, one per world, so no two write one cell;
-                # each cell is rewritten whether or not it changes.
+                # Movers in distinct worlds, so no two write one cell; each
+                # cell is rewritten whether or not it changes.
                 s1, s2 = wc1[lo:hi], wc2[lo:hi]
                 o1, o2 = occ[s1], occ[s2]
                 push = (o1 >= _BLOCK) & (o2 == _FREE)

@@ -76,6 +76,13 @@ class SimConfig:
             raise ValueError(f"steps must be >= 1, got {T}")
 
 
+def metrics_window(side_length: int) -> int:
+    """tau: the post-evaluation metrics window, in steps, of a grid of the
+    given side length (half its cell count). A run must last at least tau
+    steps to be post-evaluated."""
+    return side_length * side_length // 2
+
+
 @dataclass
 class RobotPose:
     x: int

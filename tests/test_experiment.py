@@ -93,6 +93,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("grid=16\ngrid=20\n")
 
+    def test_run_shorter_than_metrics_window_rejected(self):
+        # tau = 16 * 16 // 2 = 128 steps; the later of the two lines is named
+        for text, line in (("grid=16\nsteps=20\n", 2),
+                           ("steps=127\nrobots=4\ngrid=16\n", 3),
+                           ("grid=50\n", 1)):  # tau 1250 > 1000 steps
+            with pytest.raises(ConfigError, match=f"line {line}: .*tau="):
+                parse_config(text)
+        assert parse_config("grid=16\nsteps=128\n").rows[0].sim.steps == 128
+
     def test_builtin_matrix_rows_and_density(self):
         plan = matrix_plan()
         triples = [
@@ -433,6 +442,25 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith(f"config error: cannot read {path}: ")
             assert err.count("\n") == 1
+
+    def test_run_shorter_than_metrics_window_fails_before_any_run(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("grid=16\nsteps=20\npopulation=2\ngenerations=1\n"
+                       "eval_runs=1\nruns=1\n")
+        genome = tmp_path / "g.genome"
+        save_genome(genome, random_genome(np.random.default_rng(0)))
+        out = tmp_path / "results"
+        for argv in (["evolve", str(cfg), "--out", str(out)],
+                     ["posteval", str(genome), str(cfg)],
+                     ["replay", str(genome), str(cfg)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("config error: line 2: ")
+            assert "tau=128" in captured.err
+            assert captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_bad_config_reports_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

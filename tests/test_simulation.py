@@ -1,12 +1,15 @@
 """Batch engine: reference equivalence, batching invariance, determinism,
 trace recording, and conservation under load."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from minsurprise.networks import (
     ACTION_LENGTH,
     PREDICTION_LENGTH,
+    WEIGHT_LIMIT,
     Genome,
     Scenario,
     random_genome,
@@ -318,6 +321,35 @@ class TestLoneMovers:
             assert alone[0, 0] == ref_err
             blocks_moved.append(ref_blocks != start_blocks)
         assert blocks_moved == [False, True]  # only world 1 pushes
+
+
+class TestWeightLimits:
+    def test_weights_at_the_limit_raise_no_warning(self):
+        # Every weight at +-WEIGHT_LIMIT gives the largest network outputs a
+        # genome can produce; exp in sigmoid_inplace must not overflow on
+        # them, and the results stay bit-equal to the reference.
+        rng = np.random.default_rng(5)
+
+        def limit(n, sign=None):
+            signs = rng.choice([-1.0, 1.0], n) if sign is None else sign
+            return np.full(n, WEIGHT_LIMIT) * signs
+
+        genomes = [Genome(limit(ACTION_LENGTH, s), limit(PREDICTION_LENGTH, s))
+                   for s in (1.0, -1.0, None, None)]
+        config = SimConfig(8, 4, 6, steps=40)
+        seeds = np.arange(8, dtype=np.uint64).reshape(4, 2) + 50
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scenario in (Scenario.EMERGENT, Scenario.CLUSTERS):
+                errs, _ = simulate_batch(genomes, config, scenario, seeds)
+                for g, genome in enumerate(genomes):
+                    seed = int(seeds[g, 0])
+                    ref_err, _, _, _ = reference_simulation(
+                        genome, config, scenario, seed)
+                    assert errs[g, 0] == ref_err  # bitwise
+                    trace = simulate_traced(genome, config, scenario, seed,
+                                            snapshot_every=config.steps)
+                    assert trace.error_sum == ref_err
 
 
 class TestBatchingInvariance:
