@@ -12,10 +12,10 @@ Per-world RNG contract (PCG64 seeded with the world seed):
 
 Per-step event order: sense all robots; compare the pending prediction (or
 the scenario's fixed vector) against the fresh sensors; run the action
-network; in emergent mode run the prediction network; actuate robots
-sequentially in the step's shuffled order. Emergent mode therefore yields
-T - 1 comparisons (a prediction meets the *next* step's sensors), fixed
-vectors yield T.
+network (fixed vectors: look up its table); in emergent mode run the
+prediction network; actuate robots sequentially in the step's shuffled
+order. Emergent mode therefore yields T - 1 comparisons (a prediction meets
+the *next* step's sensors), fixed vectors yield T.
 
 Grid. All K worlds share one flat grid, L * L cells each: 0 free, 1 robot,
 2 + b block b (int8 while B + 2 < 2**7). A push copies the block's code, so
@@ -51,16 +51,34 @@ cell <- (advance ? free : robot) unconditionally: a mover's three cells are
 distinct and no two movers share a world. In a batch of several worlds, a
 step in which no robot moves applies its turns and skips the rest.
 
-Operand layout. The operands of a step's arithmetic at the full batch size
-are contiguous arrays of their full (G, M, .) or (K * N, .) shape, so numpy
-runs one inner loop per operation instead of one per robot row: biases and
-the prediction network's self weights are repeated per robot row once per
-call, the six sensed cell codes of every robot are gathered from the grid
-and compared into one bool buffer of both sensor banks that one copy turns
-into the float buffer S, and c1/c2 come from one (2, L * L * 4) table. Only
-the writes of the two banks and of X's columns stay strided. The
-floating-point operations and their order are those of the reference, so
-the layout changes speed only, never a bit of the results.
+Fixed scenarios. With a fixed prediction vector (pairs, clusters, empty)
+every network input is a bit and every error term an integer, so the step
+does no floating-point network work. The six sensed cells' grid codes map
+to 1 (robot), 64 (block) or 0, and an integer dot with 2**s over the cells
+s packs each robot's 12 sensor bits into one code, sensor i in bit i. A
+4096-entry table gives the code's mismatches against the fixed vector as
+exact integers in float64; they are summed per robot, then per world after
+the run, exact in any order. Each genome's (move, turn right) pair comes
+from its table of 8192 entries (16 KB) at code | previous move << 12. The
+tables are built once per call: all 8192 input rows go through the step's
+own operations (stable_rows_matmul, + b, tanh, stable_rows_matmul, + b,
+sign and band sigmoid), in blocks of 512 rows and 8 genomes. An entry is
+the decision the network makes on that row alone because gemm computes
+each row of a product independently of the other rows and of their count:
+the row invariance that already makes a batched population bit-equal to
+single-genome calls and to the reference's padded two-row products.
+
+Operand layout (emergent step). The operands of the emergent step's float
+arithmetic at the full batch size are contiguous arrays of their full
+(G, M, .) or (K * N, .) shape, so numpy runs one inner loop per operation
+instead of one per robot row: biases and the prediction network's self
+weights are repeated per robot row once per call, and the six sensed cell
+codes of every robot are compared into one bool buffer of both sensor banks
+that one copy turns into the float buffer S. Only the writes of the two
+banks and of X's columns stay strided. The floating-point operations and
+their order are those of the reference, so the layout changes speed only,
+never a bit of the results. In both modes c1/c2 come from one
+(2, L * L * 4) table.
 """
 
 from __future__ import annotations
@@ -74,6 +92,7 @@ from .networks import (
     ACTION_OUTPUTS,
     HIDDEN_UNITS,
     NET_INPUTS,
+    ActionNetwork,
     Genome,
     Scenario,
     decode,
@@ -104,6 +123,15 @@ _DECISION_BAND = 1e-12
 # cover the keys in either byte order.
 _TURN_DELTA = np.zeros(0x0102, dtype=np.int64)
 _TURN_DELTA[np.array([0, 0, 0, 1], dtype=bool).view(np.uint16)] = -1, 1
+
+# Weight of sensed cell s in the sensor code: 2**s times the cell's bit for
+# cell 0 (1 robot, 64 block), so a robot sets bit s and a block bit 6 + s.
+_SENSOR_BITS = np.int64(1) << np.arange(6, dtype=np.int64)
+
+# Decision tables are built for this many network input rows and genomes at
+# a time, which bounds the build's float temporaries to ~0.4 MB.
+_TABLE_BLOCK = 512
+_TABLE_GENOMES = 8
 
 _TABLE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -227,6 +255,58 @@ def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.ascontiguousarray(np.stack(arrays))
 
 
+def _decide(y: np.ndarray, decide: np.ndarray, y_abs: np.ndarray,
+            band: np.ndarray) -> None:
+    """decide = sigmoid(y) >= 0.5, taken by the sign of y outside the band
+    about 0; y_abs and band are scratch buffers of y's shape."""
+    np.greater_equal(y, 0.0, out=decide)
+    np.abs(y, out=y_abs)
+    np.less_equal(y_abs, _DECISION_BAND, out=band)
+    if band.any():
+        decide[band] = sigmoid_inplace(y[band]) >= 0.5
+
+
+def _decision_tables(nets: Sequence[ActionNetwork]) -> np.ndarray:
+    """(G, 8192, 2) bools: each action network's (move, turn right) on
+    every input row; row r holds network input i in bit i, so it is a
+    sensor code | previous move << 12.
+
+    The rows go through the step's own operations, one gemm per genome and
+    block of _TABLE_BLOCK rows: stable_rows_matmul, + b, tanh,
+    stable_rows_matmul, + b, then the decision by sign and band sigmoid.
+    """
+    w_hidden = _stack([n.w_hidden for n in nets])  # (G, 13, 8)
+    b_hidden = _stack([n.b_hidden for n in nets])[:, None]  # (G, 1, 8)
+    w_out = _stack([n.w_out for n in nets])
+    b_out = _stack([n.b_out for n in nets])[:, None]
+    inputs = np.arange(NET_INPUTS)
+    tables = np.empty((len(nets), 1 << NET_INPUTS, ACTION_OUTPUTS),
+                      dtype=bool)
+    for lo in range(0, 1 << NET_INPUTS, _TABLE_BLOCK):
+        rows = np.arange(lo, lo + _TABLE_BLOCK)[:, None] >> inputs & 1
+        rows = rows.astype(np.float64)
+        for g in range(0, len(nets), _TABLE_GENOMES):
+            gs = slice(g, g + _TABLE_GENOMES)
+            hidden = stable_rows_matmul(rows, w_hidden[gs])
+            hidden += b_hidden[gs]
+            np.tanh(hidden, out=hidden)
+            y = stable_rows_matmul(hidden, w_out[gs])
+            y += b_out[gs]
+            _decide(y, tables[gs, lo:lo + _TABLE_BLOCK], np.empty_like(y),
+                    np.empty(y.shape, dtype=bool))
+    return tables
+
+
+def _mismatch_table(scenario: Scenario) -> np.ndarray:
+    """(4096,) float64: the mismatches of every sensor code against the
+    scenario's fixed prediction vector, exact integers."""
+    codes = np.arange(1 << SENSOR_COUNT)
+    mismatches = np.zeros(1 << SENSOR_COUNT, dtype=np.float64)
+    for i, p in enumerate(scenario_prediction(scenario)):
+        mismatches += (codes >> i & 1) != p
+    return mismatches
+
+
 def _rows(arrays: Sequence[np.ndarray], M: int) -> np.ndarray:
     """Per-genome vectors repeated for each of a genome's M robot rows: a
     contiguous (G, M, n) operand in place of a broadcast (G, 1, n) one."""
@@ -258,23 +338,6 @@ def _run_batch(
     M = W * N
     emergent = scenario is Scenario.EMERGENT
 
-    decoded = [decode(g) for g in genomes]
-    a_wh = _stack([d[0].w_hidden for d in decoded])  # (G, 13, 8)
-    a_bh = _rows([d[0].b_hidden for d in decoded], M)  # (G, M, 8)
-    a_wo = _stack([d[0].w_out for d in decoded])
-    a_bo = _rows([d[0].b_out for d in decoded], M)
-    if emergent:
-        p_wh = _stack([d[1].w_hidden for d in decoded])
-        p_bh = _rows([d[1].b_hidden for d in decoded], M)
-        p_self = _rows([d[1].w_self for d in decoded], M)
-        p_wo = _stack([d[1].w_out for d in decoded])
-        p_bo = _rows([d[1].b_out for d in decoded], M)
-        hidden = np.zeros((G, M, HIDDEN_UNITS), dtype=np.float64)
-        pred_prev = np.zeros((G, M, SENSOR_COUNT), dtype=np.float64)
-    else:
-        fixed_bits = np.tile(scenario_prediction(scenario).astype(bool),
-                             (K, N))  # (K, N * 12)
-
     L2 = L * L
     pos = np.empty((K, N), dtype=np.int64)  # robot flat cells
     rh = np.empty((K, N), dtype=np.int64)  # headings
@@ -303,8 +366,6 @@ def _run_batch(
     # World offsets of every sensed cell, and of every robot slot.
     sensed_woff = np.repeat(woff, N * 6).reshape(K * N, 6)
     slot_woff = np.repeat(woff, N)
-    X = np.zeros((G, M, NET_INPUTS), dtype=np.float64)
-    err = np.zeros(K, dtype=np.float64)
     pos_f = pos.reshape(-1)
     rh_f = rh.reshape(-1)
     # Python-int views for the single-world actuation pass.
@@ -317,84 +378,118 @@ def _run_batch(
     sense_idx = np.empty(K * N, dtype=np.int64)
     scell = np.empty((K * N, 6), dtype=np.int64)  # world flat sensed cells
     occv = np.empty((K * N, 6), dtype=occ.dtype)
-    seen = np.empty((K * N, 2, 6), dtype=bool)  # robot bank, block bank
-    S = np.empty((G, M, SENSOR_COUNT), dtype=np.float64)
-    a_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
-    a_out = np.empty((G, M, ACTION_OUTPUTS), dtype=np.float64)
-    a_abs = np.empty((G, M, ACTION_OUTPUTS), dtype=np.float64)
-    band = np.empty((G, M, ACTION_OUTPUTS), dtype=bool)
     decide = np.empty((G, M, ACTION_OUTPUTS), dtype=bool)  # move, turn right
     moving_f = decide[:, :, 0].reshape(-1)
     pair_keys = decide.view(np.uint16).reshape(-1)  # see _TURN_DELTA
+    decoded = [decode(g) for g in genomes]
     if emergent:
+        a_wh = _stack([d[0].w_hidden for d in decoded])  # (G, 13, 8)
+        a_bh = _rows([d[0].b_hidden for d in decoded], M)  # (G, M, 8)
+        a_wo = _stack([d[0].w_out for d in decoded])
+        a_bo = _rows([d[0].b_out for d in decoded], M)
+        p_wh = _stack([d[1].w_hidden for d in decoded])
+        p_bh = _rows([d[1].b_hidden for d in decoded], M)
+        p_self = _rows([d[1].w_self for d in decoded], M)
+        p_wo = _stack([d[1].w_out for d in decoded])
+        p_bo = _rows([d[1].b_out for d in decoded], M)
+        hidden = np.zeros((G, M, HIDDEN_UNITS), dtype=np.float64)
+        pred_prev = np.zeros((G, M, SENSOR_COUNT), dtype=np.float64)
+        seen = np.empty((K * N, 2, 6), dtype=bool)  # robot bank, block bank
+        S = np.empty((G, M, SENSOR_COUNT), dtype=np.float64)
+        X = np.zeros((G, M, NET_INPUTS), dtype=np.float64)
+        a_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
+        a_out = np.empty((G, M, ACTION_OUTPUTS), dtype=np.float64)
+        a_abs = np.empty((G, M, ACTION_OUTPUTS), dtype=np.float64)
+        band = np.empty((G, M, ACTION_OUTPUTS), dtype=bool)
         diff = np.empty((G, M, SENSOR_COUNT), dtype=np.float64)
         p_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
+        step_err = np.empty(K, dtype=np.float64)
+        err = np.zeros(K, dtype=np.float64)
     else:
-        mismatch = np.empty((K, N * SENSOR_COUNT), dtype=bool)
-    step_err = np.empty(K, dtype=np.float64)
+        # Lookups by sensor code: its mismatches, and each genome's
+        # decisions at g << 13 | previous move << 12 | code.
+        mismatches = _mismatch_table(scenario)
+        decisions = _decision_tables([d[0] for d in decoded]).view(
+            np.uint16).reshape(-1)
+        # code bit of sensor cell 0 by grid code, one entry per code so that
+        # every grid integer type indexes it
+        cell_bits = np.zeros(_BLOCK + B, dtype=np.int64)
+        cell_bits[_ROBOT], cell_bits[_BLOCK:] = 1, 1 << 6
+        bits = np.empty((K * N, 6), dtype=np.int64)  # sensed cells' code bits
+        code = np.empty(K * N, dtype=np.int64)
+        robot_mis = np.empty(K * N, dtype=np.float64)
+        robot_err = np.zeros(K * N, dtype=np.float64)
+        # Each robot's table rows: its genome's, at its previous move (none
+        # before the first step).
+        table_base = np.repeat(np.arange(G, dtype=np.int64) << NET_INPUTS, M)
+        table_row = table_base.copy()
 
     if recorder is not None:
         recorder.record(0, T, pos, rh, occ)
 
     for t in range(T):
-        # Sense: cell codes of the six cells ahead, both entity banks, into
-        # one bool buffer, then one copy each into S and X.
+        # Sense: the grid codes of the six cells ahead of every robot.
         np.multiply(pos_f, 4, out=sense_idx)
         sense_idx += rh_f
         sensed_tbl.take(sense_idx, axis=0, out=scell)
         scell += sensed_woff
         occ.take(scell, out=occv)
-        np.equal(occv, _ROBOT, out=seen[:, 0])
-        np.greater_equal(occv, _BLOCK, out=seen[:, 1])
-        np.copyto(S, seen.reshape(G, M, SENSOR_COUNT))
-        X[:, :, :SENSOR_COUNT] = S
 
-        # Score the prediction pending from the previous step (emergent) or
-        # the scenario's fixed vector (predefined; exact integer mismatches).
         if emergent:
+            # Both entity banks into one bool buffer, then one copy each
+            # into S and X.
+            np.equal(occv, _ROBOT, out=seen[:, 0])
+            np.greater_equal(occv, _BLOCK, out=seen[:, 1])
+            np.copyto(S, seen.reshape(G, M, SENSOR_COUNT))
+            X[:, :, :SENSOR_COUNT] = S
+
+            # Score the prediction pending from the previous step.
             if t > 0:
                 np.subtract(pred_prev, S, out=diff)
                 np.abs(diff, out=diff)
                 np.add.reduce(diff.reshape(K, N * SENSOR_COUNT), axis=1,
                               out=step_err)
                 err += step_err
+
+            # Action network (X holds sensors + previous action).
+            stable_rows_matmul(X, a_wh, out=a_hid)
+            a_hid += a_bh
+            np.tanh(a_hid, out=a_hid)
+            stable_rows_matmul(a_hid, a_wo, out=a_out)
+            a_out += a_bo
+            _decide(a_out, decide, a_abs, band)
+            # The prediction network's action input, and A(t-1) for the next
+            # step.
+            X[:, :, SENSOR_COUNT] = decide[:, :, 0]
+
+            # Prediction network, fed the chosen action; the final step's
+            # prediction would never meet a sensor reading, so skip it.
+            if t + 1 < T:
+                stable_rows_matmul(X, p_wh, out=p_hid)
+                # same term order as the reference: (x @ w) + self * hidden
+                # + bias; the old hidden state is read only here, so it
+                # holds the product
+                hidden *= p_self
+                p_hid += hidden
+                p_hid += p_bh
+                np.tanh(p_hid, out=p_hid)
+                hidden, p_hid = p_hid, hidden
+                stable_rows_matmul(hidden, p_wo, out=pred_prev)
+                pred_prev += p_bo
+                sigmoid_inplace(pred_prev)
         else:
-            # Binary targets against binary sensors: |p - s| is exactly the
-            # mismatch count, so the error sum stays integer-exact.
-            np.not_equal(seen.reshape(K, N * SENSOR_COUNT), fixed_bits,
-                         out=mismatch)
-            np.add.reduce(mismatch, axis=1, dtype=np.float64, out=step_err)
-            err += step_err
-
-        # Action network (X holds sensors + previous action). Decisions are
-        # sigmoid >= 0.5, taken by sign outside the band about 0.
-        stable_rows_matmul(X, a_wh, out=a_hid)
-        a_hid += a_bh
-        np.tanh(a_hid, out=a_hid)
-        stable_rows_matmul(a_hid, a_wo, out=a_out)
-        a_out += a_bo
-        np.greater_equal(a_out, 0.0, out=decide)
-        np.abs(a_out, out=a_abs)
-        np.less_equal(a_abs, _DECISION_BAND, out=band)
-        if band.any():
-            decide[band] = sigmoid_inplace(a_out[band]) >= 0.5
-        # The prediction network's action input, and A(t-1) for the next step.
-        X[:, :, SENSOR_COUNT] = decide[:, :, 0]
-
-        # Prediction network, fed the chosen action; the final step's
-        # prediction would never meet a sensor reading, so skip it.
-        if emergent and t + 1 < T:
-            stable_rows_matmul(X, p_wh, out=p_hid)
-            # same term order as the reference: (x @ w) + self * hidden + bias;
-            # the old hidden state is read only here, so it holds the product
-            hidden *= p_self
-            p_hid += hidden
-            p_hid += p_bh
-            np.tanh(p_hid, out=p_hid)
-            hidden, p_hid = p_hid, hidden
-            stable_rows_matmul(hidden, p_wo, out=pred_prev)
-            pred_prev += p_bo
-            sigmoid_inplace(pred_prev)
+            # Fixed prediction: the sensor bits as one code, its mismatch
+            # count, and the genome's decision on the code and the previous
+            # move, all by lookup. Every index is in range by construction;
+            # mode="clip" spares take the copy of `out` that "raise" makes.
+            cell_bits.take(occv, out=bits, mode="clip")
+            np.dot(_SENSOR_BITS, bits.T, out=code)
+            mismatches.take(code, out=robot_mis, mode="clip")
+            robot_err += robot_mis
+            code += table_row
+            decisions.take(code, out=pair_keys, mode="clip")
+            np.multiply(moving_f, 1 << SENSOR_COUNT, out=table_row)
+            table_row += table_base
 
         # Actuate (schedule in the module docstring): all turns at once, then
         # the movers in the step's order.
@@ -457,6 +552,9 @@ def _run_batch(
         if verify_every and ((t + 1) % verify_every == 0 or t + 1 == T):
             _verify_state(L, N, B, occ, pos, woff)
 
+    if not emergent:
+        # integer-valued sums, so exact in any order
+        err = np.add.reduce(robot_err.reshape(K, N), axis=1)
     comparisons = T - 1 if emergent else T
     return err.reshape(G, W), comparisons
 

@@ -10,6 +10,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 PASS lines as they complete.
 """
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -17,11 +18,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from minsurprise.evolution import evolve
 from minsurprise.experiment import (
     parse_config,
     posteval_csv_row,
     replay,
     run_experiment,
+    run_index_for,
 )
 from minsurprise.metrics import (
     StructureLabel,
@@ -37,6 +40,8 @@ from oracle import reference_simulation
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
+ACCEPT_DIR = Path(os.environ.get("MINSURPRISE_ACCEPT_DIR",
+                                 REPO_ROOT / ".acceptance_cache"))
 
 LINE = StructureLabel.LINE
 PAIR = StructureLabel.PAIR
@@ -89,13 +94,11 @@ def heavy_results():
     the stored ones byte for byte, so results left by older code can never
     reach the criteria.
     """
-    root = Path(os.environ.get("MINSURPRISE_ACCEPT_DIR",
-                               REPO_ROOT / ".acceptance_cache"))
     out = {}
     for name in ("emergent", "empty", "clusters"):
         cfg_text = (CONFIG_DIR / f"acceptance_{name}.cfg").read_text()
         plan = parse_config(cfg_text)
-        batch_dir = root / name
+        batch_dir = ACCEPT_DIR / name
         status = run_experiment(plan, batch_dir)
         assert status == 0, f"{name} batch reported failures"
         row = plan.rows[0]
@@ -122,6 +125,21 @@ def heavy_results():
         posteval = (batch_dir / "posteval.csv").read_text().strip().splitlines()
         out[name] = {"plan": plan, "records": rows, "posteval": posteval[1:]}
     return out
+
+
+@pytest.mark.parametrize("name", ["emergent", "empty", "clusters"])
+def test_cached_generation_zero_reproduces_at_full_batch(name):
+    """Generation 0 of run 0, one engine call over 50 genomes x 10 worlds,
+    must give the cached fitness_history.csv line byte for byte: the guard
+    above replays single worlds only."""
+    plan = parse_config((CONFIG_DIR / f"acceptance_{name}.cfg").read_text())
+    config = dataclasses.replace(plan.evolution_config(plan.rows[0]),
+                                 generations=1)
+    _, history = evolve(config, run_index=run_index_for(0, 0))
+    cached = (ACCEPT_DIR / name / "row0_run0" / "fitness_history.csv") \
+        .read_text(encoding="utf-8").splitlines(keepends=True)
+    assert history.to_csv().splitlines(keepends=True)[1] == cached[1], \
+        f"{name}: generation 0 differs from the cache under {platform_note()}"
 
 
 # --- 1: determinism -------------------------------------------------------

@@ -6,18 +6,21 @@ import warnings
 import numpy as np
 import pytest
 
+from minsurprise import simulation
 from minsurprise.networks import (
     ACTION_LENGTH,
     PREDICTION_LENGTH,
     WEIGHT_LIMIT,
     Genome,
     Scenario,
+    decode,
     random_genome,
 )
 from minsurprise.simulation import (
     _BLOCK,
     _FREE,
     _ROBOT,
+    _decision_tables,
     _verify_state,
     simulate_batch,
     simulate_traced,
@@ -66,8 +69,11 @@ class TestReferenceEquivalence:
                                  np.array([[77]], dtype=np.uint64))
         assert errs[0, 0] == ref_err
 
+    @pytest.mark.parametrize("scenario", [Scenario.EMERGENT,
+                                          Scenario.CLUSTERS])
     @pytest.mark.parametrize("robots", [127, 128, 129])
-    def test_order_table_type_boundary_matches_reference(self, robots):
+    def test_order_table_type_boundary_matches_reference(self, robots,
+                                                         scenario):
         # 127 robots keep the step orders in int8, 128 use int16, and 129
         # would overflow int8 (order indices reach 128); crowded
         # always-moving worlds make the error sums depend on the order.
@@ -76,13 +82,13 @@ class TestReferenceEquivalence:
                                np.zeros(PREDICTION_LENGTH))
         genomes = [always_moving, spread_genome(5)]
         seeds = np.array([[31], [32]], dtype=np.uint64)
-        batched, _ = simulate_batch(genomes, config, Scenario.EMERGENT, seeds,
+        batched, _ = simulate_batch(genomes, config, scenario, seeds,
                                     verify_every=1)
         for g, genome in enumerate(genomes):
             ref_err, _, _, _ = reference_simulation(
-                genome, config, Scenario.EMERGENT, int(seeds[g, 0]))
+                genome, config, scenario, int(seeds[g, 0]))
             assert batched[g, 0] == ref_err  # bitwise
-            alone, _ = simulate_batch([genome], config, Scenario.EMERGENT,
+            alone, _ = simulate_batch([genome], config, scenario,
                                       seeds[g:g + 1])
             assert alone[0, 0] == ref_err
 
@@ -100,22 +106,25 @@ class TestReferenceEquivalence:
         assert sorted(map(tuple, final.tolist())) == \
                sorted((x, y) for x, y, _ in ref_robots)
 
+    @pytest.mark.parametrize("scenario", [Scenario.EMERGENT,
+                                          Scenario.CLUSTERS])
     @pytest.mark.parametrize("blocks", [125, 126, 127])
-    def test_grid_type_boundary_matches_reference(self, blocks):
+    def test_grid_type_boundary_matches_reference(self, blocks, scenario):
         # 125 blocks keep the grid's cell codes (2 + id) in int8, 126 use
         # int16, and 127 would overflow int8 (codes reach 128); in a crowded
-        # grid nearly every move pushes or stalls.
+        # grid nearly every move pushes or stalls. Fixed scenarios read
+        # every code through the cell-code lookup.
         config = SimConfig(12, 4, blocks, steps=72)  # tau = 72
         always_moving = Genome(np.zeros(ACTION_LENGTH),
                                np.zeros(PREDICTION_LENGTH))
         for genome in (always_moving, spread_genome(5)):
             ref_err, _, ref_robots, ref_blocks = reference_simulation(
-                genome, config, Scenario.EMERGENT, 41)
-            errs, _ = simulate_batch([genome], config, Scenario.EMERGENT,
+                genome, config, scenario, 41)
+            errs, _ = simulate_batch([genome], config, scenario,
                                      np.array([[41]], dtype=np.uint64),
                                      verify_every=1)
             assert errs[0, 0] == ref_err  # bitwise
-            trace = simulate_traced(genome, config, Scenario.EMERGENT, 41,
+            trace = simulate_traced(genome, config, scenario, 41,
                                     snapshot_every=config.steps)
             assert trace.block_window[-1].tolist() == \
                 [list(b) for b in ref_blocks]
@@ -165,6 +174,65 @@ class TestDecisionBand:
             assert trace.snapshots[-1][1] == render_cells(
                 6, [RobotPose(x, y, Heading(h)) for x, y, h in ref_robots],
                 ref_blocks)
+
+
+def limit_genome(seed):
+    """Every weight at +-WEIGHT_LIMIT, signs drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    return Genome(rng.choice([-WEIGHT_LIMIT, WEIGHT_LIMIT], ACTION_LENGTH),
+                  rng.choice([-WEIGHT_LIMIT, WEIGHT_LIMIT], PREDICTION_LENGTH))
+
+
+class TestDecisionTables:
+    """The fixed scenarios' per-genome decision tables equal the oracle's
+    action network on every one of the 8192 (sensors, last action) inputs."""
+
+    GENOMES = ([spread_genome(i) for i in range(2)]
+               + [Genome(np.zeros(ACTION_LENGTH), np.zeros(PREDICTION_LENGTH))]
+               + TestDecisionBand.GENOMES + [limit_genome(8)])
+
+    def test_tables_match_oracle_on_every_input(self):
+        # one call for all genomes, so each is read at its own offset
+        tables = _decision_tables([decode(g)[0] for g in self.GENOMES])
+        assert tables.shape == (len(self.GENOMES), 8192, 2)
+        assert tables.nbytes // len(self.GENOMES) <= 16 * 1024
+        inputs = [(((r >> np.arange(12)) & 1).astype(np.float64), r >> 12)
+                  for r in range(8192)]
+        for genome, table in zip(self.GENOMES, tables):
+            net = decode(genome)[0]
+            expected = np.array([
+                oracle.act(net, sensors,
+                           oracle.ControllerState(last_action=float(last)))
+                for sensors, last in inputs])
+            assert np.array_equal(table[:, 0], expected[:, 0] == oracle.MOVE)
+            assert np.array_equal(table[:, 1], expected[:, 1] == 1)
+
+    def test_fixed_step_runs_no_network(self, monkeypatch):
+        # Only the per-call table build runs the network: its calls do not
+        # grow with the run length.
+        calls = {"matmul": 0, "sigmoid": 0, "tanh": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(simulation, "stable_rows_matmul",
+                            counting("matmul", simulation.stable_rows_matmul))
+        monkeypatch.setattr(simulation, "sigmoid_inplace",
+                            counting("sigmoid", simulation.sigmoid_inplace))
+        monkeypatch.setattr(np, "tanh", counting("tanh", np.tanh))
+        genomes = [spread_genome(1), spread_genome(2)]
+        seeds = np.array([[1, 2], [3, 4]], dtype=np.uint64)
+        counts = []
+        for steps in (10, 60):
+            calls.update(matmul=0, sigmoid=0, tanh=0)
+            simulate_batch(genomes, SimConfig(8, 4, 6, steps=steps),
+                           Scenario.CLUSTERS, seeds)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["matmul"] == 2 * 8192 // simulation._TABLE_BLOCK
 
 
 class TestVerifyState:
@@ -352,29 +420,30 @@ class TestWeightLimits:
                     assert trace.error_sum == ref_err
 
 
+@pytest.mark.parametrize("scenario", [Scenario.EMERGENT, Scenario.CLUSTERS])
 class TestBatchingInvariance:
-    def test_population_batch_equals_single_genome_calls(self):
+    def test_population_batch_equals_single_genome_calls(self, scenario):
         # One vectorized call over many genomes must be bit-identical to
         # evaluating each genome alone: per-world purity.
         config = SimConfig(8, 3, 5, steps=50)
         genomes = [spread_genome(i) for i in range(6)]
         seeds = np.arange(18, dtype=np.uint64).reshape(6, 3) + 100
-        batched, comp = simulate_batch(genomes, config, Scenario.EMERGENT, seeds)
+        batched, comp = simulate_batch(genomes, config, scenario, seeds)
         for i, genome in enumerate(genomes):
             alone, comp2 = simulate_batch(
-                [genome], config, Scenario.EMERGENT, seeds[i:i + 1]
+                [genome], config, scenario, seeds[i:i + 1]
             )
             assert comp2 == comp
             assert np.array_equal(alone[0], batched[i])
 
-    def test_world_columns_are_independent(self):
+    def test_world_columns_are_independent(self, scenario):
         config = SimConfig(8, 3, 5, steps=50)
         genome = spread_genome(3)
         seeds = np.array([[7, 8, 9]], dtype=np.uint64)
-        together, _ = simulate_batch([genome], config, Scenario.EMERGENT, seeds)
+        together, _ = simulate_batch([genome], config, scenario, seeds)
         for w in range(3):
             alone, _ = simulate_batch(
-                [genome], config, Scenario.EMERGENT, seeds[:, w:w + 1]
+                [genome], config, scenario, seeds[:, w:w + 1]
             )
             assert alone[0, 0] == together[0, w]
 
