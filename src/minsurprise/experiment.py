@@ -432,14 +432,13 @@ def _pool_outcomes(plan: ExperimentPlan, jobs: list[tuple[int, int]],
             yield outcome
 
 
-def run_experiment(plan: ExperimentPlan, out_dir, workers: int = 1,
-                   log=None) -> int:
+def run_experiment(plan: ExperimentPlan, out_dir, workers: int = 1) -> int:
     """Execute all (row, run) jobs, skipping completed ones; emit CSVs.
 
     A failing run is reported and skipped; the remaining runs still execute
     and the exit status becomes 1. With workers > 1 that holds also for a
-    run whose worker process dies. Failures go to ``log`` (default: the
-    current ``sys.stderr``). A completed run in ``out_dir`` made with
+    run whose worker process dies. Failures go to the current
+    ``sys.stderr``. A completed run in ``out_dir`` made with
     a different plan raises ConfigError before any run starts.
     """
     out = Path(out_dir)
@@ -464,7 +463,7 @@ def run_experiment(plan: ExperimentPlan, out_dir, workers: int = 1,
     for (i, j), outcome in zip(pending, outcomes):
         if isinstance(outcome, Exception):
             failures += 1
-            print(f"row{i}_run{j} failed: {outcome}", file=log or sys.stderr)
+            print(f"row{i}_run{j} failed: {outcome}", file=sys.stderr)
         else:
             results.append(outcome)
 

@@ -21,7 +21,10 @@ Grid. All K worlds share one flat grid, L * L cells each: 0 free, 1 robot,
 2 + b block b (int8 while B + 2 < 2**7). A push copies the block's code, so
 block identity needs no other state. Block cells by id are read off the grid
 only where a result reads them: start blocks and snapshots when taken, the
-metrics window once after the run, and the ``verify_every`` sweep.
+metrics window once after the run. All of these are kept by the recorder
+through the engine's one ``observe`` hook, which sees robot cells, headings
+and grid after setup and after every step; the tests' invariant sweep is
+another such observer.
 
 Action decisions. The reference moves, and turns right, on
 1 / (1 + exp(-y)) >= 0.5. In doubles fl(1 / x) >= 0.5 iff x <= 2, and
@@ -60,13 +63,14 @@ s packs each robot's 12 sensor bits into one code, sensor i in bit i. A
 exact integers in float64; they are summed per robot, then per world after
 the run, exact in any order. Each genome's (move, turn right) pair comes
 from its table of 8192 entries (16 KB) at code | previous move << 12. The
-tables are built once per call: all 8192 input rows go through the step's
-own operations (stable_rows_matmul, + b, tanh, stable_rows_matmul, + b,
-sign and band sigmoid), in blocks of 512 rows and 8 genomes. An entry is
-the decision the network makes on that row alone because gemm computes
-each row of a product independently of the other rows and of their count:
-the row invariance that already makes a batched population bit-equal to
-single-genome calls and to the reference's padded two-row products.
+tables are built once per call: all 8192 input rows go through ``_act``,
+the emergent step's action network (stable_rows_matmul, + b, tanh,
+stable_rows_matmul, + b, sign and band sigmoid), in blocks of 512 rows and
+8 genomes. An entry is the decision the network makes on that row alone
+because gemm computes each row of a product independently of the other
+rows and of their count: the row invariance that already makes a batched
+population bit-equal to single-genome calls and to the reference's padded
+two-row products.
 
 Operand layout (emergent step). The operands of the emergent step's float
 arithmetic at the full batch size are contiguous arrays of their full
@@ -84,7 +88,7 @@ never a bit of the results. In both modes c1/c2 come from one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -183,7 +187,7 @@ class _Recorder:
     (1, ...) arrays of a one-world batch."""
 
     def __init__(self, N: int, B: int, T: int, L: int, snapshot_every: int):
-        self.L, self.B = L, B
+        self.L, self.B, self.T = L, B, T
         self.tau = metrics_window(L)
         if T < self.tau:
             raise ValueError(
@@ -198,7 +202,7 @@ class _Recorder:
         self.snapshots: list[tuple[int, str]] = []
         self.start_blocks: Optional[np.ndarray] = None  # (B,) flat cells
 
-    def record(self, t: int, T: int, pos: np.ndarray, rh: np.ndarray,
+    def record(self, t: int, pos: np.ndarray, rh: np.ndarray,
                occ: np.ndarray) -> None:
         """Keep what a result reads of the state after t steps: robot cells
         and grid in the metrics window, start blocks, snapshots."""
@@ -208,7 +212,7 @@ class _Recorder:
             self.grids[i] = occ
         if t == 0:
             self.start_blocks = _block_cells(occ, 1, self.B)[0]
-        if t % self.snapshot_every == 0 or t == T:
+        if t % self.snapshot_every == 0 or t == self.T:
             L = self.L
             robots = [
                 RobotPose(int(c % L), int(c // L), Heading(int(h)))
@@ -234,31 +238,22 @@ def _block_cells(occ: np.ndarray, K: int, B: int) -> np.ndarray:
     return bcell.reshape(K, B)
 
 
-def _verify_state(L, N, B, occ, pos, woff):
-    """Invariant sweep used by fuzz tests (verify_every mode)."""
-    K = pos.shape[0]
-    grid = occ.reshape(K, L * L)
-    assert np.all((grid == _ROBOT).sum(axis=1) == N), "robot count violated"
-    assert np.all((pos >= 0) & (pos < L * L)), "robot cell out of range"
-    assert np.all(occ[(woff[:, None] + pos).ravel()] == _ROBOT), \
-        "robot cell not marked occupied"
-    sorted_pos = np.sort(pos, axis=1)
-    assert np.all(sorted_pos[:, 1:] != sorted_pos[:, :-1]), "robots overlap"
-    blocks = grid >= _BLOCK
-    assert np.all(blocks.sum(axis=1) == B), "block count violated"
-    ids = np.sort(grid[blocks].reshape(K, B), axis=1)
-    assert np.all(ids == np.arange(_BLOCK, _BLOCK + B)), \
-        "block ids are not 0..B-1"
-
-
 def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.ascontiguousarray(np.stack(arrays))
 
 
-def _decide(y: np.ndarray, decide: np.ndarray, y_abs: np.ndarray,
-            band: np.ndarray) -> None:
-    """decide = sigmoid(y) >= 0.5, taken by the sign of y outside the band
-    about 0; y_abs and band are scratch buffers of y's shape."""
+def _act(x: np.ndarray, w_hidden: np.ndarray, b_hidden: np.ndarray,
+         w_out: np.ndarray, b_out: np.ndarray, hid: np.ndarray, y: np.ndarray,
+         decide: np.ndarray, y_abs: np.ndarray, band: np.ndarray) -> None:
+    """The action network on input rows x: decide = sigmoid(y) >= 0.5 for
+    y = tanh(x @ w_hidden + b_hidden) @ w_out + b_out, taken by the sign of
+    y outside the band about 0. hid, y, y_abs and band are scratch buffers,
+    hid of the hidden layer's shape, the others of decide's."""
+    stable_rows_matmul(x, w_hidden, out=hid)
+    hid += b_hidden
+    np.tanh(hid, out=hid)
+    stable_rows_matmul(hid, w_out, out=y)
+    y += b_out
     np.greater_equal(y, 0.0, out=decide)
     np.abs(y, out=y_abs)
     np.less_equal(y_abs, _DECISION_BAND, out=band)
@@ -271,29 +266,31 @@ def _decision_tables(nets: Sequence[ActionNetwork]) -> np.ndarray:
     every input row; row r holds network input i in bit i, so it is a
     sensor code | previous move << 12.
 
-    The rows go through the step's own operations, one gemm per genome and
-    block of _TABLE_BLOCK rows: stable_rows_matmul, + b, tanh,
-    stable_rows_matmul, + b, then the decision by sign and band sigmoid.
+    The rows go through the step's own ``_act``, one gemm per genome and
+    block of _TABLE_BLOCK rows.
     """
+    G = len(nets)
     w_hidden = _stack([n.w_hidden for n in nets])  # (G, 13, 8)
     b_hidden = _stack([n.b_hidden for n in nets])[:, None]  # (G, 1, 8)
     w_out = _stack([n.w_out for n in nets])
     b_out = _stack([n.b_out for n in nets])[:, None]
     inputs = np.arange(NET_INPUTS)
-    tables = np.empty((len(nets), 1 << NET_INPUTS, ACTION_OUTPUTS),
-                      dtype=bool)
+    tables = np.empty((G, 1 << NET_INPUTS, ACTION_OUTPUTS), dtype=bool)
+    # Scratch for one group of genomes, sliced to the last, smaller group.
+    group = (min(G, _TABLE_GENOMES), _TABLE_BLOCK)
+    hid = np.empty(group + (HIDDEN_UNITS,), dtype=np.float64)
+    y = np.empty(group + (ACTION_OUTPUTS,), dtype=np.float64)
+    y_abs = np.empty_like(y)
+    band = np.empty(y.shape, dtype=bool)
     for lo in range(0, 1 << NET_INPUTS, _TABLE_BLOCK):
         rows = np.arange(lo, lo + _TABLE_BLOCK)[:, None] >> inputs & 1
         rows = rows.astype(np.float64)
-        for g in range(0, len(nets), _TABLE_GENOMES):
+        for g in range(0, G, _TABLE_GENOMES):
             gs = slice(g, g + _TABLE_GENOMES)
-            hidden = stable_rows_matmul(rows, w_hidden[gs])
-            hidden += b_hidden[gs]
-            np.tanh(hidden, out=hidden)
-            y = stable_rows_matmul(hidden, w_out[gs])
-            y += b_out[gs]
-            _decide(y, tables[gs, lo:lo + _TABLE_BLOCK], np.empty_like(y),
-                    np.empty(y.shape, dtype=bool))
+            n = min(G - g, _TABLE_GENOMES)
+            _act(rows, w_hidden[gs], b_hidden[gs], w_out[gs], b_out[gs],
+                 hid[:n], y[:n], tables[gs, lo:lo + _TABLE_BLOCK], y_abs[:n],
+                 band[:n])
     return tables
 
 
@@ -313,22 +310,26 @@ def _rows(arrays: Sequence[np.ndarray], M: int) -> np.ndarray:
     return np.repeat(np.stack(arrays)[:, None, :], M, axis=1)
 
 
-def _run_batch(
+def simulate_batch(
     genomes: Sequence[Genome],
-    L: int,
-    N: int,
-    B: int,
-    T: int,
+    sim: SimConfig,
     scenario: Scenario,
     seeds: np.ndarray,
-    recorder: Optional[_Recorder] = None,
-    verify_every: int = 0,
+    observe: Optional[Callable[[int, np.ndarray, np.ndarray, np.ndarray],
+                               None]] = None,
 ) -> tuple[np.ndarray, int]:
-    """Simulate len(genomes) x worlds_per_genome worlds; return error sums.
+    """Run seeds.shape[1] simulations per genome; return (error_sums, C).
 
     seeds has shape (G, W); world k = g * W + w runs genome g with seed
-    seeds[g, w]. Returns (error_sums with shape (G, W), comparison count).
+    seeds[g, w]. error_sums[g, w] is the total absolute prediction error of
+    that world, to be turned into a fitness by ``metrics.score_run``, and C
+    the comparison count.
+
+    observe(t, pos, rh, occ), when given, sees the state after t steps, for
+    t = 0 (the placement) to T in order: (K, N) robot cells and headings
+    and the one grid of all K worlds. It must not write to them.
     """
+    L, N, B, T = sim.side_length, sim.swarm_size, sim.block_count, sim.steps
     G = len(genomes)
     seeds = np.asarray(seeds, dtype=np.uint64)
     if seeds.shape[0] != G:
@@ -424,16 +425,19 @@ def _run_batch(
         table_base = np.repeat(np.arange(G, dtype=np.int64) << NET_INPUTS, M)
         table_row = table_base.copy()
 
-    if recorder is not None:
-        recorder.record(0, T, pos, rh, occ)
+    if observe is not None:
+        observe(0, pos, rh, occ)
 
     for t in range(T):
         # Sense: the grid codes of the six cells ahead of every robot.
         np.multiply(pos_f, 4, out=sense_idx)
         sense_idx += rh_f
-        sensed_tbl.take(sense_idx, axis=0, out=scell)
+        # Every index is in range by construction (pos < L * L, rh < 4,
+        # plus the world offset); mode="clip" spares take the copy of `out`
+        # that "raise" makes.
+        sensed_tbl.take(sense_idx, axis=0, out=scell, mode="clip")
         scell += sensed_woff
-        occ.take(scell, out=occv)
+        occ.take(scell, out=occv, mode="clip")
 
         if emergent:
             # Both entity banks into one bool buffer, then one copy each
@@ -452,12 +456,7 @@ def _run_batch(
                 err += step_err
 
             # Action network (X holds sensors + previous action).
-            stable_rows_matmul(X, a_wh, out=a_hid)
-            a_hid += a_bh
-            np.tanh(a_hid, out=a_hid)
-            stable_rows_matmul(a_hid, a_wo, out=a_out)
-            a_out += a_bo
-            _decide(a_out, decide, a_abs, band)
+            _act(X, a_wh, a_bh, a_wo, a_bo, a_hid, a_out, decide, a_abs, band)
             # The prediction network's action input, and A(t-1) for the next
             # step.
             X[:, :, SENSOR_COUNT] = decide[:, :, 0]
@@ -480,8 +479,7 @@ def _run_batch(
         else:
             # Fixed prediction: the sensor bits as one code, its mismatch
             # count, and the genome's decision on the code and the previous
-            # move, all by lookup. Every index is in range by construction;
-            # mode="clip" spares take the copy of `out` that "raise" makes.
+            # move, all by lookup, in range by construction as above.
             cell_bits.take(occv, out=bits, mode="clip")
             np.dot(_SENSOR_BITS, bits.T, out=code)
             mismatches.take(code, out=robot_mis, mode="clip")
@@ -547,34 +545,14 @@ def _run_batch(
                 lo = hi
             pos_f[mover[advanced]] = c1[advanced]
 
-        if recorder is not None:
-            recorder.record(t + 1, T, pos, rh, occ)
-        if verify_every and ((t + 1) % verify_every == 0 or t + 1 == T):
-            _verify_state(L, N, B, occ, pos, woff)
+        if observe is not None:
+            observe(t + 1, pos, rh, occ)
 
     if not emergent:
         # integer-valued sums, so exact in any order
         err = np.add.reduce(robot_err.reshape(K, N), axis=1)
     comparisons = T - 1 if emergent else T
     return err.reshape(G, W), comparisons
-
-
-def simulate_batch(
-    genomes: Sequence[Genome],
-    sim: SimConfig,
-    scenario: Scenario,
-    seeds: np.ndarray,
-    verify_every: int = 0,
-) -> tuple[np.ndarray, int]:
-    """Run seeds.shape[1] simulations per genome; return (error_sums, C).
-
-    error_sums[g, w] is the total absolute prediction error of genome g's
-    w-th world, to be turned into a fitness by ``metrics.score_run``.
-    """
-    return _run_batch(
-        genomes, sim.side_length, sim.swarm_size, sim.block_count, sim.steps,
-        scenario, np.asarray(seeds), verify_every=verify_every,
-    )
 
 
 def simulate_traced(
@@ -588,9 +566,9 @@ def simulate_traced(
     snapshot every ``snapshot_every`` steps and at the last step."""
     L, N, B, T = sim.side_length, sim.swarm_size, sim.block_count, sim.steps
     recorder = _Recorder(N, B, T, L, snapshot_every)
-    err, comparisons = _run_batch(
-        [genome], L, N, B, T, scenario,
-        np.array([[seed]], dtype=np.uint64), recorder=recorder,
+    err, comparisons = simulate_batch(
+        [genome], sim, scenario, np.array([[seed]], dtype=np.uint64),
+        observe=recorder.record,
     )
 
     blocks = _block_cells(recorder.grids.reshape(-1), recorder.tau + 1, B)

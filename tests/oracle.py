@@ -8,6 +8,9 @@ uniforms per step, and run the same floating-point kernels
 (``stable_rows_matmul``, and a sigmoid with the operation order of
 ``sigmoid_inplace``).
 
+``invariant_sweep`` is an ``observe`` hook for the engine that asserts its
+grid, robot cells and headings stay consistent during a run.
+
 Coordinate convention: x grows East, y grows South, so North is -y. All
 coordinates are reduced modulo the grid side length (the grid is a torus).
 """
@@ -31,6 +34,7 @@ from minsurprise.networks import (
     scenario_prediction,
     stable_rows_matmul,
 )
+from minsurprise.simulation import _BLOCK, _ROBOT
 from minsurprise.world import (
     HEADING_VECTORS,
     SENSOR_COUNT,
@@ -345,3 +349,40 @@ def reference_simulation(genome, config, scenario, seed, io_log=None):
     comparisons = t_steps - 1 if fixed is None else t_steps
     robots = [(p.x, p.y, int(p.heading)) for p in world.robots]
     return err, comparisons, robots, list(world.blocks)
+
+
+# --- invariant sweep over the engine's state -----------------------------------
+
+
+def verify_state(L, N, B, occ, pos, rh):
+    """Assert the engine's state of K worlds is consistent: (K, N) robot
+    cells ``pos`` and headings ``rh``, and the one grid ``occ`` of all K
+    worlds (0 free, 1 robot, 2 + id block id)."""
+    K = pos.shape[0]
+    grid = occ.reshape(K, L * L)
+    assert np.all((grid == _ROBOT).sum(axis=1) == N), "robot count violated"
+    assert np.all((pos >= 0) & (pos < L * L)), "robot cell out of range"
+    assert np.all((rh >= 0) & (rh < 4)), "heading out of range"
+    woff = np.arange(K)[:, None] * (L * L)
+    assert np.all(occ[(woff + pos).ravel()] == _ROBOT), \
+        "robot cell not marked occupied"
+    sorted_pos = np.sort(pos, axis=1)
+    assert np.all(sorted_pos[:, 1:] != sorted_pos[:, :-1]), "robots overlap"
+    blocks = grid >= _BLOCK
+    assert np.all(blocks.sum(axis=1) == B), "block count violated"
+    ids = np.sort(grid[blocks].reshape(K, B), axis=1)
+    assert np.all(ids == np.arange(_BLOCK, _BLOCK + B)), \
+        "block ids are not 0..B-1"
+
+
+def invariant_sweep(config, every=1):
+    """An ``observe`` hook for ``simulate_batch`` that runs ``verify_state``
+    on the state after every ``every``-th step and after the last."""
+    L, N, B, T = (config.side_length, config.swarm_size, config.block_count,
+                  config.steps)
+
+    def observe(t, pos, rh, occ):
+        if t % every == 0 or t == T:
+            verify_state(L, N, B, occ, pos, rh)
+
+    return observe

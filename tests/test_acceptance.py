@@ -36,7 +36,7 @@ from minsurprise.metrics import (
 from minsurprise.networks import Genome, Scenario, load_genome, random_genome
 from minsurprise.simulation import simulate_batch, simulate_traced
 from minsurprise.world import SimConfig, sample_placement
-from oracle import reference_simulation
+from oracle import invariant_sweep, reference_simulation
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -177,10 +177,10 @@ def test_criterion_2_conservation_fuzz():
             for _ in range(worlds)
         ]
         seeds = rng.integers(0, 2**63, (worlds, 1)).astype(np.uint64)
-        # verify_every=1: every step asserts occupancy consistency, entity
-        # conservation, and coordinate ranges inside the engine
+        # the sweep asserts occupancy consistency, entity conservation and
+        # coordinate ranges on the engine's state after every step
         simulate_batch(genomes, config, Scenario.EMERGENT, seeds,
-                       verify_every=1)
+                       observe=invariant_sweep(config))
         sims += worlds
         groups += 1
     report("2 conservation fuzz", True,

@@ -1,6 +1,5 @@
 """Config parsing, batch runner artifacts, replay, and the CLI surface."""
 
-import io
 import json
 import multiprocessing
 import os
@@ -203,12 +202,12 @@ class TestRunExperiment:
         assert float(stored[6]) == metrics_row.similarity
 
     @staticmethod
-    def assert_only_run1_fails(out, workers):
+    def assert_only_run1_fails(out, workers, capsys):
         plan = parse_config(SMOKE.replace("runs=1", "runs=4"))
-        log = io.StringIO()
-        assert run_experiment(plan, out, workers=workers, log=log) == 1
-        assert log.getvalue().startswith("row0_run1 failed: ")
-        assert log.getvalue().count("\n") == 1
+        assert run_experiment(plan, out, workers=workers) == 1
+        log = capsys.readouterr().err
+        assert log.startswith("row0_run1 failed: ")
+        assert log.count("\n") == 1
         rows = (out / "posteval.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == \
             ["row0_run0", "row0_run2", "row0_run3"]
@@ -216,16 +215,17 @@ class TestRunExperiment:
             assert (out / f"row0_run{j}" / "run.json").exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_raising_run_fails_alone(self, tmp_path, workers):
+    def test_raising_run_fails_alone(self, tmp_path, workers, capsys):
         # a file where run 1's directory belongs makes that job raise
         (tmp_path / "row0_run1").write_text("not a run directory\n")
-        self.assert_only_run1_fails(tmp_path, workers)
+        self.assert_only_run1_fails(tmp_path, workers, capsys)
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched job reaches workers only by fork")
-    def test_dead_worker_fails_only_its_run(self, tmp_path, monkeypatch):
+    def test_dead_worker_fails_only_its_run(self, tmp_path, monkeypatch,
+                                            capsys):
         monkeypatch.setattr(experiment, "_execute_run", _die_on_run1)
-        self.assert_only_run1_fails(tmp_path, workers=2)
+        self.assert_only_run1_fails(tmp_path, 2, capsys)
 
     def test_failed_artifact_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "summary.csv"

@@ -21,14 +21,13 @@ from minsurprise.simulation import (
     _FREE,
     _ROBOT,
     _decision_tables,
-    _verify_state,
     simulate_batch,
     simulate_traced,
 )
 from minsurprise.world import HEADING_VECTORS, Heading, RobotPose, SimConfig, \
     render_cells
 import oracle
-from oracle import MOVE, reference_simulation
+from oracle import MOVE, invariant_sweep, reference_simulation, verify_state
 
 
 def spread_genome(seed, scale=3.0):
@@ -53,7 +52,8 @@ class TestReferenceEquivalence:
             )
             errs, comp = simulate_batch(
                 [genome], config, scenario,
-                np.array([[seed]], dtype=np.uint64), verify_every=5,
+                np.array([[seed]], dtype=np.uint64),
+                observe=invariant_sweep(config, 5),
             )
             assert comp == ref_comp
             assert errs[0, 0] == ref_err  # bitwise, not approximate
@@ -83,7 +83,7 @@ class TestReferenceEquivalence:
         genomes = [always_moving, spread_genome(5)]
         seeds = np.array([[31], [32]], dtype=np.uint64)
         batched, _ = simulate_batch(genomes, config, scenario, seeds,
-                                    verify_every=1)
+                                    observe=invariant_sweep(config))
         for g, genome in enumerate(genomes):
             ref_err, _, _, _ = reference_simulation(
                 genome, config, scenario, int(seeds[g, 0]))
@@ -122,7 +122,7 @@ class TestReferenceEquivalence:
                 genome, config, scenario, 41)
             errs, _ = simulate_batch([genome], config, scenario,
                                      np.array([[41]], dtype=np.uint64),
-                                     verify_every=1)
+                                     observe=invariant_sweep(config))
             assert errs[0, 0] == ref_err  # bitwise
             trace = simulate_traced(genome, config, scenario, 41,
                                     snapshot_every=config.steps)
@@ -162,7 +162,8 @@ class TestDecisionBand:
     def test_decisions_match_reference(self, scenario):
         config = SimConfig(6, 4, 6, steps=30)
         batched, _ = simulate_batch(self.GENOMES, config, scenario,
-                                    self.SEEDS, verify_every=1)
+                                    self.SEEDS,
+                                    observe=invariant_sweep(config))
         for g, genome in enumerate(self.GENOMES):
             seed = int(self.SEEDS[g, 0])
             ref_err, _, ref_robots, ref_blocks = reference_simulation(
@@ -241,19 +242,19 @@ class TestVerifyState:
     0..2 on cells 5..7."""
 
     L, N, B = 5, 2, 3
-    WOFF = np.array([0, 25], dtype=np.int64)
 
     def state(self):
         occ = np.full(2 * 25, _FREE, dtype=np.int8)
         pos = np.array([[0, 1], [0, 1]], dtype=np.int64)
-        occ[(self.WOFF[:, None] + pos).ravel()] = _ROBOT
-        for w in self.WOFF:
+        rh = np.array([[0, 3], [2, 1]], dtype=np.int64)
+        occ[[0, 1, 25, 26]] = _ROBOT
+        for w in (0, 25):
             occ[w + 5:w + 8] = _BLOCK + np.arange(3)
-        return occ, pos
+        return occ, pos, rh
 
     def test_consistent_state_passes(self):
-        occ, pos = self.state()
-        _verify_state(self.L, self.N, self.B, occ, pos, self.WOFF)
+        occ, pos, rh = self.state()
+        verify_state(self.L, self.N, self.B, occ, pos, rh)
 
     @pytest.mark.parametrize("cell, code, message", [
         (6, _BLOCK + 0, "block ids"),
@@ -261,10 +262,54 @@ class TestVerifyState:
         (12, _ROBOT, "robot count"),
     ], ids=["duplicated-block-id", "missing-block", "extra-robot"])
     def test_corrupt_second_world_raises(self, cell, code, message):
-        occ, pos = self.state()
+        occ, pos, rh = self.state()
         occ[25 + cell] = code
         with pytest.raises(AssertionError, match=message):
-            _verify_state(self.L, self.N, self.B, occ, pos, self.WOFF)
+            verify_state(self.L, self.N, self.B, occ, pos, rh)
+
+    def test_heading_out_of_range_raises(self):
+        occ, pos, rh = self.state()
+        rh[1, 0] = 4
+        with pytest.raises(AssertionError, match="heading"):
+            verify_state(self.L, self.N, self.B, occ, pos, rh)
+
+    def test_sweep_checks_every_kth_step_and_the_last(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(oracle, "verify_state",
+                            lambda *args: checked.append(t))
+        observe = invariant_sweep(SimConfig(5, 2, 3, steps=25), every=10)
+        occ, pos, rh = self.state()
+        for t in range(26):
+            observe(t, pos, rh, occ)
+        assert checked == [0, 10, 20, 25]
+
+
+class TestObserveHook:
+    """observe(t, pos, rh, occ) sees the state after setup and after every
+    step, in order, and leaves the results unchanged."""
+
+    @pytest.mark.parametrize("scenario", [Scenario.EMERGENT,
+                                          Scenario.CLUSTERS])
+    @pytest.mark.parametrize("seeds", [[[7]], [[7, 8], [9, 10]]],
+                             ids=["one-world", "four-worlds"])
+    def test_called_once_per_state_in_order(self, seeds, scenario):
+        config = SimConfig(8, 3, 5, steps=30)
+        genomes = [spread_genome(g) for g in range(len(seeds))]
+        seeds = np.array(seeds, dtype=np.uint64)
+        K = seeds.size
+        calls = []
+
+        def observe(t, pos, rh, occ):
+            assert pos.shape == rh.shape == (K, config.swarm_size)
+            assert occ.shape == (K * config.side_length ** 2,)
+            calls.append(t)
+
+        observed, comp = simulate_batch(genomes, config, scenario, seeds,
+                                        observe=observe)
+        assert calls == list(range(config.steps + 1))
+        plain, plain_comp = simulate_batch(genomes, config, scenario, seeds)
+        assert comp == plain_comp
+        assert np.array_equal(observed, plain)  # bitwise
 
 
 def never_moving_genome():
@@ -329,7 +374,7 @@ class TestDenseWorlds:
         L = config.side_length
         seeds = self.SEEDS
         batched, comp = simulate_batch(self.GENOMES, config, scenario, seeds,
-                                       verify_every=1)
+                                       observe=invariant_sweep(config))
         events = {"train": 0, "shared_target": 0, "double_push": 0}
         for g, genome in enumerate(self.GENOMES):
             for w in range(seeds.shape[1]):
@@ -343,7 +388,7 @@ class TestDenseWorlds:
                 assert batched[g, w] == ref_err  # bitwise
                 alone, _ = simulate_batch([genome], config, scenario,
                                           seeds[g:g + 1, w:w + 1],
-                                          verify_every=1)
+                                          observe=invariant_sweep(config))
                 assert alone[0, 0] == ref_err
                 trace = simulate_traced(genome, config, scenario, seed,
                                         snapshot_every=config.steps)
@@ -374,7 +419,8 @@ class TestLoneMovers:
     def test_lone_movers_in_world_one_match_reference(self, scenario):
         config = SimConfig(6, 12, 12, steps=40)
         batched, comp = simulate_batch(self.GENOMES, config, scenario,
-                                       self.SEEDS, verify_every=1)
+                                       self.SEEDS,
+                                       observe=invariant_sweep(config))
         blocks_moved = []
         for g, genome in enumerate(self.GENOMES):
             seed = int(self.SEEDS[g, 0])
@@ -385,7 +431,8 @@ class TestLoneMovers:
             assert comp == ref_comp
             assert batched[g, 0] == ref_err  # bitwise
             alone, _ = simulate_batch([genome], config, scenario,
-                                      self.SEEDS[g:g + 1], verify_every=1)
+                                      self.SEEDS[g:g + 1],
+                                      observe=invariant_sweep(config))
             assert alone[0, 0] == ref_err
             blocks_moved.append(ref_blocks != start_blocks)
         assert blocks_moved == [False, True]  # only world 1 pushes
@@ -541,4 +588,4 @@ class TestTraces:
                        for _ in range(3)]
             seeds = rng.integers(0, 2**63, (3, 4)).astype(np.uint64)
             simulate_batch(genomes, config, Scenario.EMERGENT, seeds,
-                           verify_every=10)
+                           observe=invariant_sweep(config, 10))
