@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -105,15 +105,22 @@ _INT_KEYS = {
     "seed": (0, 2**64 - 1),
 }
 
+# Config keys by the SimConfig or ExperimentPlan field they set; a field the
+# file does not set keeps its default (DEFAULT_SIM's for the SimConfig).
+_SIM_FIELDS = {"grid": "side_length", "robots": "swarm_size",
+               "blocks": "block_count", "steps": "steps"}
+_PLAN_FIELDS = {"runs": "runs_per_row", "seed": "master_seed",
+                "population": "population_size", "generations": "generations",
+                "eval_runs": "eval_runs", "mutation_rate": "mutation_rate"}
+
 
 def parse_config(text: str) -> ExperimentPlan:
     """Parse a key=value experiment config into a single-row plan.
 
-    Missing keys take the defaults (16x16 grid, 10 robots, 32 blocks, 1000
-    steps, emergent scenario, population 50, 100 generations, 10 evaluation
-    runs, mutation rate 0.1, 20 runs, seed 0). '#' starts a comment. Unknown
-    keys, out-of-range values and runs shorter than the grid's metrics window
-    are rejected with the offending line number.
+    Missing keys keep their defaults: DEFAULT_SIM's, the emergent scenario
+    and ExperimentPlan's. '#' starts a comment. Unknown keys, out-of-range
+    values and runs shorter than the grid's metrics window are rejected with
+    the offending line number.
     """
     values: dict[str, object] = {}
     lines_of: dict[str, int] = {}
@@ -165,35 +172,23 @@ def parse_config(text: str) -> ExperimentPlan:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         lines_of[key] = lineno
 
-    grid = int(values.get("grid", DEFAULT_SIM.side_length))
-    robots = int(values.get("robots", DEFAULT_SIM.swarm_size))
-    blocks = int(values.get("blocks", DEFAULT_SIM.block_count))
-    steps = int(values.get("steps", DEFAULT_SIM.steps))
-    if robots + blocks > grid * grid:
-        lineno = max(
-            lines_of.get("grid", 0), lines_of.get("robots", 0),
-            lines_of.get("blocks", 0),
-        )
-        raise ConfigError(
-            f"line {lineno}: cannot place {robots} robots and {blocks} blocks "
-            f"on a {grid}x{grid} grid"
-        )
-    tau = metrics_window(grid)
-    if steps < tau:
+    def fields(names: dict[str, str]) -> dict[str, object]:
+        return {names[key]: v for key, v in values.items() if key in names}
+
+    try:
+        sim = replace(DEFAULT_SIM, **fields(_SIM_FIELDS))
+    except ValueError as exc:
+        # the one SimConfig check that _INT_KEYS does not make: N + B <= L * L
+        lineno = max(lines_of.get(key, 0)
+                     for key in ("grid", "robots", "blocks"))
+        raise ConfigError(f"line {lineno}: {exc}") from None
+    tau = metrics_window(sim.side_length)
+    if sim.steps < tau:
         lineno = max(lines_of.get("grid", 0), lines_of.get("steps", 0))
-        raise ConfigError(f"line {lineno}: a run of {steps} steps is shorter "
-                          f"than the metrics window tau={tau}")
-    sim = SimConfig(grid, robots, blocks, steps=steps)
+        raise ConfigError(f"line {lineno}: a run of {sim.steps} steps is "
+                          f"shorter than the metrics window tau={tau}")
     row = PlanRow(sim, values.get("scenario", Scenario.EMERGENT))
-    return ExperimentPlan(
-        rows=(row,),
-        runs_per_row=int(values.get("runs", 20)),
-        master_seed=int(values.get("seed", 0)),
-        population_size=int(values.get("population", 50)),
-        generations=int(values.get("generations", 100)),
-        eval_runs=int(values.get("eval_runs", 10)),
-        mutation_rate=float(values.get("mutation_rate", 0.1)),
-    )
+    return ExperimentPlan(rows=(row,), **fields(_PLAN_FIELDS))
 
 
 def run_index_for(row: int, run: int) -> int:

@@ -26,6 +26,13 @@ through the engine's one ``observe`` hook, which sees robot cells, headings
 and grid after setup and after every step; the tests' invariant sweep is
 another such observer.
 
+Sensing. Every scenario senses the same way: the six sensed cells' grid
+codes map to 1 (robot), 64 (block) or 0, and an integer dot with 2**s over
+the cells s packs each robot's 12 sensor bits into one code, sensor i in bit
+i. With the robot's previous move in bit 12 the code picks its network input
+row: ``_INPUT_ROWS`` holds all 8192 of them as floats, input i of row r
+being bit i of r.
+
 Action decisions. The reference moves, and turns right, on
 1 / (1 + exp(-y)) >= 0.5. In doubles fl(1 / x) >= 0.5 iff x <= 2, and
 fl(1 + e) <= 2 iff e <= 1 + 2**-52. For |y| > 1e-12, exp(-y) is more than
@@ -39,7 +46,7 @@ step's shuffled order. A robot reads and writes only its own cell and the
 two ahead of it (c1, c2); a turner touches none of them, so all turns are
 applied at once, by one lookup from each robot's decision pair to a heading
 change. A mover's heading is fixed and its cell changes only in its own
-pass, so its c1 and c2 follow from its cell and heading at the start of the
+pass, so its c1 and c2 are its sensed cells 0 and 3 at the start of the
 step. A single world, as in ``posteval`` and ``replay``, is then actuated
 as the reference does it: one Python pass over the step's order on Python
 ints, skipping the robots that do not move and applying each mover's rule
@@ -56,33 +63,28 @@ step in which no robot moves applies its turns and skips the rest.
 
 Fixed scenarios. With a fixed prediction vector (pairs, clusters, empty)
 every network input is a bit and every error term an integer, so the step
-does no floating-point network work. The six sensed cells' grid codes map
-to 1 (robot), 64 (block) or 0, and an integer dot with 2**s over the cells
-s packs each robot's 12 sensor bits into one code, sensor i in bit i. A
-4096-entry table gives the code's mismatches against the fixed vector as
-exact integers in float64; they are summed per robot, then per world after
-the run, exact in any order. Each genome's (move, turn right) pair comes
-from its table of 8192 entries (16 KB) at code | previous move << 12. The
-tables are built once per call: all 8192 input rows go through ``_act``,
-the emergent step's action network (stable_rows_matmul, + b, tanh,
-stable_rows_matmul, + b, sign and band sigmoid), in blocks of 512 rows and
-8 genomes. An entry is the decision the network makes on that row alone
-because gemm computes each row of a product independently of the other
-rows and of their count: the row invariance that already makes a batched
-population bit-equal to single-genome calls and to the reference's padded
-two-row products.
+does no floating-point network work. A 4096-entry table gives the code's
+mismatches against the fixed vector as exact integers in float64; they are
+summed per robot, then per world after the run, exact in any order. Each
+genome's (move, turn right) pair comes from its table of 8192 entries
+(16 KB) at code | previous move << 12. The tables are built once per call by
+``_act``, the emergent step's action network (stable_rows_matmul, + b, tanh,
+stable_rows_matmul, + b, sign and band sigmoid), run once per genome on all
+of ``_INPUT_ROWS``. An entry is the decision the network makes on that row
+alone because gemm computes each row of a product independently of the
+other rows and of their count: the row invariance that already makes a
+batched population bit-equal to single-genome calls and to the reference's
+padded two-row products.
 
 Operand layout (emergent step). The operands of the emergent step's float
 arithmetic at the full batch size are contiguous arrays of their full
 (G, M, .) or (K * N, .) shape, so numpy runs one inner loop per operation
 instead of one per robot row: biases and the prediction network's self
-weights are repeated per robot row once per call, and the six sensed cell
-codes of every robot are compared into one bool buffer of both sensor banks
-that one copy turns into the float buffer S. Only the writes of the two
-banks and of X's columns stay strided. The floating-point operations and
-their order are those of the reference, so the layout changes speed only,
-never a bit of the results. In both modes c1/c2 come from one
-(2, L * L * 4) table.
+weights are repeated per robot row once per call, and the network inputs X
+are one gather of every robot's row of ``_INPUT_ROWS``. Only the score's
+read of X's sensor columns and the write of its action column stay strided.
+The floating-point operations and their order are those of the reference,
+so the layout changes speed only, never a bit of the results.
 """
 
 from __future__ import annotations
@@ -132,21 +134,20 @@ _TURN_DELTA[np.array([0, 0, 0, 1], dtype=bool).view(np.uint16)] = -1, 1
 # cell 0 (1 robot, 64 block), so a robot sets bit s and a block bit 6 + s.
 _SENSOR_BITS = np.int64(1) << np.arange(6, dtype=np.int64)
 
-# Decision tables are built for this many network input rows and genomes at
-# a time, which bounds the build's float temporaries to ~0.4 MB.
-_TABLE_BLOCK = 512
-_TABLE_GENOMES = 8
+# Every network input row: row r holds input i as bit i of r, so the row of a
+# robot is its sensor code | previous move << 12. The bits are unpacked from
+# each r's two little-endian bytes, so the build's temporaries are uint16 and
+# uint8 and the import keeps little more than the table.
+_INPUT_ROWS = np.unpackbits(
+    np.arange(1 << NET_INPUTS, dtype="<u2").view(np.uint8).reshape(-1, 2),
+    axis=1, count=NET_INPUTS, bitorder="little").astype(np.float64)
 
-_TABLE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_TABLE_CACHE: dict[int, np.ndarray] = {}
 
 
-def _tables(L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-grid lookup tables indexed by cell * 4 + heading.
-
-    sensed[i]: the six sensed flat cells in sensor index order. ahead[:, i]:
-    the two flat cells straight ahead (c1, c2), which are sensor cells 0
-    and 3, one row each so that a lookup yields contiguous c1 and c2.
-    """
+def _tables(L: int) -> np.ndarray:
+    """The six sensed flat cells of every cell * 4 + heading, in sensor
+    index order; cells 0 and 3 are the two straight ahead (c1, c2)."""
     cached = _TABLE_CACHE.get(L)
     if cached is not None:
         return cached
@@ -160,9 +161,8 @@ def _tables(L: int) -> tuple[np.ndarray, np.ndarray]:
             sx = (x + f * fx + s * lx) % L
             sy = (y + f * fy + s * ly) % L
             sensed[cells * 4 + h, s_idx] = sy * L + sx
-    ahead = np.ascontiguousarray(sensed[:, [0, 3]].T)
-    _TABLE_CACHE[L] = (sensed, ahead)
-    return sensed, ahead
+    _TABLE_CACHE[L] = sensed
+    return sensed
 
 
 @dataclass
@@ -248,7 +248,8 @@ def _act(x: np.ndarray, w_hidden: np.ndarray, b_hidden: np.ndarray,
     """The action network on input rows x: decide = sigmoid(y) >= 0.5 for
     y = tanh(x @ w_hidden + b_hidden) @ w_out + b_out, taken by the sign of
     y outside the band about 0. hid, y, y_abs and band are scratch buffers,
-    hid of the hidden layer's shape, the others of decide's."""
+    hid of the hidden layer's shape, the others of decide's; y_abs may be a
+    view of hid, which is spent before y_abs is written."""
     stable_rows_matmul(x, w_hidden, out=hid)
     hid += b_hidden
     np.tanh(hid, out=hid)
@@ -263,34 +264,17 @@ def _act(x: np.ndarray, w_hidden: np.ndarray, b_hidden: np.ndarray,
 
 def _decision_tables(nets: Sequence[ActionNetwork]) -> np.ndarray:
     """(G, 8192, 2) bools: each action network's (move, turn right) on
-    every input row; row r holds network input i in bit i, so it is a
-    sensor code | previous move << 12.
-
-    The rows go through the step's own ``_act``, one gemm per genome and
-    block of _TABLE_BLOCK rows.
-    """
-    G = len(nets)
-    w_hidden = _stack([n.w_hidden for n in nets])  # (G, 13, 8)
-    b_hidden = _stack([n.b_hidden for n in nets])[:, None]  # (G, 1, 8)
-    w_out = _stack([n.w_out for n in nets])
-    b_out = _stack([n.b_out for n in nets])[:, None]
-    inputs = np.arange(NET_INPUTS)
-    tables = np.empty((G, 1 << NET_INPUTS, ACTION_OUTPUTS), dtype=bool)
-    # Scratch for one group of genomes, sliced to the last, smaller group.
-    group = (min(G, _TABLE_GENOMES), _TABLE_BLOCK)
-    hid = np.empty(group + (HIDDEN_UNITS,), dtype=np.float64)
-    y = np.empty(group + (ACTION_OUTPUTS,), dtype=np.float64)
-    y_abs = np.empty_like(y)
+    every row of _INPUT_ROWS, that is at every sensor code | previous move
+    << 12. The rows go through the step's own ``_act``, once per genome."""
+    rows = len(_INPUT_ROWS)
+    tables = np.empty((len(nets), rows, ACTION_OUTPUTS), dtype=bool)
+    hid = np.empty((rows, HIDDEN_UNITS), dtype=np.float64)
+    y = np.empty((rows, ACTION_OUTPUTS), dtype=np.float64)
+    y_abs = hid[:, :ACTION_OUTPUTS]  # saves a table-sized buffer
     band = np.empty(y.shape, dtype=bool)
-    for lo in range(0, 1 << NET_INPUTS, _TABLE_BLOCK):
-        rows = np.arange(lo, lo + _TABLE_BLOCK)[:, None] >> inputs & 1
-        rows = rows.astype(np.float64)
-        for g in range(0, G, _TABLE_GENOMES):
-            gs = slice(g, g + _TABLE_GENOMES)
-            n = min(G - g, _TABLE_GENOMES)
-            _act(rows, w_hidden[gs], b_hidden[gs], w_out[gs], b_out[gs],
-                 hid[:n], y[:n], tables[gs, lo:lo + _TABLE_BLOCK], y_abs[:n],
-                 band[:n])
+    for net, table in zip(nets, tables):
+        _act(_INPUT_ROWS, net.w_hidden, net.b_hidden, net.w_out, net.b_out,
+             hid, y, table, y_abs, band)
     return tables
 
 
@@ -363,7 +347,7 @@ def simulate_batch(
     # (k + 1) * K: the end of order position k in a position-major list
     position_ends = np.arange(K, K * N + 1, K)
 
-    sensed_tbl, ahead_tbl = _tables(L)
+    sensed_tbl = _tables(L)
     # World offsets of every sensed cell, and of every robot slot.
     sensed_woff = np.repeat(woff, N * 6).reshape(K * N, 6)
     slot_woff = np.repeat(woff, N)
@@ -371,7 +355,7 @@ def simulate_batch(
     rh_f = rh.reshape(-1)
     # Python-int views for the single-world actuation pass.
     occ_m = memoryview(occ)
-    c1_of, c2_of = ahead_tbl.tolist()
+    sensed_of = sensed_tbl.tolist() if K == 1 else []
 
     # Scratch buffers reused every step; all writes below keep the exact
     # operation order of the naive expressions, so results stay bit-equal
@@ -379,6 +363,15 @@ def simulate_batch(
     sense_idx = np.empty(K * N, dtype=np.int64)
     scell = np.empty((K * N, 6), dtype=np.int64)  # world flat sensed cells
     occv = np.empty((K * N, 6), dtype=occ.dtype)
+    # code bit of sensor cell 0 by grid code, one entry per code so that
+    # every grid integer type indexes it
+    cell_bits = np.zeros(_BLOCK + B, dtype=np.int64)
+    cell_bits[_ROBOT], cell_bits[_BLOCK:] = 1, 1 << 6
+    bits = np.empty((K * N, 6), dtype=np.int64)  # sensed cells' code bits
+    code = np.empty(K * N, dtype=np.int64)
+    # Each robot's previous move << 12, to add to its sensor code (no move
+    # before the first step).
+    move_row = np.zeros(K * N, dtype=np.int64)
     decide = np.empty((G, M, ACTION_OUTPUTS), dtype=bool)  # move, turn right
     moving_f = decide[:, :, 0].reshape(-1)
     pair_keys = decide.view(np.uint16).reshape(-1)  # see _TURN_DELTA
@@ -395,9 +388,7 @@ def simulate_batch(
         p_bo = _rows([d[1].b_out for d in decoded], M)
         hidden = np.zeros((G, M, HIDDEN_UNITS), dtype=np.float64)
         pred_prev = np.zeros((G, M, SENSOR_COUNT), dtype=np.float64)
-        seen = np.empty((K * N, 2, 6), dtype=bool)  # robot bank, block bank
-        S = np.empty((G, M, SENSOR_COUNT), dtype=np.float64)
-        X = np.zeros((G, M, NET_INPUTS), dtype=np.float64)
+        X = np.empty((G, M, NET_INPUTS), dtype=np.float64)  # network inputs
         a_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
         a_out = np.empty((G, M, ACTION_OUTPUTS), dtype=np.float64)
         a_abs = np.empty((G, M, ACTION_OUTPUTS), dtype=np.float64)
@@ -412,53 +403,44 @@ def simulate_batch(
         mismatches = _mismatch_table(scenario)
         decisions = _decision_tables([d[0] for d in decoded]).view(
             np.uint16).reshape(-1)
-        # code bit of sensor cell 0 by grid code, one entry per code so that
-        # every grid integer type indexes it
-        cell_bits = np.zeros(_BLOCK + B, dtype=np.int64)
-        cell_bits[_ROBOT], cell_bits[_BLOCK:] = 1, 1 << 6
-        bits = np.empty((K * N, 6), dtype=np.int64)  # sensed cells' code bits
-        code = np.empty(K * N, dtype=np.int64)
         robot_mis = np.empty(K * N, dtype=np.float64)
         robot_err = np.zeros(K * N, dtype=np.float64)
-        # Each robot's table rows: its genome's, at its previous move (none
-        # before the first step).
         table_base = np.repeat(np.arange(G, dtype=np.int64) << NET_INPUTS, M)
-        table_row = table_base.copy()
 
     if observe is not None:
         observe(0, pos, rh, occ)
 
     for t in range(T):
-        # Sense: the grid codes of the six cells ahead of every robot.
+        # Sense: the grid codes of the six cells ahead of every robot, then
+        # its 12 sensor bits as one code, sensor i in bit i.
         np.multiply(pos_f, 4, out=sense_idx)
         sense_idx += rh_f
-        # Every index is in range by construction (pos < L * L, rh < 4,
-        # plus the world offset); mode="clip" spares take the copy of `out`
+        # Every index of the step's takes is in range by construction
+        # (pos < L * L, rh < 4, plus the world offset; codes and table rows
+        # within their tables); mode="clip" spares take the copy of `out`
         # that "raise" makes.
         sensed_tbl.take(sense_idx, axis=0, out=scell, mode="clip")
         scell += sensed_woff
         occ.take(scell, out=occv, mode="clip")
+        cell_bits.take(occv, out=bits, mode="clip")
+        np.dot(_SENSOR_BITS, bits.T, out=code)
 
         if emergent:
-            # Both entity banks into one bool buffer, then one copy each
-            # into S and X.
-            np.equal(occv, _ROBOT, out=seen[:, 0])
-            np.greater_equal(occv, _BLOCK, out=seen[:, 1])
-            np.copyto(S, seen.reshape(G, M, SENSOR_COUNT))
-            X[:, :, :SENSOR_COUNT] = S
+            # The network inputs: the code's bits and the previous move.
+            code += move_row
+            _INPUT_ROWS.take(code, axis=0, out=X.reshape(K * N, NET_INPUTS),
+                             mode="clip")
 
             # Score the prediction pending from the previous step.
             if t > 0:
-                np.subtract(pred_prev, S, out=diff)
+                np.subtract(pred_prev, X[:, :, :SENSOR_COUNT], out=diff)
                 np.abs(diff, out=diff)
                 np.add.reduce(diff.reshape(K, N * SENSOR_COUNT), axis=1,
                               out=step_err)
                 err += step_err
 
-            # Action network (X holds sensors + previous action).
             _act(X, a_wh, a_bh, a_wo, a_bo, a_hid, a_out, decide, a_abs, band)
-            # The prediction network's action input, and A(t-1) for the next
-            # step.
+            # The prediction network's action input.
             X[:, :, SENSOR_COUNT] = decide[:, :, 0]
 
             # Prediction network, fed the chosen action; the final step's
@@ -477,17 +459,14 @@ def simulate_batch(
                 pred_prev += p_bo
                 sigmoid_inplace(pred_prev)
         else:
-            # Fixed prediction: the sensor bits as one code, its mismatch
-            # count, and the genome's decision on the code and the previous
-            # move, all by lookup, in range by construction as above.
-            cell_bits.take(occv, out=bits, mode="clip")
-            np.dot(_SENSOR_BITS, bits.T, out=code)
+            # Fixed prediction: the code's mismatch count, and the genome's
+            # decision on the code and the previous move, both by lookup.
             mismatches.take(code, out=robot_mis, mode="clip")
             robot_err += robot_mis
-            code += table_row
+            code += move_row
+            code += table_base
             decisions.take(code, out=pair_keys, mode="clip")
-            np.multiply(moving_f, 1 << SENSOR_COUNT, out=table_row)
-            table_row += table_base
+        np.multiply(moving_f, 1 << SENSOR_COUNT, out=move_row)
 
         # Actuate (schedule in the module docstring): all turns at once, then
         # the movers in the step's order.
@@ -497,13 +476,13 @@ def simulate_batch(
             # One world: the reference's pass on Python ints. sense_idx
             # still holds each mover's cell * 4 + heading.
             moving = moving_f.tolist()
-            ahead_idx = sense_idx.tolist()
+            sense_at = sense_idx.tolist()
             cells = pos_f.tolist()
             for r in perms[0, t].tolist():
                 if not moving[r]:
                     continue
-                i = ahead_idx[r]
-                a1, a2 = c1_of[i], c2_of[i]
+                sensed = sensed_of[sense_at[r]]
+                a1, a2 = sensed[0], sensed[3]
                 o1 = occ_m[a1]
                 if o1 >= _BLOCK and occ_m[a2] == _FREE:
                     occ_m[a2] = o1  # push the block ahead on
@@ -522,11 +501,10 @@ def simulate_batch(
             held = moving_f[slot].ravel().nonzero()[0]  # k * K + w, ascending
             mover = slot.take(held)
             ends = held.searchsorted(position_ends).tolist()
-            # sense_idx still holds each mover's cell * 4 + heading
-            c1, c2 = ahead_tbl.take(sense_idx[mover], axis=1)
+            # c1 and c2 in the one grid: sensed cells 0 and 3
+            wc1, wc2 = scell[mover, 0], scell[mover, 3]
             wbase = slot_woff[mover]
             wcell = wbase + pos_f[mover]
-            wc1, wc2 = c1 + wbase, c2 + wbase
             advanced = np.empty(mover.size, dtype=bool)
             lo = 0
             for hi in ends:
@@ -543,7 +521,7 @@ def simulate_batch(
                 occ[wcell[lo:hi]] = ~advance  # _ROBOT (1) or _FREE (0)
                 advanced[lo:hi] = advance
                 lo = hi
-            pos_f[mover[advanced]] = c1[advanced]
+            pos_f[mover] = np.where(advanced, wc1, wcell) - wbase
 
         if observe is not None:
             observe(t + 1, pos, rh, occ)

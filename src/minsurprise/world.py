@@ -122,11 +122,14 @@ class SnapshotError(ValueError):
 def parse_snapshot_cells(
     text: str,
 ) -> tuple[int, list[RobotPose], list[tuple[int, int]]]:
-    """Parse snapshot text into raw entity lists (row-major id assignment)."""
+    """Parse snapshot text into raw entity lists (row-major id assignment).
+    The grid must be at least 3x3, as ``SimConfig.side_length`` requires."""
     lines = text.splitlines()
     if not lines:
         raise SnapshotError("empty snapshot")
     L = len(lines)
+    if L < 3:
+        raise SnapshotError(f"a {L}x{L} grid is smaller than 3x3")
     robots: list[RobotPose] = []
     blocks: list[tuple[int, int]] = []
     for y, line in enumerate(lines):

@@ -233,7 +233,8 @@ class TestDecisionTables:
                            Scenario.CLUSTERS, seeds)
             counts.append(dict(calls))
         assert counts[0] == counts[1]
-        assert counts[0]["matmul"] == 2 * 8192 // simulation._TABLE_BLOCK
+        # one action network pass over all 8192 input rows per genome
+        assert counts[0]["matmul"] == 2 * len(genomes)
 
 
 class TestVerifyState:

@@ -305,6 +305,10 @@ class TestSnapshots:
             parse_snapshot("N..\n.X.\n...\n")  # invalid character
         with pytest.raises(SnapshotError):
             parse_snapshot("")
+        with pytest.raises(SnapshotError):
+            parse_snapshot("B\n")  # 1x1: the block would neighbour itself
+        with pytest.raises(SnapshotError):
+            parse_snapshot("B.\n.N\n")  # 2x2
 
 
 class TestInvariants:
