@@ -27,6 +27,7 @@ from .experiment import (
     run_experiment,
     run_index_for,
 )
+from .kernel import BuildError, load as load_kernel
 from .metrics import structure_report, StructureLabel
 from .networks import MalformedGenomeError, load_genome
 from .world import SnapshotError, parse_snapshot_cells, render_cells
@@ -76,6 +77,9 @@ def _cmd_evolve(args) -> int:
     plan = _load_plan(args)
     if args.runs is not None:
         plan = replace(plan, runs_per_row=args.runs)
+    # Built here, not in the first run: a failed build is then one error
+    # line, and workers find the library in the cache.
+    load_kernel()
     return run_experiment(plan, args.out, workers=args.workers)
 
 
@@ -200,6 +204,9 @@ def main(argv=None) -> int:
         return 2
     except MalformedGenomeError as exc:
         print(f"genome error: {exc}", file=sys.stderr)
+        return 2
+    except BuildError as exc:
+        print(f"build error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,0 +1,96 @@
+"""Build and load ``_step.c``, the engine's integer step.
+
+The source ships with the package and is compiled on first use with the
+interpreter's C compiler (``sysconfig``'s CC) into the user cache dir,
+``${XDG_CACHE_HOME:-~/.cache}/minsurprise``, under a name keyed by the
+source, the compile command and the extension suffix. The library is
+written to a temp file and renamed into place, so processes that build at
+once never load a partial file.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shlex
+import sysconfig
+from pathlib import Path
+from typing import Optional
+
+SOURCE = Path(__file__).with_name("_step.c")
+
+_lib: Optional[ctypes.CDLL] = None
+
+
+class BuildError(Exception):
+    """The step kernel could not be compiled."""
+
+
+class Batch(ctypes.Structure):
+    """``struct batch`` of _step.c: one call's shapes and array addresses."""
+
+    _fields_ = ([(name, ctypes.c_int64) for name in (
+        "worlds", "robots", "cells", "genome_robots", "steps", "perm_size")]
+        + [(name, ctypes.c_void_p) for name in (
+            "occ", "pos", "rh", "code", "move_row", "decide", "sensed",
+            "perms", "mismatches", "decisions", "err")])
+
+
+def compile_command() -> list[str]:
+    """The compiler and its flags, without the output and the source."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    return cc + ["-O2", "-shared", "-fPIC"]
+
+
+def library_path(source: bytes, command: list[str]) -> Path:
+    """Where the library built from source by command is cached."""
+    key = hashlib.sha256(b"\0".join(
+        [source, *map(str.encode, command),
+         sysconfig.get_config_var("EXT_SUFFIX").encode()])).hexdigest()
+    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(root) / "minsurprise" / f"_step-{key}.so"
+
+
+def build(source_path: Path = SOURCE) -> Path:
+    """The cached library of source_path, compiled first if missing."""
+    command = compile_command()
+    target = library_path(source_path.read_bytes(), command)
+    if target.exists():
+        return target
+    # imported here: it costs every process that finds the library cached
+    # half a MiB of peak RSS
+    import subprocess
+
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        done = subprocess.run([*command, "-o", str(tmp), str(source_path)],
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            # gcc and clang open with a context line ("In function ...")
+            lines = done.stderr.splitlines() or ["no output"]
+            first = next((s for s in lines if "error" in s), lines[0])
+            raise BuildError(f"{command[0]} failed on {source_path.name} "
+                             f"(exit {done.returncode}): {first.strip()}")
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise BuildError(f"cannot compile {source_path.name} with "
+                         f"{command[0]}: {exc}") from None
+    finally:
+        tmp.unlink(missing_ok=True)
+    return target
+
+
+def load() -> ctypes.CDLL:
+    """The step kernel, built on the first call of the process."""
+    global _lib
+    if _lib is None:
+        lib = ctypes.CDLL(str(build()))
+        batch = ctypes.POINTER(Batch)
+        lib.sense.argtypes = [batch]
+        lib.actuate.argtypes = lib.fixed_step.argtypes = [batch,
+                                                          ctypes.c_int64]
+        lib.sense.restype = lib.actuate.restype = lib.fixed_step.restype = None
+        _lib = lib
+    return _lib

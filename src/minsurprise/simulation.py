@@ -17,21 +17,25 @@ prediction network; actuate robots sequentially in the step's shuffled
 order. Emergent mode therefore yields T - 1 comparisons (a prediction meets
 the *next* step's sensors), fixed vectors yield T.
 
-Grid. All K worlds share one flat grid, L * L cells each: 0 free, 1 robot,
-2 + b block b (int8 while B + 2 < 2**7). A push copies the block's code, so
-block identity needs no other state. Block cells by id are read off the grid
-only where a result reads them: start blocks and snapshots when taken, the
-metrics window once after the run. All of these are kept by the recorder
-through the engine's one ``observe`` hook, which sees robot cells, headings
-and grid after setup and after every step; the tests' invariant sweep is
-another such observer.
+Grid. All K worlds share one flat int32 grid, L * L cells each: 0 free,
+1 robot, 2 + b block b. A push copies the block's code, so block identity
+needs no other state. Block cells by id are read off the grid only where a
+result reads them: start blocks and snapshots when taken, the metrics
+window once after the run. All of these are kept by the recorder through
+the engine's one ``observe`` hook, which sees robot cells, headings and grid
+after setup and after every step; the tests' invariant sweep is another
+such observer.
 
-Sensing. Every scenario senses the same way: the six sensed cells' grid
-codes map to 1 (robot), 64 (block) or 0, and an integer dot with 2**s over
-the cells s packs each robot's 12 sensor bits into one code, sensor i in bit
-i. With the robot's previous move in bit 12 the code picks its network input
-row: ``_INPUT_ROWS`` holds all 8192 of them as floats, input i of row r
-being bit i of r.
+Integer step. Everything between the network calls is integer work on the
+grid, done by the C kernel ``_step.c`` (built and loaded by ``kernel.py``),
+which takes the call's arrays once, bound in one struct, and is called once
+or twice per step. It does no floating point.
+
+Sensing. Every scenario senses the same way: a robot in sensed cell s sets
+bit s of the robot's code and a block bit 6 + s, so the code holds its 12
+sensor bits, sensor i in bit i; its previous move is bit 12. The code picks
+the robot's network input row: ``_INPUT_ROWS`` holds all 8192 of them as
+floats, input i of row r being bit i of r.
 
 Action decisions. The reference moves, and turns right, on
 1 / (1 + exp(-y)) >= 0.5. In doubles fl(1 / x) >= 0.5 iff x <= 2, and
@@ -44,28 +48,19 @@ y >= 0. The engine takes the sign and runs ``sigmoid_inplace`` only where
 Actuation schedule. The reference actuates one robot at a time in the
 step's shuffled order. A robot reads and writes only its own cell and the
 two ahead of it (c1, c2); a turner touches none of them, so all turns are
-applied at once, by one lookup from each robot's decision pair to a heading
-change. A mover's heading is fixed and its cell changes only in its own
-pass, so its c1 and c2 are its sensed cells 0 and 3 at the start of the
-step. A single world, as in ``posteval`` and ``replay``, is then actuated
-as the reference does it: one Python pass over the step's order on Python
-ints, skipping the robots that do not move and applying each mover's rule
-(push, vacate, occupy) to the grid; at that size array calls cost far more
-than the work they do. Several worlds list their movers by order position,
-then by world, and actuate one order position at a time. The movers at one
-position lie in distinct worlds, and each sees every cell that movers at
-earlier positions freed, took or pushed a block into: the same state the
-sequential reference shows it, so the results are bit-equal. They write c2
-<- (push ? c1's code : c2's), c1 <- (advance ? robot : c1's) and their
-cell <- (advance ? free : robot) unconditionally: a mover's three cells are
-distinct and no two movers share a world. In a batch of several worlds, a
-step in which no robot moves applies its turns and skips the rest.
+applied first. A mover's heading is fixed and its cell changes only in its
+own turn, so its c1 and c2 are its sensed cells 0 and 3 at the start of the
+step. The kernel then runs the reference's loop, world by world over the
+step's order: it skips the robots that do not move, and a mover pushes a
+block at c1 into c2 if c2 is free, then advances into c1 unless c1 still
+holds a robot or a block. Worlds share no cell, so their order does not
+matter.
 
 Fixed scenarios. With a fixed prediction vector (pairs, clusters, empty)
 every network input is a bit and every error term an integer, so the step
-does no floating-point network work. A 4096-entry table gives the code's
-mismatches against the fixed vector as exact integers in float64; they are
-summed per robot, then per world after the run, exact in any order. Each
+does no floating-point network work: the kernel runs the whole step. A
+4096-entry table gives the code's mismatches against the fixed vector; they
+are summed per world in int64 and become float64 once, after the run. Each
 genome's (move, turn right) pair comes from its table of 8192 entries
 (16 KB) at code | previous move << 12. The tables are built once per call by
 ``_act``, the emergent step's action network (stable_rows_matmul, + b, tanh,
@@ -89,11 +84,13 @@ so the layout changes speed only, never a bit of the results.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import kernel
 from .networks import (
     ACTION_OUTPUTS,
     HIDDEN_UNITS,
@@ -118,21 +115,11 @@ from .world import (
     sample_placement,
 )
 
-# Grid cell codes; block b is stored as _BLOCK + b.
+# Grid cell codes, as in _step.c; block b is stored as _BLOCK + b.
 _FREE, _ROBOT, _BLOCK = 0, 1, 2
 
 # Action outputs this close to 0 take the sigmoid, all others their sign.
 _DECISION_BAND = 1e-12
-
-# Heading change keyed by a robot's (move, turn right) bool pair read as one
-# uint16: -1 and +1 for the two turning pairs, 0 for a mover; 0x0102 entries
-# cover the keys in either byte order.
-_TURN_DELTA = np.zeros(0x0102, dtype=np.int64)
-_TURN_DELTA[np.array([0, 0, 0, 1], dtype=bool).view(np.uint16)] = -1, 1
-
-# Weight of sensed cell s in the sensor code: 2**s times the cell's bit for
-# cell 0 (1 robot, 64 block), so a robot sets bit s and a block bit 6 + s.
-_SENSOR_BITS = np.int64(1) << np.arange(6, dtype=np.int64)
 
 # Every network input row: row r holds input i as bit i of r, so the row of a
 # robot is its sensor code | previous move << 12. The bits are unpacked from
@@ -147,13 +134,14 @@ _TABLE_CACHE: dict[int, np.ndarray] = {}
 
 def _tables(L: int) -> np.ndarray:
     """The six sensed flat cells of every cell * 4 + heading, in sensor
-    index order; cells 0 and 3 are the two straight ahead (c1, c2)."""
+    index order; cells 0 and 3 are the two straight ahead (c1, c2). int32,
+    as the kernel reads it."""
     cached = _TABLE_CACHE.get(L)
     if cached is not None:
         return cached
     cells = np.arange(L * L, dtype=np.int64)
     x, y = cells % L, cells // L
-    sensed = np.empty((L * L * 4, 6), dtype=np.int64)
+    sensed = np.empty((L * L * 4, 6), dtype=np.int32)
     for h in Heading:
         fx, fy = HEADING_VECTORS[h]
         lx, ly = HEADING_VECTORS[h.turned(-1)]
@@ -197,7 +185,7 @@ class _Recorder:
         self.window_start = T - self.tau
         # The metrics window as stored per step: robot cells and the grid.
         self.robot_cells = np.empty((self.tau + 1, N), dtype=np.int64)
-        self.grids = np.empty((self.tau + 1, L * L), dtype=_int_type(B + 2))
+        self.grids = np.empty((self.tau + 1, L * L), dtype=np.int32)
         self.snapshot_every = snapshot_every
         self.snapshots: list[tuple[int, str]] = []
         self.start_blocks: Optional[np.ndarray] = None  # (B,) flat cells
@@ -224,7 +212,8 @@ class _Recorder:
 
 
 def _int_type(n: int):
-    """The narrowest of int8, int16 and int64 that holds 0..n - 1."""
+    """The narrowest of int8, int16 and int64 that holds 0..n - 1: the type
+    of the step orders, which the kernel reads at its item size."""
     return np.int8 if n < 2**7 else np.int16 if n < 2**15 else np.int64
 
 
@@ -279,10 +268,10 @@ def _decision_tables(nets: Sequence[ActionNetwork]) -> np.ndarray:
 
 
 def _mismatch_table(scenario: Scenario) -> np.ndarray:
-    """(4096,) float64: the mismatches of every sensor code against the
-    scenario's fixed prediction vector, exact integers."""
+    """(4096,) uint8: the mismatches of every sensor code against the
+    scenario's fixed prediction vector."""
     codes = np.arange(1 << SENSOR_COUNT)
-    mismatches = np.zeros(1 << SENSOR_COUNT, dtype=np.float64)
+    mismatches = np.zeros(1 << SENSOR_COUNT, dtype=np.uint8)
     for i, p in enumerate(scenario_prediction(scenario)):
         mismatches += (codes >> i & 1) != p
     return mismatches
@@ -326,56 +315,28 @@ def simulate_batch(
     L2 = L * L
     pos = np.empty((K, N), dtype=np.int64)  # robot flat cells
     rh = np.empty((K, N), dtype=np.int64)  # headings
-    bcell = np.empty((K, B), dtype=np.int64)  # initial block flat cells by id
     perms = np.empty((K, T, N), dtype=_int_type(N))
+    # The one grid of all K worlds: _FREE, _ROBOT or _BLOCK + block id.
+    occ = np.zeros((K, L2), dtype=np.int32)
+    block_codes = np.arange(_BLOCK, _BLOCK + B)
     for k in range(K):
         rng = np.random.default_rng(int(seeds[k // W, k % W]))
         cells, headings = sample_placement(L, N, B, rng)
         pos[k] = cells[:N]
-        bcell[k] = cells[N:]
         rh[k] = headings
+        occ[k, cells[:N]] = _ROBOT
+        occ[k, cells[N:]] = block_codes
         keys = rng.random((T, N))
         perms[k] = np.argsort(keys, axis=-1)
+    occ = occ.reshape(-1)
 
-    # The one grid of all K worlds: _FREE, _ROBOT or _BLOCK + block id.
-    occ = np.zeros(K * L2, dtype=_int_type(B + 2))
-    woff = np.arange(K, dtype=np.int64) * L2
-    rowoff = np.arange(K, dtype=np.int64) * N
-    occ[(woff[:, None] + pos).ravel()] = _ROBOT
-    occ[(woff[:, None] + bcell).ravel()] = np.tile(
-        np.arange(_BLOCK, _BLOCK + B), K)
-    # (k + 1) * K: the end of order position k in a position-major list
-    position_ends = np.arange(K, K * N + 1, K)
-
-    sensed_tbl = _tables(L)
-    # World offsets of every sensed cell, and of every robot slot.
-    sensed_woff = np.repeat(woff, N * 6).reshape(K * N, 6)
-    slot_woff = np.repeat(woff, N)
-    pos_f = pos.reshape(-1)
-    rh_f = rh.reshape(-1)
-    # Python-int views for the single-world actuation pass.
-    occ_m = memoryview(occ)
-    sensed_of = sensed_tbl.tolist() if K == 1 else []
-
-    # Scratch buffers reused every step; all writes below keep the exact
-    # operation order of the naive expressions, so results stay bit-equal
-    # to the single-world reference.
-    sense_idx = np.empty(K * N, dtype=np.int64)
-    scell = np.empty((K * N, 6), dtype=np.int64)  # world flat sensed cells
-    occv = np.empty((K * N, 6), dtype=occ.dtype)
-    # code bit of sensor cell 0 by grid code, one entry per code so that
-    # every grid integer type indexes it
-    cell_bits = np.zeros(_BLOCK + B, dtype=np.int64)
-    cell_bits[_ROBOT], cell_bits[_BLOCK:] = 1, 1 << 6
-    bits = np.empty((K * N, 6), dtype=np.int64)  # sensed cells' code bits
+    # Each robot's sensor code | previous move << 12, its previous move
+    # << 12 (no move before the first step) and its (move, turn right).
     code = np.empty(K * N, dtype=np.int64)
-    # Each robot's previous move << 12, to add to its sensor code (no move
-    # before the first step).
     move_row = np.zeros(K * N, dtype=np.int64)
-    decide = np.empty((G, M, ACTION_OUTPUTS), dtype=bool)  # move, turn right
-    moving_f = decide[:, :, 0].reshape(-1)
-    pair_keys = decide.view(np.uint16).reshape(-1)  # see _TURN_DELTA
+    decide = np.empty((G, M, ACTION_OUTPUTS), dtype=bool)
     decoded = [decode(g) for g in genomes]
+    mismatches = decisions = world_err = None
     if emergent:
         a_wh = _stack([d[0].w_hidden for d in decoded])  # (G, 13, 8)
         a_bh = _rows([d[0].b_hidden for d in decoded], M)  # (G, M, 8)
@@ -399,35 +360,31 @@ def simulate_batch(
         err = np.zeros(K, dtype=np.float64)
     else:
         # Lookups by sensor code: its mismatches, and each genome's
-        # decisions at g << 13 | previous move << 12 | code.
+        # decisions at g << 13 | previous move << 12 | code; the worlds'
+        # mismatch sums are integers.
         mismatches = _mismatch_table(scenario)
-        decisions = _decision_tables([d[0] for d in decoded]).view(
-            np.uint16).reshape(-1)
-        robot_mis = np.empty(K * N, dtype=np.float64)
-        robot_err = np.zeros(K * N, dtype=np.float64)
-        table_base = np.repeat(np.arange(G, dtype=np.int64) << NET_INPUTS, M)
+        decisions = _decision_tables([d[0] for d in decoded])
+        world_err = np.zeros(K, dtype=np.int64)
+
+    # The kernel's view of this call, its array addresses bound once.
+    sensed = _tables(L)
+    lib = kernel.load()
+    batch = ctypes.byref(kernel.Batch(K, N, L2, M, T, perms.itemsize, *(
+        None if a is None else a.ctypes.data
+        for a in (occ, pos, rh, code, move_row, decide, sensed, perms,
+                  mismatches, decisions, world_err))))
+    sense, actuate, fixed_step = lib.sense, lib.actuate, lib.fixed_step
 
     if observe is not None:
         observe(0, pos, rh, occ)
 
     for t in range(T):
-        # Sense: the grid codes of the six cells ahead of every robot, then
-        # its 12 sensor bits as one code, sensor i in bit i.
-        np.multiply(pos_f, 4, out=sense_idx)
-        sense_idx += rh_f
-        # Every index of the step's takes is in range by construction
-        # (pos < L * L, rh < 4, plus the world offset; codes and table rows
-        # within their tables); mode="clip" spares take the copy of `out`
-        # that "raise" makes.
-        sensed_tbl.take(sense_idx, axis=0, out=scell, mode="clip")
-        scell += sensed_woff
-        occ.take(scell, out=occv, mode="clip")
-        cell_bits.take(occv, out=bits, mode="clip")
-        np.dot(_SENSOR_BITS, bits.T, out=code)
-
-        if emergent:
+        if not emergent:
+            # Sense, add the mismatches, look up the decisions, actuate.
+            fixed_step(batch, t)
+        else:
+            sense(batch)
             # The network inputs: the code's bits and the previous move.
-            code += move_row
             _INPUT_ROWS.take(code, axis=0, out=X.reshape(K * N, NET_INPUTS),
                              mode="clip")
 
@@ -458,77 +415,14 @@ def simulate_batch(
                 stable_rows_matmul(hidden, p_wo, out=pred_prev)
                 pred_prev += p_bo
                 sigmoid_inplace(pred_prev)
-        else:
-            # Fixed prediction: the code's mismatch count, and the genome's
-            # decision on the code and the previous move, both by lookup.
-            mismatches.take(code, out=robot_mis, mode="clip")
-            robot_err += robot_mis
-            code += move_row
-            code += table_base
-            decisions.take(code, out=pair_keys, mode="clip")
-        np.multiply(moving_f, 1 << SENSOR_COUNT, out=move_row)
-
-        # Actuate (schedule in the module docstring): all turns at once, then
-        # the movers in the step's order.
-        rh_f += _TURN_DELTA.take(pair_keys)
-        rh_f &= 3
-        if K == 1:
-            # One world: the reference's pass on Python ints. sense_idx
-            # still holds each mover's cell * 4 + heading.
-            moving = moving_f.tolist()
-            sense_at = sense_idx.tolist()
-            cells = pos_f.tolist()
-            for r in perms[0, t].tolist():
-                if not moving[r]:
-                    continue
-                sensed = sensed_of[sense_at[r]]
-                a1, a2 = sensed[0], sensed[3]
-                o1 = occ_m[a1]
-                if o1 >= _BLOCK and occ_m[a2] == _FREE:
-                    occ_m[a2] = o1  # push the block ahead on
-                elif o1 != _FREE:
-                    continue  # blocked: the robot stays
-                occ_m[cells[r]] = _FREE
-                occ_m[a1] = _ROBOT
-                cells[r] = a1
-            pos_f[:] = cells
-        elif moving_f.any():
-            # The movers position-major, one slice per order position; a
-            # mover's pos_f entry is only read before the loop, so it is
-            # written after. slot[k, w]: the robot at order position k in
-            # world w.
-            slot = perms[:, t, :].T + rowoff
-            held = moving_f[slot].ravel().nonzero()[0]  # k * K + w, ascending
-            mover = slot.take(held)
-            ends = held.searchsorted(position_ends).tolist()
-            # c1 and c2 in the one grid: sensed cells 0 and 3
-            wc1, wc2 = scell[mover, 0], scell[mover, 3]
-            wbase = slot_woff[mover]
-            wcell = wbase + pos_f[mover]
-            advanced = np.empty(mover.size, dtype=bool)
-            lo = 0
-            for hi in ends:
-                if hi == lo:
-                    continue  # no mover at this order position
-                # Movers in distinct worlds, so no two write one cell; each
-                # cell is rewritten whether or not it changes.
-                s1, s2 = wc1[lo:hi], wc2[lo:hi]
-                o1, o2 = occ[s1], occ[s2]
-                push = (o1 >= _BLOCK) & (o2 == _FREE)
-                advance = (o1 == _FREE) | push
-                occ[s2] = np.where(push, o1, o2)
-                occ[s1] = np.where(advance, _ROBOT, o1)
-                occ[wcell[lo:hi]] = ~advance  # _ROBOT (1) or _FREE (0)
-                advanced[lo:hi] = advance
-                lo = hi
-            pos_f[mover] = np.where(advanced, wc1, wcell) - wbase
+            # Actuate (schedule in the module docstring).
+            actuate(batch, t)
 
         if observe is not None:
             observe(t + 1, pos, rh, occ)
 
     if not emergent:
-        # integer-valued sums, so exact in any order
-        err = np.add.reduce(robot_err.reshape(K, N), axis=1)
+        err = world_err.astype(np.float64)
     comparisons = T - 1 if emergent else T
     return err.reshape(G, W), comparisons
 
