@@ -15,7 +15,6 @@ struct batch {
     int32_t *occ;                   /* (K * L * L) grid codes */
     int64_t *pos, *rh;              /* (K * N) flat cells, headings */
     int64_t *code;                  /* (K * N) sensor code | move << 12 */
-    int64_t *move_row;              /* (K * N) previous move << 12 */
     uint8_t *decide;                /* (K * N, 2) move, turn right */
     const int32_t *sensed;          /* (L * L * 4, 6): _tables(L) */
     const void *perms;              /* (K, T, N) step orders */
@@ -33,15 +32,16 @@ static int64_t order(const struct batch *b, int64_t i)
     }
 }
 
-/* Each robot's six sensed cells packed into its code, sensor s in bit s
- * for a robot and bit 6 + s for a block, with its previous move above. */
+/* Each robot's six sensed cells ORed into its code, which holds only its
+ * previous move << 12: sensor s in bit s for a robot and bit 6 + s for a
+ * block. */
 void sense(const struct batch *b)
 {
     for (int64_t k = 0; k < b->worlds; k++) {
         const int32_t *grid = b->occ + k * b->cells;
         for (int64_t i = k * b->robots; i < (k + 1) * b->robots; i++) {
             const int32_t *cell = b->sensed + (b->pos[i] * 4 + b->rh[i]) * SENSORS;
-            int64_t code = b->move_row[i];
+            int64_t code = b->code[i];
             for (int s = 0; s < SENSORS; s++) {
                 int32_t v = grid[cell[s]];
                 code |= (int64_t)(v == ROBOT) << s
@@ -52,8 +52,9 @@ void sense(const struct batch *b)
     }
 }
 
-/* All turns, then each world's movers in step t's order: a mover pushes a
- * block at c1 on into a free c2, then leaves its cell for a free c1. */
+/* All turns and each robot's code reset to its move << 12, then each
+ * world's movers in step t's order: a mover pushes a block at c1 on into a
+ * free c2, then leaves its cell for a free c1. */
 void actuate(const struct batch *b, int64_t t)
 {
     int64_t N = b->robots;
@@ -61,7 +62,7 @@ void actuate(const struct batch *b, int64_t t)
         const uint8_t *d = b->decide + 2 * i;
         if (!d[0])
             b->rh[i] = (b->rh[i] + (d[1] ? 1 : 3)) & 3;
-        b->move_row[i] = (int64_t)d[0] << SENSOR_BITS;
+        b->code[i] = (int64_t)d[0] << SENSOR_BITS;
     }
     for (int64_t k = 0; k < b->worlds; k++) {
         int32_t *grid = b->occ + k * b->cells;

@@ -33,8 +33,8 @@ class Batch(ctypes.Structure):
     _fields_ = ([(name, ctypes.c_int64) for name in (
         "worlds", "robots", "cells", "genome_robots", "steps", "perm_size")]
         + [(name, ctypes.c_void_p) for name in (
-            "occ", "pos", "rh", "code", "move_row", "decide", "sensed",
-            "perms", "mismatches", "decisions", "err")])
+            "occ", "pos", "rh", "code", "decide", "sensed", "perms",
+            "mismatches", "decisions", "err")])
 
 
 def compile_command() -> list[str]:

@@ -158,10 +158,10 @@ def sigmoid_inplace(x: np.ndarray) -> np.ndarray:
     that order, so results are bit-identical to the naive expression the
     reference in ``tests/oracle.py`` evaluates.
 
-    The engine's inputs cannot overflow ``exp``: a network output is at most
-    HIDDEN_UNITS * WEIGHT_LIMIT + WEIGHT_LIMIT = 45 in absolute value (tanh
-    outputs lie in [-1, 1], every weight within WEIGHT_LIMIT), and the
-    action decisions pass only inputs within 1e-12 of 0."""
+    The engine's inputs cannot overflow ``exp``: an output of either
+    network, action or prediction, is at most HIDDEN_UNITS * WEIGHT_LIMIT +
+    WEIGHT_LIMIT = 45 in absolute value (tanh outputs lie in [-1, 1], every
+    weight within WEIGHT_LIMIT)."""
     np.negative(x, out=x)
     np.exp(x, out=x)
     np.add(x, 1.0, out=x)

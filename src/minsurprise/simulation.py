@@ -31,19 +31,13 @@ grid, done by the C kernel ``_step.c`` (built and loaded by ``kernel.py``),
 which takes the call's arrays once, bound in one struct, and is called once
 or twice per step. It does no floating point.
 
-Sensing. Every scenario senses the same way: a robot in sensed cell s sets
-bit s of the robot's code and a block bit 6 + s, so the code holds its 12
-sensor bits, sensor i in bit i; its previous move is bit 12. The code picks
-the robot's network input row: ``_INPUT_ROWS`` holds all 8192 of them as
-floats, input i of row r being bit i of r.
-
-Action decisions. The reference moves, and turns right, on
-1 / (1 + exp(-y)) >= 0.5. In doubles fl(1 / x) >= 0.5 iff x <= 2, and
-fl(1 + e) <= 2 iff e <= 1 + 2**-52. For |y| > 1e-12, exp(-y) is more than
-0.99e-12 from 1, so any exp within a relative 1e-13 (numpy's is within a few
-ulp) puts e on the side of 1 that the sign of y gives: the decision is
-y >= 0. The engine takes the sign and runs ``sigmoid_inplace`` only where
-|y| <= 1e-12; there the two can differ (y = -2**-53 gives exactly 0.5).
+Sensing. Every scenario senses the same way, into one code per robot.
+Actuation sets the code to the robot's move << 12 (it starts at 0: no move
+before the first step); sensing then ORs in bit s for a robot in sensed
+cell s and bit 6 + s for a block. So the code holds the 12 sensor bits,
+sensor i in bit i, and the previous move in bit 12. It picks the robot's
+network input row: ``_INPUT_ROWS`` holds all 8192 of them as floats, input
+i of row r being bit i of r.
 
 Actuation schedule. The reference actuates one robot at a time in the
 step's shuffled order. A robot reads and writes only its own cell and the
@@ -64,8 +58,8 @@ are summed per world in int64 and become float64 once, after the run. Each
 genome's (move, turn right) pair comes from its table of 8192 entries
 (16 KB) at code | previous move << 12. The tables are built once per call by
 ``_act``, the emergent step's action network (stable_rows_matmul, + b, tanh,
-stable_rows_matmul, + b, sign and band sigmoid), run once per genome on all
-of ``_INPUT_ROWS``. An entry is the decision the network makes on that row
+stable_rows_matmul, + b, sigmoid >= 0.5), run once per genome on all of
+``_INPUT_ROWS``. An entry is the decision the network makes on that row
 alone because gemm computes each row of a product independently of the
 other rows and of their count: the row invariance that already makes a
 batched population bit-equal to single-genome calls and to the reference's
@@ -117,9 +111,6 @@ from .world import (
 
 # Grid cell codes, as in _step.c; block b is stored as _BLOCK + b.
 _FREE, _ROBOT, _BLOCK = 0, 1, 2
-
-# Action outputs this close to 0 take the sigmoid, all others their sign.
-_DECISION_BAND = 1e-12
 
 # Every network input row: row r holds input i as bit i of r, so the row of a
 # robot is its sensor code | previous move << 12. The bits are unpacked from
@@ -227,28 +218,19 @@ def _block_cells(occ: np.ndarray, K: int, B: int) -> np.ndarray:
     return bcell.reshape(K, B)
 
 
-def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    return np.ascontiguousarray(np.stack(arrays))
-
-
 def _act(x: np.ndarray, w_hidden: np.ndarray, b_hidden: np.ndarray,
          w_out: np.ndarray, b_out: np.ndarray, hid: np.ndarray, y: np.ndarray,
-         decide: np.ndarray, y_abs: np.ndarray, band: np.ndarray) -> None:
+         decide: np.ndarray) -> None:
     """The action network on input rows x: decide = sigmoid(y) >= 0.5 for
-    y = tanh(x @ w_hidden + b_hidden) @ w_out + b_out, taken by the sign of
-    y outside the band about 0. hid, y, y_abs and band are scratch buffers,
-    hid of the hidden layer's shape, the others of decide's; y_abs may be a
-    view of hid, which is spent before y_abs is written."""
+    y = tanh(x @ w_hidden + b_hidden) @ w_out + b_out, as the reference
+    decides. hid and y are scratch buffers of the hidden layer's and
+    decide's shapes."""
     stable_rows_matmul(x, w_hidden, out=hid)
     hid += b_hidden
     np.tanh(hid, out=hid)
     stable_rows_matmul(hid, w_out, out=y)
     y += b_out
-    np.greater_equal(y, 0.0, out=decide)
-    np.abs(y, out=y_abs)
-    np.less_equal(y_abs, _DECISION_BAND, out=band)
-    if band.any():
-        decide[band] = sigmoid_inplace(y[band]) >= 0.5
+    np.greater_equal(sigmoid_inplace(y), 0.5, out=decide)
 
 
 def _decision_tables(nets: Sequence[ActionNetwork]) -> np.ndarray:
@@ -259,11 +241,9 @@ def _decision_tables(nets: Sequence[ActionNetwork]) -> np.ndarray:
     tables = np.empty((len(nets), rows, ACTION_OUTPUTS), dtype=bool)
     hid = np.empty((rows, HIDDEN_UNITS), dtype=np.float64)
     y = np.empty((rows, ACTION_OUTPUTS), dtype=np.float64)
-    y_abs = hid[:, :ACTION_OUTPUTS]  # saves a table-sized buffer
-    band = np.empty(y.shape, dtype=bool)
     for net, table in zip(nets, tables):
         _act(_INPUT_ROWS, net.w_hidden, net.b_hidden, net.w_out, net.b_out,
-             hid, y, table, y_abs, band)
+             hid, y, table)
     return tables
 
 
@@ -330,30 +310,27 @@ def simulate_batch(
         perms[k] = np.argsort(keys, axis=-1)
     occ = occ.reshape(-1)
 
-    # Each robot's sensor code | previous move << 12, its previous move
-    # << 12 (no move before the first step) and its (move, turn right).
-    code = np.empty(K * N, dtype=np.int64)
-    move_row = np.zeros(K * N, dtype=np.int64)
+    # Each robot's sensor code | previous move << 12 (no move before the
+    # first step) and its (move, turn right).
+    code = np.zeros(K * N, dtype=np.int64)
     decide = np.empty((G, M, ACTION_OUTPUTS), dtype=bool)
     decoded = [decode(g) for g in genomes]
     mismatches = decisions = world_err = None
     if emergent:
-        a_wh = _stack([d[0].w_hidden for d in decoded])  # (G, 13, 8)
+        a_wh = np.stack([d[0].w_hidden for d in decoded])  # (G, 13, 8)
         a_bh = _rows([d[0].b_hidden for d in decoded], M)  # (G, M, 8)
-        a_wo = _stack([d[0].w_out for d in decoded])
+        a_wo = np.stack([d[0].w_out for d in decoded])
         a_bo = _rows([d[0].b_out for d in decoded], M)
-        p_wh = _stack([d[1].w_hidden for d in decoded])
+        p_wh = np.stack([d[1].w_hidden for d in decoded])
         p_bh = _rows([d[1].b_hidden for d in decoded], M)
         p_self = _rows([d[1].w_self for d in decoded], M)
-        p_wo = _stack([d[1].w_out for d in decoded])
+        p_wo = np.stack([d[1].w_out for d in decoded])
         p_bo = _rows([d[1].b_out for d in decoded], M)
         hidden = np.zeros((G, M, HIDDEN_UNITS), dtype=np.float64)
         pred_prev = np.zeros((G, M, SENSOR_COUNT), dtype=np.float64)
         X = np.empty((G, M, NET_INPUTS), dtype=np.float64)  # network inputs
         a_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
         a_out = np.empty((G, M, ACTION_OUTPUTS), dtype=np.float64)
-        a_abs = np.empty((G, M, ACTION_OUTPUTS), dtype=np.float64)
-        band = np.empty((G, M, ACTION_OUTPUTS), dtype=bool)
         diff = np.empty((G, M, SENSOR_COUNT), dtype=np.float64)
         p_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
         step_err = np.empty(K, dtype=np.float64)
@@ -371,8 +348,8 @@ def simulate_batch(
     lib = kernel.load()
     batch = ctypes.byref(kernel.Batch(K, N, L2, M, T, perms.itemsize, *(
         None if a is None else a.ctypes.data
-        for a in (occ, pos, rh, code, move_row, decide, sensed, perms,
-                  mismatches, decisions, world_err))))
+        for a in (occ, pos, rh, code, decide, sensed, perms, mismatches,
+                  decisions, world_err))))
     sense, actuate, fixed_step = lib.sense, lib.actuate, lib.fixed_step
 
     if observe is not None:
@@ -396,7 +373,7 @@ def simulate_batch(
                               out=step_err)
                 err += step_err
 
-            _act(X, a_wh, a_bh, a_wo, a_bo, a_hid, a_out, decide, a_abs, band)
+            _act(X, a_wh, a_bh, a_wo, a_bo, a_hid, a_out, decide)
             # The prediction network's action input.
             X[:, :, SENSOR_COUNT] = decide[:, :, 0]
 

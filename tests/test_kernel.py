@@ -1,6 +1,9 @@
-"""The compiled step kernel: its build cache and its build errors."""
+"""The compiled step kernel: its build cache, its build errors and the
+binding of its call struct."""
 
+import ctypes
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +57,26 @@ def test_parallel_cold_builds_leave_one_library(empty_cache):
     assert outputs[0][0] == outputs[1][0] != ""  # bitwise, via repr
     library, = cached_files(empty_cache)
     assert library.startswith("_step-") and library.endswith(".so")
+
+
+def test_batch_fields_match_the_c_struct():
+    # ctypes lays out Batch by its field list alone: a member added to, or
+    # moved in, one side only shifts every later one. int64_t members are
+    # c_int64, pointers of any type c_void_p.
+    source = kernel.SOURCE.read_text()
+    body = re.search(r"struct batch {(.*?)};", source, re.S).group(1)
+    body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
+    fields = []
+    for declaration in filter(None, map(str.strip, body.split(";"))):
+        base, declarators = re.fullmatch(
+            r"((?:const\s+)?\w+)\s+(.*)", declaration, re.S).groups()
+        for declarator in map(str.strip, declarators.split(",")):
+            if declarator.startswith("*"):
+                fields.append((declarator[1:], ctypes.c_void_p))
+            else:
+                assert base == "int64_t", declaration
+                fields.append((declarator, ctypes.c_int64))
+    assert fields == kernel.Batch._fields_
 
 
 def test_one_changed_source_byte_changes_the_cache_key(tmp_path):

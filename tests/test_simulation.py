@@ -110,10 +110,10 @@ class TestReferenceEquivalence:
                                           Scenario.CLUSTERS])
     @pytest.mark.parametrize("blocks", [125, 126, 127])
     def test_grid_type_boundary_matches_reference(self, blocks, scenario):
-        # 125 blocks keep the grid's cell codes (2 + id) in int8, 126 use
-        # int16, and 127 would overflow int8 (codes reach 128); in a crowded
-        # grid nearly every move pushes or stalls. Fixed scenarios read
-        # every code through the cell-code lookup.
+        # Block codes (2 + id) reach 126, 127 and 128: the top of int8 and
+        # one past it. The grid is int32, and every code must still push as
+        # its own block; in a crowded grid nearly every move pushes or
+        # stalls.
         config = SimConfig(12, 4, blocks, steps=72)  # tau = 72
         always_moving = Genome(np.zeros(ACTION_LENGTH),
                                np.zeros(PREDICTION_LENGTH))
@@ -133,10 +133,10 @@ class TestReferenceEquivalence:
                 ref_blocks)
 
 
-# Action output biases in and around the band where the engine takes the
-# sigmoid instead of the sign: -1e-17, -2**-53 and -5e-324 are negative, yet
-# 1 + exp(-y) rounds to exactly 2 and the sigmoid to 0.5, which decides for
-# move and for a right turn.
+# Action output biases next to 0, where y >= 0 and sigmoid(y) >= 0.5 can
+# disagree: -1e-17, -2**-53 and -5e-324 are negative, yet 1 + exp(-y) rounds
+# to exactly 2 and the sigmoid to 0.5, which decides for move and for a
+# right turn.
 BAND_BIASES = [0.0, 1e-17, -1e-17, -2.0**-53, 1e-13, -1e-13, -5e-324]
 
 
