@@ -1,13 +1,19 @@
-/* The integer part of the engine's step (see simulation.py): sensing, the
- * fixed scenarios' table lookups and actuation, over the K worlds of one
- * simulate_batch call. No floating point. Built and loaded by kernel.py. */
+/* The engine's step outside numpy (see simulation.py): sensing, the fixed
+ * scenarios' table lookups, actuation and the emergent step's float work
+ * other than products, tanh and exp, over the K worlds of one
+ * simulate_batch call. Its float arithmetic is IEEE + - * / and fabs
+ * only, built with -ffp-contract=off, so every CPU gives the same bits.
+ * Built and loaded by kernel.py. */
 
+#include <math.h>
 #include <stdint.h>
 
-enum { FREE = 0, ROBOT = 1, BLOCK = 2, SENSORS = 6, SENSOR_BITS = 12 };
+enum { FREE = 0, ROBOT = 1, BLOCK = 2, SENSORS = 6, SENSOR_BITS = 12,
+       INPUTS = 13, HIDDEN = 8 };
 
 /* Shapes and arrays of one call, bound once; field order as in
- * kernel.Batch. Robot i = k * N + n is robot n of world k. */
+ * kernel.Batch. Robot i = k * N + n is robot n of world k, and robot
+ * i = g * M + m is robot m of genome g. */
 struct batch {
     int64_t worlds, robots, cells;  /* K, N, L * L */
     int64_t genome_robots;          /* M = W * N robots per genome */
@@ -21,6 +27,14 @@ struct batch {
     const uint8_t *mismatches;      /* (4096,) fixed scenarios only */
     const uint8_t *decisions;       /* (G, 8192, 2) fixed scenarios only */
     int64_t *err;                   /* (K,) mismatch sums, fixed only */
+    /* the emergent scenario only: */
+    double *inputs;                 /* (K * N, 13) network inputs */
+    double *pred;                   /* (K * N, 12) exp(-output) pending */
+    double *product;                /* (K * N, 8) inputs @ hidden weights */
+    double *hidden;                 /* (K * N, 8) prediction net state */
+    const double *hidden_bias, *self_weight;  /* (G, 8) */
+    const double *out_bias;         /* (G, 12) */
+    double *score;                  /* (K,) error sums */
 };
 
 static int64_t order(const struct batch *b, int64_t i)
@@ -35,7 +49,7 @@ static int64_t order(const struct batch *b, int64_t i)
 /* Each robot's six sensed cells ORed into its code, which holds only its
  * previous move << 12: sensor s in bit s for a robot and bit 6 + s for a
  * block. */
-void sense(const struct batch *b)
+static void sense(const struct batch *b)
 {
     for (int64_t k = 0; k < b->worlds; k++) {
         const int32_t *grid = b->occ + k * b->cells;
@@ -101,4 +115,114 @@ void fixed_step(const struct batch *b, int64_t t)
         b->decide[2 * i + 1] = d[1];
     }
     actuate(b, t);
+}
+
+/* numpy's pairwise_sum of a[0 .. n): the order in which np.sum adds the
+ * reference's N * 12 error terms of a step. numpy adds fewer than 8 terms
+ * in a plain loop; here n >= 8, as a world has at least 12 terms and a
+ * split leaves at least 64 on each side. */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                     + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* The per-robot helpers below take restrict operands of a fixed length:
+ * the loops gcc -O2 vectorizes. */
+
+/* Network inputs 4q .. 4q + 3 of a code whose bits 4q .. 4q + 3 are v. */
+#define BITS(v) {v & 1, v >> 1 & 1, v >> 2 & 1, v >> 3 & 1}
+static const double NIBBLE[16][4] = {
+    BITS(0), BITS(1), BITS(2), BITS(3), BITS(4), BITS(5), BITS(6), BITS(7),
+    BITS(8), BITS(9), BITS(10), BITS(11), BITS(12), BITS(13), BITS(14),
+    BITS(15)};
+
+/* One robot's 13 network inputs, input j being bit j of its code. */
+static void write_inputs(double *restrict x, int64_t code)
+{
+    for (int q = 0; q < 3; q++)
+        for (int j = 0; j < 4; j++)
+            x[4 * q + j] = NIBBLE[code >> 4 * q & 15][j];
+    x[SENSOR_BITS] = (double)(code >> SENSOR_BITS);  /* the move bit */
+}
+
+/* One robot's 12 error terms |1 / (e + 1) - bit|, written over its pending
+ * e = exp(-output): the reference's sigmoid and error. */
+static void score_terms(double *restrict e, const double *restrict bit)
+{
+    for (int s = 0; s < SENSOR_BITS; s++)
+        e[s] = fabs(1.0 / (e[s] + 1.0) - bit[s]);
+}
+
+/* An emergent step's sensing: sense, write each robot's network inputs
+ * and from step 1 on add each world's error terms against the pending
+ * prediction, in numpy's order, to its sum. The terms overwrite the
+ * prediction, which no later pass reads. */
+void emergent_sense(const struct batch *b, int64_t t)
+{
+    int64_t N = b->robots, terms = N * SENSOR_BITS;
+    sense(b);
+    for (int64_t k = 0; k < b->worlds; k++) {
+        double *x = b->inputs + k * N * INPUTS, *e = b->pred + k * terms;
+        for (int64_t n = 0; n < N; n++)
+            write_inputs(x + n * INPUTS, b->code[k * N + n]);
+        if (t == 0)
+            continue;
+        for (int64_t n = 0; n < N; n++)
+            score_terms(e + n * SENSOR_BITS, x + n * INPUTS);
+        b->score[k] += pairwise_sum(e, terms);
+    }
+}
+
+/* One robot's prediction net hidden layer before tanh, in the reference's
+ * term order: (product + hidden * self weight) + bias. */
+static void hidden_sum(double *restrict h, const double *restrict p,
+                       const double *restrict self,
+                       const double *restrict bias)
+{
+    for (int j = 0; j < HIDDEN; j++)
+        h[j] = (p[j] + h[j] * self[j]) + bias[j];
+}
+
+/* One robot's prediction net output, negated for exp: -(output + bias). */
+static void output_sum(double *restrict y, const double *restrict bias)
+{
+    for (int s = 0; s < SENSOR_BITS; s++)
+        y[s] = -(y[s] + bias[s]);
+}
+
+/* hidden_sum over every robot, each with its genome's weights. */
+void prediction_hidden(const struct batch *b)
+{
+    int64_t M = b->genome_robots, genomes = b->worlds * b->robots / M;
+    for (int64_t g = 0; g < genomes; g++)
+        for (int64_t i = g * M; i < (g + 1) * M; i++)
+            hidden_sum(b->hidden + i * HIDDEN, b->product + i * HIDDEN,
+                       b->self_weight + g * HIDDEN,
+                       b->hidden_bias + g * HIDDEN);
+}
+
+/* output_sum over every robot, each with its genome's bias. */
+void prediction_output(const struct batch *b)
+{
+    int64_t M = b->genome_robots, genomes = b->worlds * b->robots / M;
+    for (int64_t g = 0; g < genomes; g++)
+        for (int64_t i = g * M; i < (g + 1) * M; i++)
+            output_sum(b->pred + i * SENSOR_BITS,
+                       b->out_bias + g * SENSOR_BITS);
 }

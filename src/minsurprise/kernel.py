@@ -1,4 +1,4 @@
-"""Build and load ``_step.c``, the engine's integer step.
+"""Build and load ``_step.c``, the engine's compiled step.
 
 The source ships with the package and is compiled on first use with the
 interpreter's C compiler (``sysconfig``'s CC) into the user cache dir,
@@ -34,13 +34,16 @@ class Batch(ctypes.Structure):
         "worlds", "robots", "cells", "genome_robots", "steps", "perm_size")]
         + [(name, ctypes.c_void_p) for name in (
             "occ", "pos", "rh", "code", "decide", "sensed", "perms",
-            "mismatches", "decisions", "err")])
+            "mismatches", "decisions", "err", "inputs", "pred", "product",
+            "hidden", "hidden_bias", "self_weight", "out_bias", "score")])
 
 
 def compile_command() -> list[str]:
-    """The compiler and its flags, without the output and the source."""
+    """The compiler and its flags, without the output and the source.
+    -ffp-contract=off keeps a * b + c two rounded operations, as numpy
+    computes them: a fused multiply-add would change the bits."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    return cc + ["-O2", "-shared", "-fPIC"]
+    return cc + ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
 
 
 def library_path(source: bytes, command: list[str]) -> Path:
@@ -88,9 +91,11 @@ def load() -> ctypes.CDLL:
     if _lib is None:
         lib = ctypes.CDLL(str(build()))
         batch = ctypes.POINTER(Batch)
-        lib.sense.argtypes = [batch]
-        lib.actuate.argtypes = lib.fixed_step.argtypes = [batch,
-                                                          ctypes.c_int64]
-        lib.sense.restype = lib.actuate.restype = lib.fixed_step.restype = None
+        step = [batch, ctypes.c_int64]
+        for fn, argtypes in ((lib.actuate, step), (lib.fixed_step, step),
+                             (lib.emergent_sense, step),
+                             (lib.prediction_hidden, [batch]),
+                             (lib.prediction_output, [batch])):
+            fn.argtypes, fn.restype = argtypes, None
         _lib = lib
     return _lib

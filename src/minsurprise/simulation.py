@@ -26,18 +26,22 @@ the engine's one ``observe`` hook, which sees robot cells, headings and grid
 after setup and after every step; the tests' invariant sweep is another
 such observer.
 
-Integer step. Everything between the network calls is integer work on the
-grid, done by the C kernel ``_step.c`` (built and loaded by ``kernel.py``),
-which takes the call's arrays once, bound in one struct, and is called once
-or twice per step. It does no floating point.
+Compiled step. The C kernel ``_step.c`` (built and loaded by ``kernel.py``)
+takes the call's arrays once, bound in one struct. It does the integer work
+on the grid and the emergent prediction network's float work between its
+products. numpy keeps the products (``stable_rows_matmul``), tanh and exp,
+and ``_act``, the action network, which also builds the fixed scenarios'
+decision tables. The kernel's float arithmetic is IEEE + - * / and fabs
+only, in the reference's order, built with -ffp-contract=off, so its bits
+are the same on every CPU.
 
 Sensing. Every scenario senses the same way, into one code per robot.
 Actuation sets the code to the robot's move << 12 (it starts at 0: no move
 before the first step); sensing then ORs in bit s for a robot in sensed
 cell s and bit 6 + s for a block. So the code holds the 12 sensor bits,
-sensor i in bit i, and the previous move in bit 12. It picks the robot's
-network input row: ``_INPUT_ROWS`` holds all 8192 of them as floats, input
-i of row r being bit i of r.
+sensor i in bit i, and the previous move in bit 12: network input i is bit
+i of the code. The emergent step's sensing call writes these 13 inputs as
+floats and, from step 1 on, scores the pending prediction against them.
 
 Actuation schedule. The reference actuates one robot at a time in the
 step's shuffled order. A robot reads and writes only its own cell and the
@@ -65,15 +69,19 @@ other rows and of their count: the row invariance that already makes a
 batched population bit-equal to single-genome calls and to the reference's
 padded two-row products.
 
-Operand layout (emergent step). The operands of the emergent step's float
-arithmetic at the full batch size are contiguous arrays of their full
-(G, M, .) or (K * N, .) shape, so numpy runs one inner loop per operation
-instead of one per robot row: biases and the prediction network's self
-weights are repeated per robot row once per call, and the network inputs X
-are one gather of every robot's row of ``_INPUT_ROWS``. Only the score's
-read of X's sensor columns and the write of its action column stay strided.
-The floating-point operations and their order are those of the reference,
-so the layout changes speed only, never a bit of the results.
+Emergent step. Per step: the sensing call (sense, inputs, score); ``_act``;
+then, unless it is the last step, the prediction network: the product of
+the inputs with the hidden weights, one kernel pass hidden = (product +
+hidden * self weight) + bias, tanh, the product with the output weights,
+one kernel pass -(output + bias), exp; and actuation. The prediction is
+held as e = exp(-output) until the next step's score computes each term
+|1 / (e + 1) - sensor bit|, the reference's sigmoid and error, and sums a
+world's N * 12 terms in the order numpy's pairwise sum adds them. The
+kernel reads the prediction network's biases and self weights per genome.
+``_act``'s biases are repeated per robot row once per call, so each of its
+numpy operations is one inner loop over a contiguous (G, M, .) array. The
+floating-point operations and their order are those of the reference, so
+the layout changes speed only, never a bit of the results.
 """
 
 from __future__ import annotations
@@ -112,10 +120,11 @@ from .world import (
 # Grid cell codes, as in _step.c; block b is stored as _BLOCK + b.
 _FREE, _ROBOT, _BLOCK = 0, 1, 2
 
-# Every network input row: row r holds input i as bit i of r, so the row of a
-# robot is its sensor code | previous move << 12. The bits are unpacked from
-# each r's two little-endian bytes, so the build's temporaries are uint16 and
-# uint8 and the import keeps little more than the table.
+# Every network input row, the decision tables' inputs: row r holds input i
+# as bit i of r, so the row of a robot is its sensor code | previous move
+# << 12. The bits are unpacked from each r's two little-endian bytes, so the
+# build's temporaries are uint16 and uint8 and the import keeps little more
+# than the table.
 _INPUT_ROWS = np.unpackbits(
     np.arange(1 << NET_INPUTS, dtype="<u2").view(np.uint8).reshape(-1, 2),
     axis=1, count=NET_INPUTS, bitorder="little").astype(np.float64)
@@ -316,24 +325,24 @@ def simulate_batch(
     decide = np.empty((G, M, ACTION_OUTPUTS), dtype=bool)
     decoded = [decode(g) for g in genomes]
     mismatches = decisions = world_err = None
+    X = pred = p_hid = hidden = p_bh = p_self = p_bo = err = None
     if emergent:
         a_wh = np.stack([d[0].w_hidden for d in decoded])  # (G, 13, 8)
         a_bh = _rows([d[0].b_hidden for d in decoded], M)  # (G, M, 8)
         a_wo = np.stack([d[0].w_out for d in decoded])
         a_bo = _rows([d[0].b_out for d in decoded], M)
         p_wh = np.stack([d[1].w_hidden for d in decoded])
-        p_bh = _rows([d[1].b_hidden for d in decoded], M)
-        p_self = _rows([d[1].w_self for d in decoded], M)
+        p_bh = np.stack([d[1].b_hidden for d in decoded])  # (G, 8)
+        p_self = np.stack([d[1].w_self for d in decoded])
         p_wo = np.stack([d[1].w_out for d in decoded])
-        p_bo = _rows([d[1].b_out for d in decoded], M)
-        hidden = np.zeros((G, M, HIDDEN_UNITS), dtype=np.float64)
-        pred_prev = np.zeros((G, M, SENSOR_COUNT), dtype=np.float64)
+        p_bo = np.stack([d[1].b_out for d in decoded])  # (G, 12)
         X = np.empty((G, M, NET_INPUTS), dtype=np.float64)  # network inputs
         a_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
         a_out = np.empty((G, M, ACTION_OUTPUTS), dtype=np.float64)
-        diff = np.empty((G, M, SENSOR_COUNT), dtype=np.float64)
         p_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
-        step_err = np.empty(K, dtype=np.float64)
+        hidden = np.zeros((G, M, HIDDEN_UNITS), dtype=np.float64)
+        # the pending prediction as exp(-output)
+        pred = np.empty((G, M, SENSOR_COUNT), dtype=np.float64)
         err = np.zeros(K, dtype=np.float64)
     else:
         # Lookups by sensor code: its mismatches, and each genome's
@@ -349,8 +358,8 @@ def simulate_batch(
     batch = ctypes.byref(kernel.Batch(K, N, L2, M, T, perms.itemsize, *(
         None if a is None else a.ctypes.data
         for a in (occ, pos, rh, code, decide, sensed, perms, mismatches,
-                  decisions, world_err))))
-    sense, actuate, fixed_step = lib.sense, lib.actuate, lib.fixed_step
+                  decisions, world_err, X, pred, p_hid, hidden, p_bh, p_self,
+                  p_bo, err))))
 
     if observe is not None:
         observe(0, pos, rh, occ)
@@ -358,42 +367,23 @@ def simulate_batch(
     for t in range(T):
         if not emergent:
             # Sense, add the mismatches, look up the decisions, actuate.
-            fixed_step(batch, t)
+            lib.fixed_step(batch, t)
         else:
-            sense(batch)
-            # The network inputs: the code's bits and the previous move.
-            _INPUT_ROWS.take(code, axis=0, out=X.reshape(K * N, NET_INPUTS),
-                             mode="clip")
-
-            # Score the prediction pending from the previous step.
-            if t > 0:
-                np.subtract(pred_prev, X[:, :, :SENSOR_COUNT], out=diff)
-                np.abs(diff, out=diff)
-                np.add.reduce(diff.reshape(K, N * SENSOR_COUNT), axis=1,
-                              out=step_err)
-                err += step_err
-
+            # Sense, write the network inputs, score the pending prediction.
+            lib.emergent_sense(batch, t)
             _act(X, a_wh, a_bh, a_wo, a_bo, a_hid, a_out, decide)
-            # The prediction network's action input.
-            X[:, :, SENSOR_COUNT] = decide[:, :, 0]
-
             # Prediction network, fed the chosen action; the final step's
             # prediction would never meet a sensor reading, so skip it.
             if t + 1 < T:
+                X[:, :, SENSOR_COUNT] = decide[:, :, 0]
                 stable_rows_matmul(X, p_wh, out=p_hid)
-                # same term order as the reference: (x @ w) + self * hidden
-                # + bias; the old hidden state is read only here, so it
-                # holds the product
-                hidden *= p_self
-                p_hid += hidden
-                p_hid += p_bh
-                np.tanh(p_hid, out=p_hid)
-                hidden, p_hid = p_hid, hidden
-                stable_rows_matmul(hidden, p_wo, out=pred_prev)
-                pred_prev += p_bo
-                sigmoid_inplace(pred_prev)
+                lib.prediction_hidden(batch)
+                np.tanh(hidden, out=hidden)
+                stable_rows_matmul(hidden, p_wo, out=pred)
+                lib.prediction_output(batch)
+                np.exp(pred, out=pred)
             # Actuate (schedule in the module docstring).
-            actuate(batch, t)
+            lib.actuate(batch, t)
 
         if observe is not None:
             observe(t + 1, pos, rh, occ)

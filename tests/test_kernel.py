@@ -79,6 +79,19 @@ def test_batch_fields_match_the_c_struct():
     assert fields == kernel.Batch._fields_
 
 
+def test_compile_command_keeps_ieee_float_semantics():
+    # Without -ffp-contract=off gcc fuses a * b + c into one FMA wherever
+    # the target has FMA in its baseline, as aarch64 does, and the
+    # prediction net's hidden layer would no longer match the reference's
+    # two roundings; x86-64 runs would still pass. Fast math reorders sums,
+    # and -march would tie the library to the build host's CPU.
+    command = kernel.compile_command()
+    assert "-ffp-contract=off" in command
+    assert not [flag for flag in command
+                if flag in ("-ffast-math", "-Ofast")
+                or flag.startswith("-march")]
+
+
 def test_one_changed_source_byte_changes_the_cache_key(tmp_path):
     source = kernel.SOURCE.read_bytes()
     edited = bytearray(source)

@@ -406,6 +406,22 @@ class TestDenseWorlds:
             # the worlds above really contain the orderings they are for
             assert all(n > 0 for n in events.values()), events
 
+    @pytest.mark.parametrize("config", [
+        SimConfig(6, 11, 12, steps=40), SimConfig(8, 22, 24, steps=40),
+    ], ids=["6x6-N11-B12", "8x8-N22-B24"])
+    def test_pairwise_error_sums_match_reference(self, config):
+        # A world's N * 12 error terms of a step are summed in numpy's
+        # pairwise order: 132 terms split once into 64 + 68, the 68 with a
+        # remainder of 4 after the eight accumulators; 264 split twice.
+        seeds = self.SEEDS
+        batched, _ = simulate_batch(self.GENOMES, config, Scenario.EMERGENT,
+                                    seeds)
+        for g, genome in enumerate(self.GENOMES):
+            for w in range(seeds.shape[1]):
+                ref_err, _, _, _ = reference_simulation(
+                    genome, config, Scenario.EMERGENT, int(seeds[g, w]))
+                assert batched[g, w] == ref_err  # bitwise
+
 
 class TestLoneMovers:
     """World 0 never moves and world 1 always moves, so every order position
