@@ -24,9 +24,9 @@ struct batch {
     uint8_t *decide;                /* (K * N, 2) move, turn right */
     const int32_t *sensed;          /* (L * L * 4, 6): _tables(L) */
     const void *perms;              /* (K, T, N) step orders */
+    double *score;                  /* (K,) error sums */
     const uint8_t *mismatches;      /* (4096,) fixed scenarios only */
     const uint8_t *decisions;       /* (G, 8192, 2) fixed scenarios only */
-    int64_t *err;                   /* (K,) mismatch sums, fixed only */
     /* the emergent scenario only: */
     double *inputs;                 /* (K * N, 13) network inputs */
     double *pred;                   /* (K * N, 12) exp(-output) pending */
@@ -34,7 +34,6 @@ struct batch {
     double *hidden;                 /* (K * N, 8) prediction net state */
     const double *hidden_bias, *self_weight;  /* (G, 8) */
     const double *out_bias;         /* (G, 12) */
-    double *score;                  /* (K,) error sums */
 };
 
 static int64_t order(const struct batch *b, int64_t i)
@@ -108,7 +107,7 @@ void fixed_step(const struct batch *b, int64_t t)
     sense(b);
     for (int64_t i = 0; i < b->worlds * b->robots; i++) {
         int64_t code = b->code[i];
-        b->err[i / b->robots] += b->mismatches[code & ((1 << SENSOR_BITS) - 1)];
+        b->score[i / b->robots] += b->mismatches[code & ((1 << SENSOR_BITS) - 1)];
         const uint8_t *d = b->decisions
             + ((i / b->genome_robots) << (SENSOR_BITS + 1) | code) * 2;
         b->decide[2 * i] = d[0];

@@ -94,15 +94,6 @@ def _stored_genome_run(args):
     return genome, plan.rows[0], seed
 
 
-def _cmd_posteval(args) -> int:
-    genome, row, seed = _stored_genome_run(args)
-    _, metrics_row, _ = replay(genome, row.sim, row.scenario, seed,
-                               every=row.sim.steps)
-    print(POSTEVAL_COLUMNS)
-    print(posteval_csv_row("posteval", row.scenario, row.sim, metrics_row))
-    return 0
-
-
 def _cmd_classify(args) -> int:
     text = _read_input(args.snapshot, SnapshotError)
     L, _, blocks = parse_snapshot_cells(text)
@@ -120,14 +111,18 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    """posteval and replay: one recorded simulation's metrics row, which
+    replay precedes with a snapshot every --every steps."""
     genome, row, seed = _stored_genome_run(args)
+    snapshots_wanted = args.command == "replay"
+    every = args.every if snapshots_wanted else row.sim.steps
     snapshots, metrics_row, _ = replay(genome, row.sim, row.scenario, seed,
-                                       args.every)
-    for t, snap in snapshots:
+                                       every)
+    for t, snap in snapshots if snapshots_wanted else ():
         print(f"# t={t}")
         sys.stdout.write(snap)
     print(POSTEVAL_COLUMNS)
-    print(posteval_csv_row("replay", row.scenario, row.sim, metrics_row))
+    print(posteval_csv_row(args.command, row.scenario, row.sim, metrics_row))
     return 0
 
 
@@ -168,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_post = sub.add_parser("posteval", help="post-evaluate a stored genome")
     p_post.add_argument("genome", help="genome file")
     add_plan_args(p_post, POSTEVAL_SEED_HELP)
-    p_post.set_defaults(func=_cmd_posteval)
+    p_post.set_defaults(func=_cmd_replay)
 
     p_classify = sub.add_parser("classify",
                                 help="classify the block structures of a "

@@ -44,9 +44,6 @@ STREAM_POSTEVAL = (1 << 32) + 2
 # default 100-generation budget; 1.0 converges with margin to spare.
 MUTATION_SPAN = 1.0
 
-# How many of each generation's best genomes pass verbatim into the next.
-ELITE_COUNT = 1
-
 
 def mix64(*counters: int) -> int:
     """Avalanche-mix integer counters into one 64-bit seed.
@@ -235,9 +232,7 @@ def evolve(
             rng = np.random.default_rng(
                 mix64(config.master_seed, run_index, generation, STREAM_GA, 0)
             )
-            ranked = sorted(range(len(evaluated)),
-                            key=lambda i: (-fitnesses[i], i))
-            next_pop = [evaluated[i].genome for i in ranked[:ELITE_COUNT]]
+            next_pop = [gen_best.genome]  # the elite
             while len(next_pop) < config.population_size:
                 parent = select_proportionate(fitnesses, rng)
                 next_pop.append(

@@ -2,15 +2,18 @@
 snapshot emission, and deterministic replay.
 
 Every (row, run) job is a pure function of the plan's master seed, so a
-rerun with the same configuration reproduces every artifact byte for byte,
-and completed runs are skipped on resume; a run directory that holds a run
-of a different plan is refused rather than reused. Output layout:
+rerun with the same configuration reproduces every artifact byte for byte.
+A finished run is its run.json record: the batch's CSVs are built from the
+records alone, whether a run was computed now or on an earlier call. A
+completed run is skipped on resume, a record that cannot be read is
+recomputed, and a run directory that holds a run of a different plan is
+refused rather than reused. Output layout:
 
     <out>/row{i}_run{j}/fitness_history.csv   per-generation stats
     <out>/row{i}_run{j}/best.genome           best-ever genome, text format
     <out>/row{i}_run{j}/start_snapshot.txt    post-evaluation world at t=0
     <out>/row{i}_run{j}/end_snapshot.txt      post-evaluation world at t=T
-    <out>/row{i}_run{j}/run.json              seeds, fitness, metrics record
+    <out>/row{i}_run{j}/run.json              the run's result record
     <out>/posteval.csv                        one metrics row per run
     <out>/summary.csv                         per-row medians
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,7 +35,8 @@ from .evolution import (
     evolve,
     mix64,
 )
-from .metrics import MetricsRow, StructureLabel, metrics_from_trace
+from .metrics import (MetricsRow, StructureLabel, StructureReport,
+                      metrics_from_trace)
 from .networks import Genome, Scenario, save_genome, write_text_atomic
 from .simulation import RunTrace, simulate_traced
 from .world import SimConfig, metrics_window
@@ -234,40 +238,20 @@ def _write_text(path: Path, text: str) -> None:
     write_text_atomic(path, text)
 
 
-@dataclass
-class RunResult:
-    row: int
-    run: int
-    run_id: str
-    best_fitness: float
-    metrics: MetricsRow
-    posteval_row: str
-
-
 def _plan_record(plan: ExperimentPlan, row_idx: int, run_idx: int) -> dict:
-    """The part of run.json that fixes what a run computes; resume reuses a
-    stored run only if this part matches the current plan."""
+    """The part of run.json that fixes what a run computes: its
+    EvolutionConfig and run_index. Resume reuses a stored run only if this
+    part matches the current plan."""
     row = plan.rows[row_idx]
-    return {
-        "run_index": run_index_for(row_idx, run_idx),
-        "master_seed": plan.master_seed,
-        "scenario": row.scenario.value,
-        "sim": {
-            "side_length": row.sim.side_length,
-            "swarm_size": row.sim.swarm_size,
-            "block_count": row.sim.block_count,
-            "steps": row.sim.steps,
-        },
-        "population_size": plan.population_size,
-        "generations": plan.generations,
-        "eval_runs": plan.eval_runs,
-        "mutation_rate": plan.mutation_rate,
-    }
+    return {**asdict(plan.evolution_config(row)),
+            "scenario": row.scenario.value,
+            "run_index": run_index_for(row_idx, run_idx)}
 
 
 def _execute_run(plan: ExperimentPlan, row_idx: int, run_idx: int,
-                 out_dir: Path) -> RunResult:
-    """Evolve one (row, run) job and write its artifacts."""
+                 out_dir: Path) -> dict:
+    """Evolve one (row, run) job, write its artifacts and return its
+    run.json record."""
     row = plan.rows[row_idx]
     run_id = f"row{row_idx}_run{run_idx}"
     run_dir = out_dir / run_id
@@ -284,7 +268,6 @@ def _execute_run(plan: ExperimentPlan, row_idx: int, run_idx: int,
     save_genome(run_dir / "best.genome", best.genome)
     _write_text(run_dir / "start_snapshot.txt", snapshots[0][1])
     _write_text(run_dir / "end_snapshot.txt", snapshots[-1][1])
-    pe_row = posteval_csv_row(run_id, row.scenario, row.sim, metrics_row)
     record = {
         **planned,
         "run_id": run_id,
@@ -294,30 +277,29 @@ def _execute_run(plan: ExperimentPlan, row_idx: int, run_idx: int,
         "best_fitness": best.fitness,
         "best_per_run": list(best.per_run),
         "best_generation": best.generation,
-        "posteval_row": pe_row,
+        "posteval_row": posteval_csv_row(run_id, row.scenario, row.sim,
+                                         metrics_row),
         "complete": True,
     }
     _write_text(run_dir / "run.json",
                 json.dumps(record, sort_keys=True, indent=2) + "\n")
-    return RunResult(row_idx, run_idx, run_id, best.fitness, metrics_row, pe_row)
+    return record
 
 
 def _load_completed(plan: ExperimentPlan, row_idx: int, run_idx: int,
-                    out_dir: Path) -> Optional[RunResult]:
-    """Reload a finished run's results, or None if it must be (re)computed.
+                    out_dir: Path) -> Optional[dict]:
+    """A finished run's stored run.json record, or None if the run must be
+    (re)computed: no record, one that is not UTF-8 JSON of an object, not
+    complete, missing an artifact, or whose results cannot be read.
 
     Raises ConfigError if the stored run was made with a different plan.
     """
-    run_id = f"row{row_idx}_run{run_idx}"
-    run_dir = out_dir / run_id
-    record_path = run_dir / "run.json"
-    if not record_path.exists():
-        return None
+    run_dir = out_dir / f"row{row_idx}_run{run_idx}"
     try:
-        record = json.loads(record_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
+        record = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError):
         return None
-    if not record.get("complete"):
+    if not isinstance(record, dict) or not record.get("complete"):
         return None
     for key, wanted in _plan_record(plan, row_idx, run_idx).items():
         if record.get(key) != wanted:
@@ -330,15 +312,14 @@ def _load_completed(plan: ExperimentPlan, row_idx: int, run_idx: int,
                  "end_snapshot.txt"):
         if not (run_dir / name).exists():
             return None
-    pe_row = record["posteval_row"]
-    metrics_row = _metrics_from_posteval_row(pe_row)
-    return RunResult(row_idx, run_idx, run_id, float(record["best_fitness"]),
-                     metrics_row, pe_row)
+    try:
+        _run_results(record)
+    except (AttributeError, LookupError, TypeError, ValueError):
+        return None
+    return record
 
 
 def _metrics_from_posteval_row(pe_row: str) -> MetricsRow:
-    from .metrics import StructureReport
-
     parts = pe_row.split(",")
     start_counts = {lab: int(parts[9 + i]) for i, lab in enumerate(_LABELS)}
     end_counts = {lab: int(parts[14 + i]) for i, lab in enumerate(_LABELS)}
@@ -352,6 +333,13 @@ def _metrics_from_posteval_row(pe_row: str) -> MetricsRow:
     )
 
 
+def _run_results(record: dict) -> tuple[int, float, MetricsRow]:
+    """What the summary reads of a run.json record: its row, best fitness
+    and post-evaluation metrics."""
+    return (record["row"], float(record["best_fitness"]),
+            _metrics_from_posteval_row(record["posteval_row"]))
+
+
 SUMMARY_COLUMNS = (
     "row,robots,blocks,ratio,grid,scenario,runs,median_fitness,"
     "altered_qty,median_similarity_altered,"
@@ -361,37 +349,36 @@ SUMMARY_COLUMNS = (
 )
 
 
-def summary_csv(plan: ExperimentPlan, results: Sequence[RunResult]) -> str:
-    """Per-row medians; structure columns are median per-run block shares
-    in percent."""
+def summary_csv(plan: ExperimentPlan, records: Sequence[dict]) -> str:
+    """Per-row medians over run.json records; structure columns are median
+    per-run block shares in percent."""
+    results = [_run_results(r) for r in records]
     lines = [SUMMARY_COLUMNS]
     for row_idx, row in enumerate(plan.rows):
-        row_results = [r for r in results if r.row == row_idx]
-        if not row_results:
+        fits = [f for i, f, _ in results if i == row_idx]
+        metrics = [m for i, _, m in results if i == row_idx]
+        if not metrics:
             continue
-        fits = [r.best_fitness for r in row_results]
-        altered = [r for r in row_results if r.metrics.similarity < 1.0]
+        altered = [m for m in metrics if m.similarity < 1.0]
         med_sim_altered = (
-            float(np.median([r.metrics.similarity for r in altered]))
+            float(np.median([m.similarity for m in altered]))
             if altered else 1.0
         )
-        blk = [r.metrics.block_movement for r in row_results]
-        rob = [r.metrics.robot_movement for r in row_results]
+        blk = [m.block_movement for m in metrics]
+        rob = [m.robot_movement for m in metrics]
         cells = [
             str(row_idx), str(row.sim.swarm_size), str(row.sim.block_count),
             _ratio(row.sim.swarm_size, row.sim.block_count),
             f"{row.sim.side_length}x{row.sim.side_length}",
-            row.scenario.value, str(len(row_results)),
+            row.scenario.value, str(len(metrics)),
             repr(float(np.median(fits))), str(len(altered)),
             repr(med_sim_altered),
             repr(float(np.median(blk))), repr(float(np.median(rob))),
         ]
         for which in ("start_report", "end_report"):
             for lab in _LABELS[:4]:
-                shares = [
-                    100.0 * getattr(r.metrics, which).share(lab)
-                    for r in row_results
-                ]
+                shares = [100.0 * getattr(m, which).share(lab)
+                          for m in metrics]
                 cells.append(repr(float(np.median(shares))))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -407,10 +394,10 @@ def _outcome(call, *args):
 
 def _pool_outcomes(plan: ExperimentPlan, jobs: list[tuple[int, int]],
                    out: Path, workers: int):
-    """Run (row, run) jobs in a new process pool; yield each one's RunResult
-    or exception, in job order. A worker that dies breaks its pool and fails
-    every job left in it; each such job is retried alone in another pool,
-    so only a job that breaks its own pool fails."""
+    """Run (row, run) jobs in a new process pool; yield each one's run.json
+    record or exception, in job order. A worker that dies breaks its pool
+    and fails every job left in it; each such job is retried alone in
+    another pool, so only a job that breaks its own pool fails."""
     # imported here: they cost a noticeable share of every CLI start-up
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -441,14 +428,9 @@ def run_experiment(plan: ExperimentPlan, out_dir, workers: int = 1) -> int:
     jobs: list[tuple[int, int]] = [
         (i, j) for i in range(len(plan.rows)) for j in range(plan.runs_per_row)
     ]
-    results: list[RunResult] = []
-    pending: list[tuple[int, int]] = []
-    for i, j in jobs:
-        cached = _load_completed(plan, i, j, out)
-        if cached is not None:
-            results.append(cached)
-        else:
-            pending.append((i, j))
+    # each job's run.json record in job order; None until it has one
+    records = {job: _load_completed(plan, *job, out) for job in jobs}
+    pending = [job for job in jobs if records[job] is None]
 
     if workers > 1 and len(pending) > 1:
         outcomes = _pool_outcomes(plan, pending, out, workers)
@@ -460,12 +442,12 @@ def run_experiment(plan: ExperimentPlan, out_dir, workers: int = 1) -> int:
             failures += 1
             print(f"row{i}_run{j} failed: {outcome}", file=sys.stderr)
         else:
-            results.append(outcome)
+            records[i, j] = outcome
 
-    results.sort(key=lambda r: (r.row, r.run))
-    posteval_lines = [POSTEVAL_COLUMNS] + [r.posteval_row for r in results]
+    done = [r for r in records.values() if r is not None]
+    posteval_lines = [POSTEVAL_COLUMNS] + [r["posteval_row"] for r in done]
     _write_text(out / "posteval.csv", "\n".join(posteval_lines) + "\n")
-    _write_text(out / "summary.csv", summary_csv(plan, results))
+    _write_text(out / "summary.csv", summary_csv(plan, done))
     return 1 if failures else 0
 
 

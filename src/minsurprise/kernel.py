@@ -33,9 +33,9 @@ class Batch(ctypes.Structure):
     _fields_ = ([(name, ctypes.c_int64) for name in (
         "worlds", "robots", "cells", "genome_robots", "steps", "perm_size")]
         + [(name, ctypes.c_void_p) for name in (
-            "occ", "pos", "rh", "code", "decide", "sensed", "perms",
-            "mismatches", "decisions", "err", "inputs", "pred", "product",
-            "hidden", "hidden_bias", "self_weight", "out_bias", "score")])
+            "occ", "pos", "rh", "code", "decide", "sensed", "perms", "score",
+            "mismatches", "decisions", "inputs", "pred", "product", "hidden",
+            "hidden_bias", "self_weight", "out_bias")])
 
 
 def compile_command() -> list[str]:

@@ -57,11 +57,13 @@ matter.
 Fixed scenarios. With a fixed prediction vector (pairs, clusters, empty)
 every network input is a bit and every error term an integer, so the step
 does no floating-point network work: the kernel runs the whole step. A
-4096-entry table gives the code's mismatches against the fixed vector; they
-are summed per world in int64 and become float64 once, after the run. Each
-genome's (move, turn right) pair comes from its table of 8192 entries
-(16 KB) at code | previous move << 12. The tables are built once per call by
-``_act``, the emergent step's action network (stable_rows_matmul, + b, tanh,
+4096-entry table gives the code's mismatches against the fixed vector; the
+kernel adds them straight into each world's float64 error sum, as the
+emergent step adds its terms. Every partial sum is an integer of at most
+T * N * 12, far below 2^53, so the sums are exact. Each genome's (move,
+turn right) pair comes from its table of 8192 entries (16 KB) at code |
+previous move << 12. The tables are built once per call by ``_act``, the
+emergent step's action network (stable_rows_matmul, + b, tanh,
 stable_rows_matmul, + b, sigmoid >= 0.5), run once per genome on all of
 ``_INPUT_ROWS``. An entry is the decision the network makes on that row
 alone because gemm computes each row of a product independently of the
@@ -324,8 +326,9 @@ def simulate_batch(
     code = np.zeros(K * N, dtype=np.int64)
     decide = np.empty((G, M, ACTION_OUTPUTS), dtype=bool)
     decoded = [decode(g) for g in genomes]
-    mismatches = decisions = world_err = None
-    X = pred = p_hid = hidden = p_bh = p_self = p_bo = err = None
+    err = np.zeros(K, dtype=np.float64)  # each world's error sum
+    mismatches = decisions = None
+    X = pred = p_hid = hidden = p_bh = p_self = p_bo = None
     if emergent:
         a_wh = np.stack([d[0].w_hidden for d in decoded])  # (G, 13, 8)
         a_bh = _rows([d[0].b_hidden for d in decoded], M)  # (G, M, 8)
@@ -343,23 +346,20 @@ def simulate_batch(
         hidden = np.zeros((G, M, HIDDEN_UNITS), dtype=np.float64)
         # the pending prediction as exp(-output)
         pred = np.empty((G, M, SENSOR_COUNT), dtype=np.float64)
-        err = np.zeros(K, dtype=np.float64)
     else:
         # Lookups by sensor code: its mismatches, and each genome's
-        # decisions at g << 13 | previous move << 12 | code; the worlds'
-        # mismatch sums are integers.
+        # decisions at g << 13 | previous move << 12 | code.
         mismatches = _mismatch_table(scenario)
         decisions = _decision_tables([d[0] for d in decoded])
-        world_err = np.zeros(K, dtype=np.int64)
 
     # The kernel's view of this call, its array addresses bound once.
     sensed = _tables(L)
     lib = kernel.load()
     batch = ctypes.byref(kernel.Batch(K, N, L2, M, T, perms.itemsize, *(
         None if a is None else a.ctypes.data
-        for a in (occ, pos, rh, code, decide, sensed, perms, mismatches,
-                  decisions, world_err, X, pred, p_hid, hidden, p_bh, p_self,
-                  p_bo, err))))
+        for a in (occ, pos, rh, code, decide, sensed, perms, err,
+                  mismatches, decisions, X, pred, p_hid, hidden, p_bh, p_self,
+                  p_bo))))
 
     if observe is not None:
         observe(0, pos, rh, occ)
@@ -388,8 +388,6 @@ def simulate_batch(
         if observe is not None:
             observe(t + 1, pos, rh, occ)
 
-    if not emergent:
-        err = world_err.astype(np.float64)
     comparisons = T - 1 if emergent else T
     return err.reshape(G, W), comparisons
 

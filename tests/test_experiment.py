@@ -150,10 +150,11 @@ class TestRunExperiment:
         run_experiment(plan, tmp_path)
         marker = tmp_path / "row0_run0" / "fitness_history.csv"
         before = marker.stat().st_mtime_ns
-        first_bytes = (tmp_path / "posteval.csv").read_bytes()
+        csvs = ("posteval.csv", "summary.csv")
+        first_bytes = [(tmp_path / name).read_bytes() for name in csvs]
         assert run_experiment(plan, tmp_path) == 0
         assert marker.stat().st_mtime_ns == before  # untouched, not recomputed
-        assert (tmp_path / "posteval.csv").read_bytes() == first_bytes
+        assert [(tmp_path / name).read_bytes() for name in csvs] == first_bytes
 
     def test_parallel_workers_produce_identical_artifacts(self, tmp_path):
         plan = parse_config(SMOKE.replace("runs=1", "runs=3"))
@@ -435,6 +436,31 @@ class TestCli:
             err = capsys.readouterr().err
             assert "row0_run0" in err and stored in err and wanted in err
             assert {p: p.read_bytes() for p in before} == before
+
+    @pytest.mark.parametrize("stored", [
+        b"\xff\xfe not UTF-8\n",
+        b"[1]\n",
+        None,  # complete, with a posteval_row of two cells
+    ], ids=["not-utf8", "not-an-object", "malformed-posteval-row"])
+    def test_unreadable_record_is_recomputed(self, tmp_path, stored):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMOKE)
+        fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+        for out in (fresh, rerun):
+            assert main(["evolve", str(cfg), "--out", str(out)]) == 0
+        record = rerun / "row0_run0" / "run.json"
+        if stored is None:
+            stored = json.dumps({**json.loads(record.read_text()),
+                                 "posteval_row": "row0_run0,emergent"})
+            stored = stored.encode()
+        record.write_bytes(stored)
+        assert main(["evolve", str(cfg), "--out", str(rerun)]) == 0
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes()
+                    for p in root.rglob("*") if p.is_file()}
+
+        assert files(rerun) == files(fresh)
 
     def test_missing_config_is_a_config_error(self, tmp_path, capsys):
         for path in ("/nonexistent/x.cfg", str(tmp_path)):
