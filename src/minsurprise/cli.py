@@ -15,9 +15,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .experiment import (
-    _INT_KEYS,
     ExperimentPlan,
     ConfigError,
+    NUMERIC_KEYS,
     matrix_plan,
     parse_config,
     posteval_csv_row,
@@ -46,7 +46,7 @@ def _default_out() -> str:
 def _check_flags(args) -> None:
     for flag, key in _FLAG_RANGES.items():
         value = getattr(args, flag, None)
-        lo, hi = _INT_KEYS[key]
+        *_, lo, hi = NUMERIC_KEYS[key]
         if value is not None and not lo <= value <= hi:
             raise ConfigError(f"--{flag} {value} out of range [{lo}, {hi}]")
 
@@ -62,10 +62,12 @@ def _read_input(path, error,
 
 
 def _load_plan(args) -> ExperimentPlan:
-    if args.matrix:
+    evolve = args.command == "evolve"
+    if evolve and args.matrix:
         plan = matrix_plan()
     elif args.config is None:
-        raise ConfigError("a config file (or --matrix) is required")
+        raise ConfigError("a config file (or --matrix) is required" if evolve
+                          else "a config file is required")
     else:
         plan = parse_config(_read_input(args.config, ConfigError))
     if args.seed is not None:
@@ -121,7 +123,7 @@ def _cmd_replay(args) -> int:
     for t, snap in snapshots if snapshots_wanted else ():
         print(f"# t={t}")
         sys.stdout.write(snap)
-    print(POSTEVAL_COLUMNS)
+    print(",".join(POSTEVAL_COLUMNS))
     print(posteval_csv_row(args.command, row.scenario, row.sim, metrics_row))
     return 0
 
@@ -145,12 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", nargs="?", default=None,
                        help="key=value experiment config file")
         p.add_argument("--seed", type=int, default=None, help=seed_help)
-        p.add_argument("--matrix", action="store_true",
-                       help="use the built-in experiment matrix instead of "
-                            "the config rows")
 
     p_evolve = sub.add_parser("evolve", help="run the evolutionary experiment")
     add_plan_args(p_evolve)
+    p_evolve.add_argument("--matrix", action="store_true",
+                          help="use the built-in experiment matrix instead "
+                               "of the config rows")
     p_evolve.add_argument("--runs", type=int, default=None,
                           help="runs per row (overrides the config)")
     p_evolve.add_argument("--out", default=_default_out(),
@@ -185,23 +187,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The errors main reports as one stderr line, with exit status 2, by the
+# prefix of that line.
+_ERROR_KINDS = {ConfigError: "config", SnapshotError: "snapshot",
+                MalformedGenomeError: "genome", BuildError: "build"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _check_flags(args)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except SnapshotError as exc:
-        print(f"snapshot error: {exc}", file=sys.stderr)
-        return 2
-    except MalformedGenomeError as exc:
-        print(f"genome error: {exc}", file=sys.stderr)
-        return 2
-    except BuildError as exc:
-        print(f"build error: {exc}", file=sys.stderr)
+    except tuple(_ERROR_KINDS) as exc:
+        kind = next(kind for cls, kind in _ERROR_KINDS.items()
+                    if isinstance(exc, cls))
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return 2
 
 

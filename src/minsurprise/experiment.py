@@ -35,8 +35,7 @@ from .evolution import (
     evolve,
     mix64,
 )
-from .metrics import (MetricsRow, StructureLabel, StructureReport,
-                      metrics_from_trace)
+from .metrics import MetricsRow, StructureLabel, metrics_from_trace
 from .networks import Genome, Scenario, save_genome, write_text_atomic
 from .simulation import RunTrace, simulate_traced
 from .world import SimConfig, metrics_window
@@ -97,25 +96,24 @@ class ConfigError(ValueError):
     pass
 
 
-_INT_KEYS = {
-    "grid": (3, 10_000),
-    "robots": (1, 100_000_000),
-    "blocks": (0, 100_000_000),
-    "steps": (1, 100_000_000),
-    "population": (1, 1_000_000),
-    "generations": (1, 1_000_000),
-    "eval_runs": (1, 1_000_000),
-    "runs": (1, 1_000_000),
-    "seed": (0, 2**64 - 1),
+# Each numeric config key: the SimConfig or ExperimentPlan field it sets, the
+# type of its value and its range. A field the file does not set keeps its
+# default (DEFAULT_SIM's for the SimConfig). Command line flags that stand for
+# a key take its range too.
+NUMERIC_KEYS: dict[str, tuple[type, str, type, int, int]] = {
+    "grid": (SimConfig, "side_length", int, 3, 10_000),
+    "robots": (SimConfig, "swarm_size", int, 1, 100_000_000),
+    "blocks": (SimConfig, "block_count", int, 0, 100_000_000),
+    "steps": (SimConfig, "steps", int, 1, 100_000_000),
+    "population": (ExperimentPlan, "population_size", int, 1, 1_000_000),
+    "generations": (ExperimentPlan, "generations", int, 1, 1_000_000),
+    "eval_runs": (ExperimentPlan, "eval_runs", int, 1, 1_000_000),
+    "runs": (ExperimentPlan, "runs_per_row", int, 1, 1_000_000),
+    "seed": (ExperimentPlan, "master_seed", int, 0, 2**64 - 1),
+    "mutation_rate": (ExperimentPlan, "mutation_rate", float, 0, 1),
 }
 
-# Config keys by the SimConfig or ExperimentPlan field they set; a field the
-# file does not set keeps its default (DEFAULT_SIM's for the SimConfig).
-_SIM_FIELDS = {"grid": "side_length", "robots": "swarm_size",
-               "blocks": "block_count", "steps": "steps"}
-_PLAN_FIELDS = {"runs": "runs_per_row", "seed": "master_seed",
-                "population": "population_size", "generations": "generations",
-                "eval_runs": "eval_runs", "mutation_rate": "mutation_rate"}
+_TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
 def parse_config(text: str) -> ExperimentPlan:
@@ -138,31 +136,20 @@ def parse_config(text: str) -> ExperimentPlan:
         key, value = key.strip(), value.strip()
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key in _INT_KEYS:
-            lo, hi = _INT_KEYS[key]
+        if key in NUMERIC_KEYS:
+            _, _, kind, lo, hi = NUMERIC_KEYS[key]
             try:
-                number = int(value)
+                number = kind(value)
             except ValueError:
                 raise ConfigError(
-                    f"line {lineno}: {key} must be an integer, got {value!r}"
+                    f"line {lineno}: {key} must be {_TYPE_NAMES[kind]}, "
+                    f"got {value!r}"
                 ) from None
             if not lo <= number <= hi:
                 raise ConfigError(
                     f"line {lineno}: {key}={number} out of range [{lo}, {hi}]"
                 )
             values[key] = number
-        elif key == "mutation_rate":
-            try:
-                rate = float(value)
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: mutation_rate must be a number, got {value!r}"
-                ) from None
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(
-                    f"line {lineno}: mutation_rate={rate} out of range [0, 1]"
-                )
-            values[key] = rate
         elif key == "scenario":
             try:
                 values[key] = Scenario(value.lower())
@@ -176,13 +163,14 @@ def parse_config(text: str) -> ExperimentPlan:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         lines_of[key] = lineno
 
-    def fields(names: dict[str, str]) -> dict[str, object]:
-        return {names[key]: v for key, v in values.items() if key in names}
+    def fields(owner: type) -> dict[str, object]:
+        return {NUMERIC_KEYS[key][1]: v for key, v in values.items()
+                if key in NUMERIC_KEYS and NUMERIC_KEYS[key][0] is owner}
 
     try:
-        sim = replace(DEFAULT_SIM, **fields(_SIM_FIELDS))
+        sim = replace(DEFAULT_SIM, **fields(SimConfig))
     except ValueError as exc:
-        # the one SimConfig check that _INT_KEYS does not make: N + B <= L * L
+        # the one SimConfig check NUMERIC_KEYS does not make: N + B <= L * L
         lineno = max(lines_of.get(key, 0)
                      for key in ("grid", "robots", "blocks"))
         raise ConfigError(f"line {lineno}: {exc}") from None
@@ -192,7 +180,7 @@ def parse_config(text: str) -> ExperimentPlan:
         raise ConfigError(f"line {lineno}: a run of {sim.steps} steps is "
                           f"shorter than the metrics window tau={tau}")
     row = PlanRow(sim, values.get("scenario", Scenario.EMERGENT))
-    return ExperimentPlan(rows=(row,), **fields(_PLAN_FIELDS))
+    return ExperimentPlan(rows=(row,), **fields(ExperimentPlan))
 
 
 def run_index_for(row: int, run: int) -> int:
@@ -205,28 +193,40 @@ def posteval_seed_for(master_seed: int, run_index: int) -> int:
     return mix64(master_seed, run_index, STREAM_POSTEVAL, 0, 0)
 
 
-POSTEVAL_COLUMNS = (
-    "run_id,scenario,L,N,B,fitness,similarity,block_movement,robot_movement,"
-    "lines_start,pairs_start,clusters_start,dispersed_start,other_start,"
-    "lines_end,pairs_end,clusters_end,dispersed_end,other_end,"
-    "scene_start,scene_end"
-)
+# posteval.csv's block-count columns: one per StructureLabel, in its order,
+# at the start and at the end of the post-evaluation.
+_COUNT_STEMS = ("lines", "pairs", "clusters", "dispersed", "other")
+_TIMES = ("start", "end")
 
-_LABELS = (StructureLabel.LINE, StructureLabel.PAIR, StructureLabel.CLUSTER,
-           StructureLabel.DISPERSED, StructureLabel.OTHER)
+POSTEVAL_COLUMNS = (
+    "run_id", "scenario", "L", "N", "B", "fitness", "similarity",
+    "block_movement", "robot_movement",
+    *(f"{stem}_{when}" for when in _TIMES for stem in _COUNT_STEMS),
+    *(f"scene_{when}" for when in _TIMES),
+)
 
 
 def posteval_csv_row(run_id: str, scenario: Scenario, sim: SimConfig,
                      row: MetricsRow) -> str:
-    cells = [
-        run_id, scenario.value, str(sim.side_length), str(sim.swarm_size),
-        str(sim.block_count), repr(row.fitness), repr(row.similarity),
-        repr(row.block_movement), repr(row.robot_movement),
-    ]
-    cells += [str(row.start_report.counts[lab]) for lab in _LABELS]
-    cells += [str(row.end_report.counts[lab]) for lab in _LABELS]
-    cells += [row.start_report.scene_label.value, row.end_report.scene_label.value]
-    return ",".join(cells)
+    cells = {
+        "run_id": run_id, "scenario": scenario.value,
+        "L": str(sim.side_length), "N": str(sim.swarm_size),
+        "B": str(sim.block_count), "fitness": repr(row.fitness),
+        "similarity": repr(row.similarity),
+        "block_movement": repr(row.block_movement),
+        "robot_movement": repr(row.robot_movement),
+    }
+    for when, report in zip(_TIMES, (row.start_report, row.end_report)):
+        for stem, label in zip(_COUNT_STEMS, StructureLabel, strict=True):
+            cells[f"{stem}_{when}"] = str(report.counts[label])
+        cells[f"scene_{when}"] = report.scene_label.value
+    return ",".join(cells[name] for name in POSTEVAL_COLUMNS)
+
+
+def _posteval_cells(posteval_row: str) -> dict[str, str]:
+    """A stored posteval_row's cells by column name. Raises ValueError
+    unless the row has exactly one cell per column."""
+    return dict(zip(POSTEVAL_COLUMNS, posteval_row.split(","), strict=True))
 
 
 def _ratio(n: int, b: int) -> str:
@@ -313,74 +313,61 @@ def _load_completed(plan: ExperimentPlan, row_idx: int, run_idx: int,
         if not (run_dir / name).exists():
             return None
     try:
-        _run_results(record)
+        summary_csv(plan, [record])
     except (AttributeError, LookupError, TypeError, ValueError):
         return None
     return record
 
 
-def _metrics_from_posteval_row(pe_row: str) -> MetricsRow:
-    parts = pe_row.split(",")
-    start_counts = {lab: int(parts[9 + i]) for i, lab in enumerate(_LABELS)}
-    end_counts = {lab: int(parts[14 + i]) for i, lab in enumerate(_LABELS)}
-    return MetricsRow(
-        fitness=float(parts[5]),
-        similarity=float(parts[6]),
-        block_movement=float(parts[7]),
-        robot_movement=float(parts[8]),
-        start_report=StructureReport(start_counts),
-        end_report=StructureReport(end_counts),
-    )
-
-
-def _run_results(record: dict) -> tuple[int, float, MetricsRow]:
-    """What the summary reads of a run.json record: its row, best fitness
-    and post-evaluation metrics."""
-    return (record["row"], float(record["best_fitness"]),
-            _metrics_from_posteval_row(record["posteval_row"]))
-
+# summary.csv's structure columns take their names from posteval.csv's
+# count columns; "other" blocks get no column.
+_SHARE_COLUMNS = tuple(f"{stem}_{when}" for when in _TIMES
+                       for stem in _COUNT_STEMS if stem != "other")
 
 SUMMARY_COLUMNS = (
-    "row,robots,blocks,ratio,grid,scenario,runs,median_fitness,"
-    "altered_qty,median_similarity_altered,"
-    "median_block_movement,median_robot_movement,"
-    "lines_start,pairs_start,clusters_start,dispersed_start,"
-    "lines_end,pairs_end,clusters_end,dispersed_end"
+    "row", "robots", "blocks", "ratio", "grid", "scenario", "runs",
+    "median_fitness", "altered_qty", "median_similarity_altered",
+    "median_block_movement", "median_robot_movement", *_SHARE_COLUMNS,
 )
+
+
+def _median(values: Sequence[float]) -> str:
+    return repr(float(np.median(values)))
+
+
+def _share_percent(cells: dict[str, str], column: str) -> float:
+    """A count column's share, in percent, of all blocks counted at the
+    same time (start or end) of the run's post-evaluation."""
+    when = column.rpartition("_")[2]
+    total = sum(int(cells[f"{stem}_{when}"]) for stem in _COUNT_STEMS)
+    return 100.0 * (int(cells[column]) / total) if total else 0.0
 
 
 def summary_csv(plan: ExperimentPlan, records: Sequence[dict]) -> str:
     """Per-row medians over run.json records; structure columns are median
     per-run block shares in percent."""
-    results = [_run_results(r) for r in records]
-    lines = [SUMMARY_COLUMNS]
+    runs = [(r["row"], float(r["best_fitness"]),
+             _posteval_cells(r["posteval_row"])) for r in records]
+    lines = [",".join(SUMMARY_COLUMNS)]
     for row_idx, row in enumerate(plan.rows):
-        fits = [f for i, f, _ in results if i == row_idx]
-        metrics = [m for i, _, m in results if i == row_idx]
-        if not metrics:
+        fits = [f for i, f, _ in runs if i == row_idx]
+        cells = [c for i, _, c in runs if i == row_idx]
+        if not cells:
             continue
-        altered = [m for m in metrics if m.similarity < 1.0]
-        med_sim_altered = (
-            float(np.median([m.similarity for m in altered]))
-            if altered else 1.0
-        )
-        blk = [m.block_movement for m in metrics]
-        rob = [m.robot_movement for m in metrics]
-        cells = [
+        similarity = [float(c["similarity"]) for c in cells]
+        altered = [x for x in similarity if x < 1.0]
+        line = [
             str(row_idx), str(row.sim.swarm_size), str(row.sim.block_count),
             _ratio(row.sim.swarm_size, row.sim.block_count),
             f"{row.sim.side_length}x{row.sim.side_length}",
-            row.scenario.value, str(len(metrics)),
-            repr(float(np.median(fits))), str(len(altered)),
-            repr(med_sim_altered),
-            repr(float(np.median(blk))), repr(float(np.median(rob))),
+            row.scenario.value, str(len(cells)), _median(fits),
+            str(len(altered)), _median(altered) if altered else repr(1.0),
+            _median([float(c["block_movement"]) for c in cells]),
+            _median([float(c["robot_movement"]) for c in cells]),
         ]
-        for which in ("start_report", "end_report"):
-            for lab in _LABELS[:4]:
-                shares = [100.0 * getattr(m, which).share(lab)
-                          for m in metrics]
-                cells.append(repr(float(np.median(shares))))
-        lines.append(",".join(cells))
+        line += [_median([_share_percent(c, name) for c in cells])
+                 for name in _SHARE_COLUMNS]
+        lines.append(",".join(line))
     return "\n".join(lines) + "\n"
 
 
@@ -445,7 +432,8 @@ def run_experiment(plan: ExperimentPlan, out_dir, workers: int = 1) -> int:
             records[i, j] = outcome
 
     done = [r for r in records.values() if r is not None]
-    posteval_lines = [POSTEVAL_COLUMNS] + [r["posteval_row"] for r in done]
+    posteval_lines = [",".join(POSTEVAL_COLUMNS)]
+    posteval_lines += [r["posteval_row"] for r in done]
     _write_text(out / "posteval.csv", "\n".join(posteval_lines) + "\n")
     _write_text(out / "summary.csv", summary_csv(plan, done))
     return 1 if failures else 0

@@ -86,16 +86,9 @@ class StructureReport:
     counts: Mapping[StructureLabel, int]
 
     @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    @property
     def scene_label(self) -> StructureLabel:
         return max(_SCENE_ORDER, key=lambda lab: (self.counts[lab],
                                                   -_SCENE_ORDER.index(lab)))
-
-    def share(self, label: StructureLabel) -> float:
-        return self.counts[label] / self.total if self.total else 0.0
 
 
 def _runs_along_axis(blocks: set[Cell], L: int, vertical: bool) -> list[list[Cell]]:

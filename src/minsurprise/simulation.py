@@ -66,10 +66,13 @@ previous move << 12. The tables are built once per call by ``_act``, the
 emergent step's action network (stable_rows_matmul, + b, tanh,
 stable_rows_matmul, + b, sigmoid >= 0.5), run once per genome on all of
 ``_INPUT_ROWS``. An entry is the decision the network makes on that row
-alone because gemm computes each row of a product independently of the
-other rows and of their count: the row invariance that already makes a
-batched population bit-equal to single-genome calls and to the reference's
-padded two-row products.
+alone if gemm computes each row of a product independently of the other
+rows and of their count: the row invariance that also makes a batched
+population bit-equal to single-genome calls and to the reference's padded
+two-row products. That invariance belongs to the BLAS kernel, not to gemm:
+OpenBLAS's Haswell, SkylakeX and Zen cores have it; its Sandybridge,
+Nehalem and Prescott cores do not, and on them the engine is not bit-equal
+to the reference.
 
 Emergent step. Per step: the sensing call (sense, inputs, score); ``_act``;
 then, unless it is the last step, the prediction network: the product of

@@ -92,15 +92,24 @@ def heavy_results():
     Every run is replayed from its best.genome at its recorded
     post-evaluation seed first: its posteval row and snapshots must equal
     the stored ones byte for byte, so results left by older code can never
-    reach the criteria.
+    reach the criteria. A batch's posteval.csv and summary.csv, built from
+    the stored run.json records, must be rewritten with the bytes they had;
+    those bytes are then put back, so a mismatch fails on every run.
     """
     out = {}
     for name in ("emergent", "empty", "clusters"):
         cfg_text = (CONFIG_DIR / f"acceptance_{name}.cfg").read_text()
         plan = parse_config(cfg_text)
         batch_dir = ACCEPT_DIR / name
+        csvs = [batch_dir / csv for csv in ("posteval.csv", "summary.csv")]
+        stored = {path: path.read_bytes() for path in csvs if path.exists()}
         status = run_experiment(plan, batch_dir)
         assert status == 0, f"{name} batch reported failures"
+        for path, data in stored.items():
+            rewritten = path.read_bytes()
+            path.write_bytes(data)
+            assert rewritten == data, \
+                f"{path}: rewritten from the run.json records with other bytes"
         row = plan.rows[0]
         rows = []
         for j in range(plan.runs_per_row):

@@ -400,10 +400,11 @@ class TestCli:
         genome = out / "row0_run0" / "best.genome"
         capsys.readouterr()
         for command in ("posteval", "replay"):
-            with pytest.raises(SystemExit) as exc:
-                main([command, str(genome), str(cfg), "--runs", "7"])
-            assert exc.value.code == 2
-            assert "--runs" in capsys.readouterr().err
+            for flag in (["--runs", "7"], ["--matrix"]):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, str(genome), str(cfg), *flag])
+                assert exc.value.code == 2
+                assert flag[0] in capsys.readouterr().err
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -440,8 +441,11 @@ class TestCli:
     @pytest.mark.parametrize("stored", [
         b"\xff\xfe not UTF-8\n",
         b"[1]\n",
-        None,  # complete, with a posteval_row of two cells
-    ], ids=["not-utf8", "not-an-object", "malformed-posteval-row"])
+        # complete records whose posteval_row is rewritten
+        lambda row: "row0_run0,emergent",
+        lambda row: row + ",0",
+    ], ids=["not-utf8", "not-an-object", "malformed-posteval-row",
+            "wrong-cell-count"])
     def test_unreadable_record_is_recomputed(self, tmp_path, stored):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(SMOKE)
@@ -449,10 +453,10 @@ class TestCli:
         for out in (fresh, rerun):
             assert main(["evolve", str(cfg), "--out", str(out)]) == 0
         record = rerun / "row0_run0" / "run.json"
-        if stored is None:
-            stored = json.dumps({**json.loads(record.read_text()),
-                                 "posteval_row": "row0_run0,emergent"})
-            stored = stored.encode()
+        if callable(stored):
+            fields = json.loads(record.read_text())
+            fields["posteval_row"] = stored(fields["posteval_row"])
+            stored = json.dumps(fields).encode()
         record.write_bytes(stored)
         assert main(["evolve", str(cfg), "--out", str(rerun)]) == 0
 
@@ -468,6 +472,15 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith(f"config error: cannot read {path}: ")
             assert err.count("\n") == 1
+        genome = tmp_path / "g.genome"
+        save_genome(genome, random_genome(np.random.default_rng(0)))
+        for argv, wanted in (
+            (["evolve"], "a config file (or --matrix) is required"),
+            (["posteval", str(genome)], "a config file is required"),
+            (["replay", str(genome)], "a config file is required"),
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"config error: {wanted}\n"
 
     def test_run_shorter_than_metrics_window_fails_before_any_run(
             self, tmp_path, capsys):

@@ -270,7 +270,7 @@ class TestClassifier:
             while len(blocks) < 32:
                 blocks.add((int(rng.integers(0, L16)), int(rng.integers(0, L16))))
             report = structure_report(blocks, L16)
-            assert report.total == 32
+            assert sum(report.counts.values()) == 32
 
     def test_scene_label_tie_breaks_in_order(self):
         # two pair blocks and two dispersed blocks: tie -> Pair (earlier)
