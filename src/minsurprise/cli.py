@@ -28,7 +28,7 @@ from .experiment import (
     run_index_for,
 )
 from .kernel import BuildError, load as load_kernel
-from .metrics import structure_report, StructureLabel
+from .metrics import scene_label, structure_report, StructureLabel
 from .networks import MalformedGenomeError, load_genome
 from .world import SnapshotError, parse_snapshot_cells, render_cells
 
@@ -99,10 +99,10 @@ def _stored_genome_run(args):
 def _cmd_classify(args) -> int:
     text = _read_input(args.snapshot, SnapshotError)
     L, _, blocks = parse_snapshot_cells(text)
-    report = structure_report(blocks, L)
+    counts = structure_report(blocks, L)
     for label in StructureLabel:
-        print(f"{label.value},{report.counts[label]}")
-    print(f"scene,{report.scene_label.value}")
+        print(f"{label.value},{counts[label]}")
+    print(f"scene,{scene_label(counts).value}")
     return 0
 
 

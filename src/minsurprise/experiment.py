@@ -35,7 +35,12 @@ from .evolution import (
     evolve,
     mix64,
 )
-from .metrics import MetricsRow, StructureLabel, metrics_from_trace
+from .metrics import (
+    MetricsRow,
+    StructureLabel,
+    metrics_from_trace,
+    scene_label,
+)
 from .networks import Genome, Scenario, save_genome, write_text_atomic
 from .simulation import RunTrace, simulate_traced
 from .world import SimConfig, metrics_window
@@ -216,10 +221,10 @@ def posteval_csv_row(run_id: str, scenario: Scenario, sim: SimConfig,
         "block_movement": repr(row.block_movement),
         "robot_movement": repr(row.robot_movement),
     }
-    for when, report in zip(_TIMES, (row.start_report, row.end_report)):
+    for when, counts in zip(_TIMES, (row.start_counts, row.end_counts)):
         for stem, label in zip(_COUNT_STEMS, StructureLabel, strict=True):
-            cells[f"{stem}_{when}"] = str(report.counts[label])
-        cells[f"scene_{when}"] = report.scene_label.value
+            cells[f"{stem}_{when}"] = str(counts[label])
+        cells[f"scene_{when}"] = scene_label(counts).value
     return ",".join(cells[name] for name in POSTEVAL_COLUMNS)
 
 
@@ -239,11 +244,12 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _plan_record(plan: ExperimentPlan, row_idx: int, run_idx: int) -> dict:
-    """The part of run.json that fixes what a run computes: its
-    EvolutionConfig and run_index. Resume reuses a stored run only if this
-    part matches the current plan."""
+    """The part of run.json that fixes which run it is and what it
+    computes: its run id, row and run, EvolutionConfig and run_index.
+    Resume reuses a stored run only if this part matches the current plan."""
     row = plan.rows[row_idx]
-    return {**asdict(plan.evolution_config(row)),
+    return {"run_id": f"row{row_idx}_run{run_idx}", "row": row_idx,
+            "run": run_idx, **asdict(plan.evolution_config(row)),
             "scenario": row.scenario.value,
             "run_index": run_index_for(row_idx, run_idx)}
 
@@ -253,11 +259,10 @@ def _execute_run(plan: ExperimentPlan, row_idx: int, run_idx: int,
     """Evolve one (row, run) job, write its artifacts and return its
     run.json record."""
     row = plan.rows[row_idx]
-    run_id = f"row{row_idx}_run{run_idx}"
+    planned = _plan_record(plan, row_idx, run_idx)
+    run_id, run_index = planned["run_id"], planned["run_index"]
     run_dir = out_dir / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
-    planned = _plan_record(plan, row_idx, run_idx)
-    run_index = planned["run_index"]
 
     best, history = evolve(plan.evolution_config(row), run_index=run_index)
     posteval_seed = posteval_seed_for(plan.master_seed, run_index)
@@ -270,9 +275,6 @@ def _execute_run(plan: ExperimentPlan, row_idx: int, run_idx: int,
     _write_text(run_dir / "end_snapshot.txt", snapshots[-1][1])
     record = {
         **planned,
-        "run_id": run_id,
-        "row": row_idx,
-        "run": run_idx,
         "posteval_seed": posteval_seed,
         "best_fitness": best.fitness,
         "best_per_run": list(best.per_run),
@@ -292,16 +294,18 @@ def _load_completed(plan: ExperimentPlan, row_idx: int, run_idx: int,
     (re)computed: no record, one that is not UTF-8 JSON of an object, not
     complete, missing an artifact, or whose results cannot be read.
 
-    Raises ConfigError if the stored run was made with a different plan.
+    Raises ConfigError if the stored run was made with a different plan or
+    is another run's record.
     """
-    run_dir = out_dir / f"row{row_idx}_run{run_idx}"
+    planned = _plan_record(plan, row_idx, run_idx)
+    run_dir = out_dir / planned["run_id"]
     try:
         record = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return None
     if not isinstance(record, dict) or not record.get("complete"):
         return None
-    for key, wanted in _plan_record(plan, row_idx, run_idx).items():
+    for key, wanted in planned.items():
         if record.get(key) != wanted:
             raise ConfigError(
                 f"{run_dir} holds a run made with {key}={record.get(key)!r}, "

@@ -79,16 +79,10 @@ _SCENE_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    """Per-label block counts plus the dominant scene label."""
-
-    counts: Mapping[StructureLabel, int]
-
-    @property
-    def scene_label(self) -> StructureLabel:
-        return max(_SCENE_ORDER, key=lambda lab: (self.counts[lab],
-                                                  -_SCENE_ORDER.index(lab)))
+def scene_label(counts: Mapping[StructureLabel, int]) -> StructureLabel:
+    """The dominant label of per-label block counts; a tie goes to the
+    candidate first in _SCENE_ORDER (max keeps the first maximum)."""
+    return max(_SCENE_ORDER, key=counts.__getitem__)
 
 
 def _runs_along_axis(blocks: set[Cell], L: int, vertical: bool) -> list[list[Cell]]:
@@ -189,12 +183,13 @@ def classify_blocks(blocks: Iterable[Cell], L: int) -> dict[Cell, StructureLabel
     return labels
 
 
-def structure_report(blocks: Iterable[Cell], L: int) -> StructureReport:
-    labels = classify_blocks(blocks, L)
+def structure_report(blocks: Iterable[Cell],
+                     L: int) -> dict[StructureLabel, int]:
+    """Block count per label, every StructureLabel in its order."""
     counts = {label: 0 for label in StructureLabel}
-    for lab in labels.values():
+    for lab in classify_blocks(blocks, L).values():
         counts[lab] += 1
-    return StructureReport(counts)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -205,8 +200,8 @@ class MetricsRow:
     similarity: float
     block_movement: float
     robot_movement: float
-    start_report: StructureReport
-    end_report: StructureReport
+    start_counts: dict[StructureLabel, int]
+    end_counts: dict[StructureLabel, int]
 
 
 def metrics_from_trace(trace: RunTrace) -> MetricsRow:
@@ -224,7 +219,7 @@ def metrics_from_trace(trace: RunTrace) -> MetricsRow:
         similarity=sim_value,
         block_movement=m_blocks,
         robot_movement=m_robots,
-        start_report=structure_report(trace.start_blocks, trace.side_length),
-        end_report=structure_report(trace.end_blocks, trace.side_length),
+        start_counts=structure_report(trace.start_blocks, trace.side_length),
+        end_counts=structure_report(trace.end_blocks, trace.side_length),
     )
 

@@ -6,14 +6,17 @@ turn direction) and a recurrent prediction network (12 sensors + chosen
 action -> 12 predicted next-step sensor values), with per-unit
 self-recurrent hidden connections only.
 
-Weight layout (canonical decode order, per network): input-to-hidden
-row-major by input, hidden biases, hidden self-loop weights (prediction
-net only), hidden-to-output row-major by hidden unit, output biases.
+Weight layout: ``_LAYOUT`` gives each network's field shapes in decode
+order: input-to-hidden (row-major by input), hidden biases, hidden
+self-loop weights (prediction net only), hidden-to-output (row-major by
+hidden unit), output biases. A genome vector holds its network's fields
+flat, one after the other; ``decode`` and ``Genome``'s checks read it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,15 +30,6 @@ NET_INPUTS = SENSOR_COUNT + 1  # sensors plus one action input
 ACTION_OUTPUTS = 2
 PREDICTION_OUTPUTS = SENSOR_COUNT
 
-ACTION_LENGTH = (
-    NET_INPUTS * HIDDEN_UNITS + HIDDEN_UNITS
-    + HIDDEN_UNITS * ACTION_OUTPUTS + ACTION_OUTPUTS
-)  # 130
-PREDICTION_LENGTH = (
-    NET_INPUTS * HIDDEN_UNITS + HIDDEN_UNITS + HIDDEN_UNITS
-    + HIDDEN_UNITS * PREDICTION_OUTPUTS + PREDICTION_OUTPUTS
-)  # 228
-
 WEIGHT_LIMIT = 5.0
 
 GENOME_HEADER = "minsurprise-genome v1"
@@ -45,17 +39,35 @@ class MalformedGenomeError(ValueError):
     pass
 
 
-def _check_weights(name: str, w: np.ndarray, expected: int) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (expected,):
-        raise MalformedGenomeError(
-            f"{name} must have {expected} weights, got shape {w.shape}"
-        )
-    if not np.all(np.isfinite(w)):
-        raise MalformedGenomeError(f"{name} contains non-finite weights")
-    if np.any(np.abs(w) > WEIGHT_LIMIT):
-        raise MalformedGenomeError(f"{name} exceeds weight limit {WEIGHT_LIMIT}")
-    return w
+@dataclass(frozen=True)
+class ActionNetwork:
+    w_hidden: np.ndarray
+    b_hidden: np.ndarray
+    w_out: np.ndarray
+    b_out: np.ndarray
+
+
+@dataclass(frozen=True)
+class PredictionNetwork:
+    w_hidden: np.ndarray
+    b_hidden: np.ndarray
+    w_self: np.ndarray  # per-unit recurrent weights
+    w_out: np.ndarray
+    b_out: np.ndarray
+
+
+# The genome layout: each Genome field, the network it decodes to and the
+# shapes of that network's fields, in their order.
+_LAYOUT = {
+    "action_weights": (ActionNetwork, (
+        (NET_INPUTS, HIDDEN_UNITS), (HIDDEN_UNITS,),
+        (HIDDEN_UNITS, ACTION_OUTPUTS), (ACTION_OUTPUTS,))),
+    "prediction_weights": (PredictionNetwork, (
+        (NET_INPUTS, HIDDEN_UNITS), (HIDDEN_UNITS,), (HIDDEN_UNITS,),
+        (HIDDEN_UNITS, PREDICTION_OUTPUTS), (PREDICTION_OUTPUTS,))),
+}
+ACTION_LENGTH, PREDICTION_LENGTH = (  # 130, 228
+    sum(map(math.prod, shapes)) for _, shapes in _LAYOUT.values())
 
 
 @dataclass(frozen=True)
@@ -66,63 +78,31 @@ class Genome:
     prediction_weights: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "action_weights",
-            _check_weights("action_weights", self.action_weights, ACTION_LENGTH),
-        )
-        object.__setattr__(
-            self, "prediction_weights",
-            _check_weights(
-                "prediction_weights", self.prediction_weights, PREDICTION_LENGTH
-            ),
-        )
-
-
-@dataclass(frozen=True)
-class ActionNetwork:
-    w_hidden: np.ndarray  # (13, 8)
-    b_hidden: np.ndarray  # (8,)
-    w_out: np.ndarray  # (8, 2)
-    b_out: np.ndarray  # (2,)
-
-
-@dataclass(frozen=True)
-class PredictionNetwork:
-    w_hidden: np.ndarray  # (13, 8)
-    b_hidden: np.ndarray  # (8,)
-    w_self: np.ndarray  # (8,) per-unit recurrent weights
-    w_out: np.ndarray  # (8, 12)
-    b_out: np.ndarray  # (12,)
+        for name, length in zip(_LAYOUT, (ACTION_LENGTH, PREDICTION_LENGTH)):
+            w = np.asarray(getattr(self, name), dtype=np.float64)
+            if w.shape != (length,):
+                raise MalformedGenomeError(
+                    f"{name} must have {length} weights, got shape {w.shape}"
+                )
+            if not np.all(np.isfinite(w)):
+                raise MalformedGenomeError(f"{name} contains non-finite weights")
+            if np.any(np.abs(w) > WEIGHT_LIMIT):
+                raise MalformedGenomeError(
+                    f"{name} exceeds weight limit {WEIGHT_LIMIT}")
+            object.__setattr__(self, name, w)
 
 
 def decode(genome: Genome) -> tuple[ActionNetwork, PredictionNetwork]:
-    """Split the flat weight vectors into network matrices."""
-    a = genome.action_weights
-    i = 0
-    w_hidden = a[i:i + NET_INPUTS * HIDDEN_UNITS].reshape(NET_INPUTS, HIDDEN_UNITS)
-    i += NET_INPUTS * HIDDEN_UNITS
-    b_hidden = a[i:i + HIDDEN_UNITS]
-    i += HIDDEN_UNITS
-    w_out = a[i:i + HIDDEN_UNITS * ACTION_OUTPUTS].reshape(HIDDEN_UNITS, ACTION_OUTPUTS)
-    i += HIDDEN_UNITS * ACTION_OUTPUTS
-    b_out = a[i:i + ACTION_OUTPUTS]
-    action = ActionNetwork(w_hidden, b_hidden, w_out, b_out)
-
-    p = genome.prediction_weights
-    i = 0
-    pw_hidden = p[i:i + NET_INPUTS * HIDDEN_UNITS].reshape(NET_INPUTS, HIDDEN_UNITS)
-    i += NET_INPUTS * HIDDEN_UNITS
-    pb_hidden = p[i:i + HIDDEN_UNITS]
-    i += HIDDEN_UNITS
-    w_self = p[i:i + HIDDEN_UNITS]
-    i += HIDDEN_UNITS
-    pw_out = p[i:i + HIDDEN_UNITS * PREDICTION_OUTPUTS].reshape(
-        HIDDEN_UNITS, PREDICTION_OUTPUTS
-    )
-    i += HIDDEN_UNITS * PREDICTION_OUTPUTS
-    pb_out = p[i:i + PREDICTION_OUTPUTS]
-    prediction = PredictionNetwork(pw_hidden, pb_hidden, w_self, pw_out, pb_out)
-    return action, prediction
+    """Split the flat weight vectors into network matrices, by _LAYOUT."""
+    nets = []
+    for name, (network, shapes) in _LAYOUT.items():
+        weights, i, fields = getattr(genome, name), 0, []
+        for shape in shapes:
+            n = math.prod(shape)
+            fields.append(weights[i:i + n].reshape(shape))
+            i += n
+        nets.append(network(*fields))
+    return tuple(nets)
 
 
 def random_genome(rng: np.random.Generator) -> Genome:

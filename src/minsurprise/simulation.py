@@ -20,11 +20,11 @@ the *next* step's sensors), fixed vectors yield T.
 Grid. All K worlds share one flat int32 grid, L * L cells each: 0 free,
 1 robot, 2 + b block b. A push copies the block's code, so block identity
 needs no other state. Block cells by id are read off the grid only where a
-result reads them: start blocks and snapshots when taken, the metrics
-window once after the run. All of these are kept by the recorder through
-the engine's one ``observe`` hook, which sees robot cells, headings and grid
-after setup and after every step; the tests' invariant sweep is another
-such observer.
+result reads them: snapshots when taken (the one at t = 0 gives the start
+blocks), the metrics window once after the run. ``simulate_traced`` keeps
+all of these through its ``record``, an observer of the engine's one
+``observe`` hook, which sees robot cells, headings and grid after setup
+and after every step; the tests' invariant sweep is another such observer.
 
 Compiled step. The C kernel ``_step.c`` (built and loaded by ``kernel.py``)
 takes the call's arrays once, bound in one struct. It does the integer work
@@ -92,6 +92,7 @@ the layout changes speed only, never a bit of the results.
 from __future__ import annotations
 
 import ctypes
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -134,16 +135,12 @@ _INPUT_ROWS = np.unpackbits(
     np.arange(1 << NET_INPUTS, dtype="<u2").view(np.uint8).reshape(-1, 2),
     axis=1, count=NET_INPUTS, bitorder="little").astype(np.float64)
 
-_TABLE_CACHE: dict[int, np.ndarray] = {}
 
-
+@functools.cache
 def _tables(L: int) -> np.ndarray:
     """The six sensed flat cells of every cell * 4 + heading, in sensor
     index order; cells 0 and 3 are the two straight ahead (c1, c2). int32,
     as the kernel reads it."""
-    cached = _TABLE_CACHE.get(L)
-    if cached is not None:
-        return cached
     cells = np.arange(L * L, dtype=np.int64)
     x, y = cells % L, cells // L
     sensed = np.empty((L * L * 4, 6), dtype=np.int32)
@@ -154,7 +151,6 @@ def _tables(L: int) -> np.ndarray:
             sx = (x + f * fx + s * lx) % L
             sy = (y + f * fy + s * ly) % L
             sensed[cells * 4 + h, s_idx] = sy * L + sx
-    _TABLE_CACHE[L] = sensed
     return sensed
 
 
@@ -173,47 +169,6 @@ class RunTrace:
     robot_window: np.ndarray  # (tau + 1, N, 2) of (x, y), times T-tau .. T
     block_window: np.ndarray  # (tau + 1, B, 2), block identity preserved
     snapshots: list[tuple[int, str]]  # (t, rendered world)
-
-
-class _Recorder:
-    """Collects one world's windows and snapshots. The engine hands it
-    (1, ...) arrays of a one-world batch."""
-
-    def __init__(self, N: int, B: int, T: int, L: int, snapshot_every: int):
-        self.L, self.B, self.T = L, B, T
-        self.tau = metrics_window(L)
-        if T < self.tau:
-            raise ValueError(
-                f"run of {T} steps is shorter than the metrics window "
-                f"tau={self.tau}"
-            )
-        self.window_start = T - self.tau
-        # The metrics window as stored per step: robot cells and the grid.
-        self.robot_cells = np.empty((self.tau + 1, N), dtype=np.int64)
-        self.grids = np.empty((self.tau + 1, L * L), dtype=np.int32)
-        self.snapshot_every = snapshot_every
-        self.snapshots: list[tuple[int, str]] = []
-        self.start_blocks: Optional[np.ndarray] = None  # (B,) flat cells
-
-    def record(self, t: int, pos: np.ndarray, rh: np.ndarray,
-               occ: np.ndarray) -> None:
-        """Keep what a result reads of the state after t steps: robot cells
-        and grid in the metrics window, start blocks, snapshots."""
-        i = t - self.window_start
-        if i >= 0:
-            self.robot_cells[i] = pos[0]
-            self.grids[i] = occ
-        if t == 0:
-            self.start_blocks = _block_cells(occ, 1, self.B)[0]
-        if t % self.snapshot_every == 0 or t == self.T:
-            L = self.L
-            robots = [
-                RobotPose(int(c % L), int(c // L), Heading(int(h)))
-                for c, h in zip(pos[0], rh[0])
-            ]
-            blocks = [(int(c % L), int(c // L))
-                      for c in _block_cells(occ, 1, self.B)[0]]
-            self.snapshots.append((t, render_cells(L, robots, blocks)))
 
 
 def _int_type(n: int):
@@ -405,13 +360,40 @@ def simulate_traced(
     """Run one fully recorded simulation: the metrics window, plus a
     snapshot every ``snapshot_every`` steps and at the last step."""
     L, N, B, T = sim.side_length, sim.swarm_size, sim.block_count, sim.steps
-    recorder = _Recorder(N, B, T, L, snapshot_every)
+    tau = metrics_window(L)
+    if T < tau:
+        raise ValueError(
+            f"run of {T} steps is shorter than the metrics window tau={tau}")
+    # The metrics window as stored per step: robot cells and the grid.
+    robot_cells = np.empty((tau + 1, N), dtype=np.int64)
+    grids = np.empty((tau + 1, L * L), dtype=np.int32)
+    snapshots: list[tuple[int, str]] = []
+    start_blocks = None  # (B,) flat cells, read for the snapshot at t = 0
+
+    def record(t: int, pos: np.ndarray, rh: np.ndarray,
+               occ: np.ndarray) -> None:
+        """Keep what a result reads of the state after t steps of the
+        one-world batch: robot cells and grid in the metrics window, and
+        snapshots."""
+        nonlocal start_blocks
+        i = t - (T - tau)
+        if i >= 0:
+            robot_cells[i] = pos[0]
+            grids[i] = occ
+        if t % snapshot_every == 0 or t == T:
+            blocks = _block_cells(occ, 1, B)[0]
+            if t == 0:
+                start_blocks = blocks
+            robots = [RobotPose(int(c % L), int(c // L), Heading(int(h)))
+                      for c, h in zip(pos[0], rh[0])]
+            snapshots.append((t, render_cells(
+                L, robots, [(int(c % L), int(c // L)) for c in blocks])))
+
     err, comparisons = simulate_batch(
         [genome], sim, scenario, np.array([[seed]], dtype=np.uint64),
-        observe=recorder.record,
+        observe=record,
     )
-
-    blocks = _block_cells(recorder.grids.reshape(-1), recorder.tau + 1, B)
+    blocks = _block_cells(grids.reshape(-1), tau + 1, B)
 
     def xy(flat: np.ndarray) -> np.ndarray:
         return np.stack((flat % L, flat // L), axis=-1)
@@ -425,10 +407,10 @@ def simulate_traced(
         n_blocks=B,
         comparisons=comparisons,
         error_sum=float(err[0, 0]),
-        tau=recorder.tau,
-        start_blocks=cells(recorder.start_blocks),
+        tau=tau,
+        start_blocks=cells(start_blocks),
         end_blocks=cells(blocks[-1]),
-        robot_window=xy(recorder.robot_cells),
+        robot_window=xy(robot_cells),
         block_window=xy(blocks),
-        snapshots=recorder.snapshots,
+        snapshots=snapshots,
     )

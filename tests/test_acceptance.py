@@ -30,6 +30,7 @@ from minsurprise.metrics import (
     StructureLabel,
     classify_blocks,
     movement,
+    scene_label,
     score_run,
     structure_report,
 )
@@ -341,7 +342,7 @@ def test_criterion_9_random_init_dispersed_baseline():
     for _ in range(200):
         cells, _ = sample_placement(16, 10, 32, rng)
         blocks = [(int(c % 16), int(c // 16)) for c in cells[10:]]
-        scene = structure_report(blocks, 16).scene_label
+        scene = scene_label(structure_report(blocks, 16))
         dispersed_scenes += scene == DISPERSED
     share = dispersed_scenes / 200
     report("9 random-init baseline", share >= 0.60,

@@ -438,6 +438,26 @@ class TestCli:
             assert "row0_run0" in err and stored in err and wanted in err
             assert {p: p.read_bytes() for p in before} == before
 
+    def test_record_of_another_run_is_refused(self, tmp_path, capsys):
+        # summary.csv counts a record under the row it names, so a record
+        # whose row disagrees with its directory would drop out of it.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMOKE)
+        out = tmp_path / "results"
+        assert main(["evolve", str(cfg), "--out", str(out), "--runs", "2"]) == 0
+        record = out / "row0_run1" / "run.json"
+        fields = json.loads(record.read_text())
+        fields["row"] = 5
+        record.write_text(json.dumps(fields))
+        before = {p: p.read_bytes()
+                  for p in (record, out / "posteval.csv", out / "summary.csv")}
+        capsys.readouterr()
+        assert main(["evolve", str(cfg), "--out", str(out), "--runs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "row0_run1" in err
+        assert "row=5" in err and "this plan has row=0" in err
+        assert {p: p.read_bytes() for p in before} == before
+
     @pytest.mark.parametrize("stored", [
         b"\xff\xfe not UTF-8\n",
         b"[1]\n",

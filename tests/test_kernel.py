@@ -11,9 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minsurprise import kernel
+from minsurprise import kernel, simulation
 from minsurprise.cli import main
-from minsurprise.networks import random_genome, save_genome
+from minsurprise.networks import (
+    HIDDEN_UNITS,
+    NET_INPUTS,
+    random_genome,
+    save_genome,
+)
+from minsurprise.world import SENSOR_COUNT, SENSOR_FRAME
 
 SMOKE = "grid=8\nrobots=3\nblocks=5\nsteps=40\npopulation=4\ngenerations=2\n"
 
@@ -77,6 +83,20 @@ def test_batch_fields_match_the_c_struct():
                 assert base == "int64_t", declaration
                 fields.append((declarator, ctypes.c_int64))
     assert fields == kernel.Batch._fields_
+
+
+def test_c_constants_match_python():
+    # The kernel's enum restates the grid codes and the network sizes; a
+    # value changed on one side only would misread the shared arrays.
+    body = re.search(r"enum {(.*?)};", kernel.SOURCE.read_text(), re.S).group(1)
+    constants = {name: int(value) for name, value in
+                 re.findall(r"(\w+)\s*=\s*(\d+)", body)}
+    assert constants == {
+        "FREE": simulation._FREE, "ROBOT": simulation._ROBOT,
+        "BLOCK": simulation._BLOCK, "SENSORS": len(SENSOR_FRAME),
+        "SENSOR_BITS": SENSOR_COUNT, "INPUTS": NET_INPUTS,
+        "HIDDEN": HIDDEN_UNITS,
+    }
 
 
 def test_compile_command_keeps_ieee_float_semantics():

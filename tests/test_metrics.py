@@ -8,6 +8,7 @@ from minsurprise.metrics import (
     StructureLabel,
     classify_blocks,
     movement,
+    scene_label,
     score_run,
     similarity,
     structure_report,
@@ -129,7 +130,7 @@ class TestPostEvaluate:
         assert row.similarity == 1.0
         assert row.block_movement == 0.0
         assert row.robot_movement == 0.0
-        assert row.start_report.counts == row.end_report.counts
+        assert row.start_counts == row.end_counts
 
     def test_same_genome_and_seed_identical_rows(self):
         genome = random_genome(np.random.default_rng(5))
@@ -207,7 +208,7 @@ class TestClassifier:
         assert labels[(5, 5)] == CLUSTER
         for corner in [(4, 4), (6, 4), (4, 6), (6, 6)]:
             assert labels[corner] == OTHER
-        assert structure_report(blocks, L16).scene_label == CLUSTER
+        assert scene_label(structure_report(blocks, L16)) == CLUSTER
 
     def test_lone_block_dispersed(self):
         assert labels_of([(8, 8)]) == {(8, 8): DISPERSED}
@@ -269,11 +270,18 @@ class TestClassifier:
             blocks = set()
             while len(blocks) < 32:
                 blocks.add((int(rng.integers(0, L16)), int(rng.integers(0, L16))))
-            report = structure_report(blocks, L16)
-            assert sum(report.counts.values()) == 32
+            counts = structure_report(blocks, L16)
+            assert sum(counts.values()) == 32
 
     def test_scene_label_tie_breaks_in_order(self):
         # two pair blocks and two dispersed blocks: tie -> Pair (earlier)
-        report = structure_report([(0, 0), (1, 0), (8, 8), (12, 12)], L16)
-        assert report.counts[PAIR] == 2 and report.counts[DISPERSED] == 2
-        assert report.scene_label == PAIR
+        counts = structure_report([(0, 0), (1, 0), (8, 8), (12, 12)], L16)
+        assert counts[PAIR] == 2 and counts[DISPERSED] == 2
+        assert scene_label(counts) == PAIR
+        # any tie goes to the earlier of line, pair, cluster, dispersed
+        order = [LINE, PAIR, CLUSTER, DISPERSED]
+        for i, first in enumerate(order):
+            for later in order[i + 1:]:
+                tied = {label: 0 for label in StructureLabel}
+                tied[first] = tied[later] = 3
+                assert scene_label(tied) == first
