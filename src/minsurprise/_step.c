@@ -3,7 +3,10 @@
  * other than products, tanh and exp, over the K worlds of one
  * simulate_batch call. Its float arithmetic is IEEE + - * / and fabs
  * only, built with -ffp-contract=off, so every CPU gives the same bits.
- * Built and loaded by kernel.py. */
+ * A CPython extension module, _step, built and loaded by kernel.py. */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>  /* first, as the C API requires */
 
 #include <math.h>
 #include <stdint.h>
@@ -68,7 +71,7 @@ static void sense(const struct batch *b)
 /* All turns and each robot's code reset to its move << 12, then each
  * world's movers in step t's order: a mover pushes a block at c1 on into a
  * free c2, then leaves its cell for a free c1. */
-void actuate(const struct batch *b, int64_t t)
+static void actuate(const struct batch *b, int64_t t)
 {
     int64_t N = b->robots;
     for (int64_t i = 0; i < b->worlds * N; i++) {
@@ -99,21 +102,24 @@ void actuate(const struct batch *b, int64_t t)
     }
 }
 
-/* A fixed-prediction step: sense, add each code's mismatches to its
- * world's sum, look up each robot's decisions in its genome's table at
- * g << 13 | code, actuate. */
-void fixed_step(const struct batch *b, int64_t t)
+/* Fixed-prediction steps t0 .. t1 - 1, each: sense, add each code's
+ * mismatches to its world's sum, look up each robot's decisions in its
+ * genome's table at g << 13 | code, actuate. */
+static void fixed_steps(const struct batch *b, int64_t t0, int64_t t1)
 {
-    sense(b);
-    for (int64_t i = 0; i < b->worlds * b->robots; i++) {
-        int64_t code = b->code[i];
-        b->score[i / b->robots] += b->mismatches[code & ((1 << SENSOR_BITS) - 1)];
-        const uint8_t *d = b->decisions
-            + ((i / b->genome_robots) << (SENSOR_BITS + 1) | code) * 2;
-        b->decide[2 * i] = d[0];
-        b->decide[2 * i + 1] = d[1];
+    for (int64_t t = t0; t < t1; t++) {
+        sense(b);
+        for (int64_t i = 0; i < b->worlds * b->robots; i++) {
+            int64_t code = b->code[i];
+            b->score[i / b->robots] +=
+                b->mismatches[code & ((1 << SENSOR_BITS) - 1)];
+            const uint8_t *d = b->decisions
+                + ((i / b->genome_robots) << (SENSOR_BITS + 1) | code) * 2;
+            b->decide[2 * i] = d[0];
+            b->decide[2 * i + 1] = d[1];
+        }
+        actuate(b, t);
     }
-    actuate(b, t);
 }
 
 /* numpy's pairwise_sum of a[0 .. n): the order in which np.sum adds the
@@ -172,7 +178,7 @@ static void score_terms(double *restrict e, const double *restrict bit)
  * and from step 1 on add each world's error terms against the pending
  * prediction, in numpy's order, to its sum. The terms overwrite the
  * prediction, which no later pass reads. */
-void emergent_sense(const struct batch *b, int64_t t)
+static void emergent_sense(const struct batch *b, int64_t t)
 {
     int64_t N = b->robots, terms = N * SENSOR_BITS;
     sense(b);
@@ -186,6 +192,14 @@ void emergent_sense(const struct batch *b, int64_t t)
             score_terms(e + n * SENSOR_BITS, x + n * INPUTS);
         b->score[k] += pairwise_sum(e, terms);
     }
+}
+
+/* Input 12 of the prediction net, the move each robot chose this step,
+ * over input 12 of the action net, its previous move. */
+static void prediction_input(const struct batch *b)
+{
+    for (int64_t i = 0; i < b->worlds * b->robots; i++)
+        b->inputs[i * INPUTS + SENSOR_BITS] = b->decide[2 * i];
 }
 
 /* One robot's prediction net hidden layer before tanh, in the reference's
@@ -206,7 +220,7 @@ static void output_sum(double *restrict y, const double *restrict bias)
 }
 
 /* hidden_sum over every robot, each with its genome's weights. */
-void prediction_hidden(const struct batch *b)
+static void prediction_hidden(const struct batch *b)
 {
     int64_t M = b->genome_robots, genomes = b->worlds * b->robots / M;
     for (int64_t g = 0; g < genomes; g++)
@@ -217,11 +231,85 @@ void prediction_hidden(const struct batch *b)
 }
 
 /* output_sum over every robot, each with its genome's bias. */
-void prediction_output(const struct batch *b)
+static void prediction_output(const struct batch *b)
 {
     int64_t M = b->genome_robots, genomes = b->worlds * b->robots / M;
     for (int64_t g = 0; g < genomes; g++)
         for (int64_t i = g * M; i < (g + 1) * M; i++)
             output_sum(b->pred + i * SENSOR_BITS,
                        b->out_bias + g * SENSOR_BITS);
+}
+
+/* The Python side: one METH_FASTCALL function per pass, taking the address
+ * of a kernel.Batch and then the pass's step numbers, all ints. */
+
+/* Reads the n ints of a call to name into v. Raises TypeError and returns
+ * -1 on a wrong count or an argument that is not an int (PyLong_AsLongLong
+ * takes any object with __index__), OverflowError beyond int64. */
+static int int_args(const char *name, PyObject *const *args,
+                    Py_ssize_t nargs, Py_ssize_t n, int64_t *v)
+{
+    if (nargs != n) {
+        PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)",
+                     name, n, nargs);
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        v[i] = PyLong_AsLongLong(args[i]);
+        if (v[i] == -1 && PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
+#define BATCH(v) ((const struct batch *)(intptr_t)(v)[0])
+
+/* A Python function py_<pass> calling <pass> on the batch, with n - 1 step
+ * numbers after it. */
+#define WRAP(pass, n, ...)                                                 \
+    static PyObject *py_##pass(PyObject *self, PyObject *const *args,      \
+                               Py_ssize_t nargs)                           \
+    {                                                                      \
+        int64_t v[n];                                                      \
+        (void)self;                                                        \
+        if (int_args(#pass, args, nargs, n, v) < 0)                        \
+            return NULL;                                                   \
+        pass(__VA_ARGS__);                                                 \
+        Py_RETURN_NONE;                                                    \
+    }
+
+WRAP(actuate, 2, BATCH(v), v[1])
+WRAP(fixed_steps, 3, BATCH(v), v[1], v[2])
+WRAP(emergent_sense, 2, BATCH(v), v[1])
+WRAP(prediction_input, 1, BATCH(v))
+WRAP(prediction_hidden, 1, BATCH(v))
+WRAP(prediction_output, 1, BATCH(v))
+
+#define METHOD(pass, signature)                                            \
+    {#pass, (PyCFunction)(void (*)(void))py_##pass, METH_FASTCALL,        \
+     #pass signature}
+
+static PyMethodDef methods[] = {
+    METHOD(actuate, "(batch, t): turn, then move in step t's order"),
+    METHOD(fixed_steps, "(batch, t0, t1): fixed steps t0 .. t1 - 1"),
+    METHOD(emergent_sense, "(batch, t): sense, inputs, score at step t"),
+    METHOD(prediction_input, "(batch): input 12 = the chosen move"),
+    METHOD(prediction_hidden, "(batch): (product + h * self) + bias"),
+    METHOD(prediction_output, "(batch): -(output + bias)"),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef step_module = {
+    PyModuleDef_HEAD_INIT,
+    "_step",                            /* m_name */
+    "The engine's compiled step passes, each taking a kernel.Batch "
+    "address.",                         /* m_doc */
+    0,                                  /* m_size: no module state */
+    methods,                            /* m_methods */
+    NULL, NULL, NULL, NULL,             /* m_slots, m_traverse, m_clear, m_free */
+};
+
+PyMODINIT_FUNC PyInit__step(void)
+{
+    return PyModule_Create(&step_module);
 }

@@ -1,11 +1,16 @@
 """Build and load ``_step.c``, the engine's compiled step.
 
-The source ships with the package and is compiled on first use with the
-interpreter's C compiler (``sysconfig``'s CC) into the user cache dir,
-``${XDG_CACHE_HOME:-~/.cache}/minsurprise``, under a name keyed by the
-source, the compile command and the extension suffix. The library is
-written to a temp file and renamed into place, so processes that build at
-once never load a partial file.
+The source is a CPython extension module, ``_step``, that ships with the
+package. It is compiled on first use with the interpreter's C compiler
+(``sysconfig``'s CC) against the interpreter's headers (``Python.h``) into
+the user cache dir, ``${XDG_CACHE_HOME:-~/.cache}/minsurprise``, under a
+name keyed by the source, the compile command and the extension suffix.
+The library is written to a temp file and renamed into place, so processes
+that build at once never load a partial file.
+
+Each of the module's functions is one pass of the step and takes the
+address of a ``Batch``, ``ctypes.addressof(batch)``, then its step numbers
+as ints; the caller keeps the ``Batch`` and its arrays alive for the call.
 """
 
 from __future__ import annotations
@@ -15,12 +20,15 @@ import hashlib
 import os
 import shlex
 import sysconfig
+from importlib.machinery import ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 from pathlib import Path
+from types import ModuleType
 from typing import Optional
 
 SOURCE = Path(__file__).with_name("_step.c")
 
-_lib: Optional[ctypes.CDLL] = None
+_module: Optional[ModuleType] = None
 
 
 class BuildError(Exception):
@@ -43,7 +51,8 @@ def compile_command() -> list[str]:
     -ffp-contract=off keeps a * b + c two rounded operations, as numpy
     computes them: a fused multiply-add would change the bits."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    return cc + ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
+    return cc + ["-O2", "-ffp-contract=off", "-shared", "-fPIC",
+                 "-I" + sysconfig.get_paths()["include"]]
 
 
 def library_path(source: bytes, command: list[str]) -> Path:
@@ -85,17 +94,13 @@ def build(source_path: Path = SOURCE) -> Path:
     return target
 
 
-def load() -> ctypes.CDLL:
-    """The step kernel, built on the first call of the process."""
-    global _lib
-    if _lib is None:
-        lib = ctypes.CDLL(str(build()))
-        batch = ctypes.POINTER(Batch)
-        step = [batch, ctypes.c_int64]
-        for fn, argtypes in ((lib.actuate, step), (lib.fixed_step, step),
-                             (lib.emergent_sense, step),
-                             (lib.prediction_hidden, [batch]),
-                             (lib.prediction_output, [batch])):
-            fn.argtypes, fn.restype = argtypes, None
-        _lib = lib
-    return _lib
+def load() -> ModuleType:
+    """The step kernel's module, built and imported on the first call of
+    the process."""
+    global _module
+    if _module is None:
+        loader = ExtensionFileLoader("_step", str(build()))
+        module = module_from_spec(spec_from_loader(loader.name, loader))
+        loader.exec_module(module)
+        _module = module
+    return _module

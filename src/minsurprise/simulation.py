@@ -23,13 +23,19 @@ needs no other state. Block cells by id are read off the grid only where a
 result reads them: snapshots when taken (the one at t = 0 gives the start
 blocks), the metrics window once after the run. ``simulate_traced`` keeps
 all of these through its ``record``, an observer of the engine's one
-``observe`` hook, which sees robot cells, headings and grid after setup
-and after every step; the tests' invariant sweep is another such observer.
+``observe`` hook, which sees robot cells, headings and grid after setup, at
+the end and after each step it asks for: it returns the next step whose
+state it needs, or None for the next one. ``record`` asks for the next
+snapshot or the window's first step, whichever comes first, then for every
+step of the window; the tests' invariant sweep asks for every step.
 
-Compiled step. The C kernel ``_step.c`` (built and loaded by ``kernel.py``)
-takes the call's arrays once, bound in one struct. It does the integer work
-on the grid and the emergent prediction network's float work between its
-products. numpy keeps the products (``stable_rows_matmul``), tanh and exp,
+Compiled step. The C kernel ``_step.c``, a CPython extension module built
+and loaded by ``kernel.py``, takes the call's arrays once, bound in one
+struct whose address each call passes. It does the integer work on the grid
+and the emergent prediction network's float work between its products,
+including input 12, the chosen move. A fixed scenario runs all the steps
+up to the next one observe asks for in one call, so an unobserved batch is
+one call. numpy keeps the products (``stable_rows_matmul``), tanh and exp,
 and ``_act``, the action network, which also builds the fixed scenarios'
 decision tables. The kernel's float arithmetic is IEEE + - * / and fabs
 only, in the reference's order, built with -ffp-contract=off, so its bits
@@ -75,8 +81,9 @@ Nehalem and Prescott cores do not, and on them the engine is not bit-equal
 to the reference.
 
 Emergent step. Per step: the sensing call (sense, inputs, score); ``_act``;
-then, unless it is the last step, the prediction network: the product of
-the inputs with the hidden weights, one kernel pass hidden = (product +
+then, unless it is the last step, the prediction network: one kernel pass
+that sets input 12 to the chosen move, the product of the inputs with the
+hidden weights, one kernel pass hidden = (product +
 hidden * self weight) + bias, tanh, the product with the output weights,
 one kernel pass -(output + bias), exp; and actuation. The prediction is
 held as e = exp(-output) until the next step's score computes each term
@@ -216,13 +223,15 @@ def _decision_tables(nets: Sequence[ActionNetwork]) -> np.ndarray:
     return tables
 
 
+@functools.cache
 def _mismatch_table(scenario: Scenario) -> np.ndarray:
-    """(4096,) uint8: the mismatches of every sensor code against the
-    scenario's fixed prediction vector."""
+    """(4096,) uint8, read-only: the mismatches of every sensor code against
+    the scenario's fixed prediction vector."""
     codes = np.arange(1 << SENSOR_COUNT)
     mismatches = np.zeros(1 << SENSOR_COUNT, dtype=np.uint8)
     for i, p in enumerate(scenario_prediction(scenario)):
         mismatches += (codes >> i & 1) != p
+    mismatches.flags.writeable = False
     return mismatches
 
 
@@ -238,7 +247,7 @@ def simulate_batch(
     scenario: Scenario,
     seeds: np.ndarray,
     observe: Optional[Callable[[int, np.ndarray, np.ndarray, np.ndarray],
-                               None]] = None,
+                               Optional[int]]] = None,
 ) -> tuple[np.ndarray, int]:
     """Run seeds.shape[1] simulations per genome; return (error_sums, C).
 
@@ -248,8 +257,10 @@ def simulate_batch(
     the comparison count.
 
     observe(t, pos, rh, occ), when given, sees the state after t steps, for
-    t = 0 (the placement) to T in order: (K, N) robot cells and headings
-    and the one grid of all K worlds. It must not write to them.
+    t = 0 (the placement), then for each step it asks for, and t = T: (K, N)
+    robot cells and headings and the one grid of all K worlds. It must not
+    write to them. It returns the next step whose state it needs, which
+    must lie after t (one past T counts as T), or None for t + 1.
     """
     L, N, B, T = sim.side_length, sim.swarm_size, sim.block_count, sim.steps
     G = len(genomes)
@@ -310,41 +321,52 @@ def simulate_batch(
         mismatches = _mismatch_table(scenario)
         decisions = _decision_tables([d[0] for d in decoded])
 
-    # The kernel's view of this call, its array addresses bound once.
+    # The kernel's view of this call, its array addresses bound once; the
+    # struct lives in this frame for the whole call, its address with it.
     sensed = _tables(L)
     lib = kernel.load()
-    batch = ctypes.byref(kernel.Batch(K, N, L2, M, T, perms.itemsize, *(
+    batch = kernel.Batch(K, N, L2, M, T, perms.itemsize, *(
         None if a is None else a.ctypes.data
         for a in (occ, pos, rh, code, decide, sensed, perms, err,
                   mismatches, decisions, X, pred, p_hid, hidden, p_bh, p_self,
-                  p_bo))))
+                  p_bo)))
+    address = ctypes.addressof(batch)
 
-    if observe is not None:
-        observe(0, pos, rh, occ)
+    def ask(t: int) -> int:
+        """Show observe the state after t steps; the next step it needs."""
+        wanted = observe(t, pos, rh, occ)
+        wanted = t + 1 if wanted is None else min(wanted, T)
+        if wanted <= t < T:
+            raise ValueError(f"observe after step {t} asked for step {wanted}")
+        return wanted
 
-    for t in range(T):
+    # Steps run up to stop, the next state observe sees, in one kernel call
+    # for a fixed prediction and one step at a time for the emergent one.
+    t, stop = 0, T if observe is None else ask(0)
+    while t < T:
         if not emergent:
             # Sense, add the mismatches, look up the decisions, actuate.
-            lib.fixed_step(batch, t)
+            lib.fixed_steps(address, t, stop)
+            t = stop
         else:
             # Sense, write the network inputs, score the pending prediction.
-            lib.emergent_sense(batch, t)
+            lib.emergent_sense(address, t)
             _act(X, a_wh, a_bh, a_wo, a_bo, a_hid, a_out, decide)
             # Prediction network, fed the chosen action; the final step's
             # prediction would never meet a sensor reading, so skip it.
             if t + 1 < T:
-                X[:, :, SENSOR_COUNT] = decide[:, :, 0]
+                lib.prediction_input(address)
                 stable_rows_matmul(X, p_wh, out=p_hid)
-                lib.prediction_hidden(batch)
+                lib.prediction_hidden(address)
                 np.tanh(hidden, out=hidden)
                 stable_rows_matmul(hidden, p_wo, out=pred)
-                lib.prediction_output(batch)
+                lib.prediction_output(address)
                 np.exp(pred, out=pred)
             # Actuate (schedule in the module docstring).
-            lib.actuate(batch, t)
-
-        if observe is not None:
-            observe(t + 1, pos, rh, occ)
+            lib.actuate(address, t)
+            t += 1
+        if t == stop and observe is not None:
+            stop = ask(t)
 
     comparisons = T - 1 if emergent else T
     return err.reshape(G, W), comparisons
@@ -371,10 +393,11 @@ def simulate_traced(
     start_blocks = None  # (B,) flat cells, read for the snapshot at t = 0
 
     def record(t: int, pos: np.ndarray, rh: np.ndarray,
-               occ: np.ndarray) -> None:
+               occ: np.ndarray) -> Optional[int]:
         """Keep what a result reads of the state after t steps of the
         one-world batch: robot cells and grid in the metrics window, and
-        snapshots."""
+        snapshots. Ask for the next snapshot or the window's first step,
+        whichever comes first, then for every step of the window."""
         nonlocal start_blocks
         i = t - (T - tau)
         if i >= 0:
@@ -388,6 +411,9 @@ def simulate_traced(
                       for c, h in zip(pos[0], rh[0])]
             snapshots.append((t, render_cells(
                 L, robots, [(int(c % L), int(c // L)) for c in blocks])))
+        if i >= 0:
+            return None
+        return min((t // snapshot_every + 1) * snapshot_every, T - tau)
 
     err, comparisons = simulate_batch(
         [genome], sim, scenario, np.array([[seed]], dtype=np.uint64),

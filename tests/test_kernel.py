@@ -1,5 +1,5 @@
-"""The compiled step kernel: its build cache, its build errors and the
-binding of its call struct."""
+"""The compiled step kernel: its build cache, its build errors, its
+module's call surface and the binding of its call struct."""
 
 import ctypes
 import os
@@ -47,7 +47,7 @@ def empty_cache(tmp_path, monkeypatch):
     """An empty user cache dir and no library loaded in this process."""
     cache = tmp_path / "cache"
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
-    monkeypatch.setattr(kernel, "_lib", None)
+    monkeypatch.setattr(kernel, "_module", None)
     return cache
 
 
@@ -63,6 +63,35 @@ def test_parallel_cold_builds_leave_one_library(empty_cache):
     assert outputs[0][0] == outputs[1][0] != ""  # bitwise, via repr
     library, = cached_files(empty_cache)
     assert library.startswith("_step-") and library.endswith(".so")
+
+
+# Each function of the kernel module: the number of ints it takes, the
+# Batch address first.
+PASSES = {"actuate": 2, "fixed_steps": 3, "emergent_sense": 2,
+          "prediction_input": 1, "prediction_hidden": 1,
+          "prediction_output": 1}
+
+
+def test_load_imports_the_module_once():
+    module = kernel.load()
+    assert kernel.load() is module
+    assert {name for name in dir(module)
+            if not name.startswith("_")} == set(PASSES)
+
+
+@pytest.mark.parametrize("name, arity", PASSES.items())
+def test_bad_arguments_raise_before_the_pass_runs(name, arity):
+    # The batch address 0 is never read: the checks come first.
+    fn = getattr(kernel.load(), name)
+    for count in (arity - 1, arity + 1):
+        with pytest.raises(TypeError, match=f"takes {arity} arguments"):
+            fn(*[0] * count)
+    for i in range(arity):
+        for bad in (1.0, "1", None):
+            args = [0] * arity
+            args[i] = bad
+            with pytest.raises(TypeError):
+                fn(*args)
 
 
 def test_batch_fields_match_the_c_struct():

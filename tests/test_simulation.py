@@ -312,6 +312,70 @@ class TestObserveHook:
         assert comp == plain_comp
         assert np.array_equal(observed, plain)  # bitwise
 
+    @pytest.mark.parametrize("scenario", [Scenario.EMERGENT,
+                                          Scenario.CLUSTERS])
+    def test_skipped_steps_change_nothing(self, scenario):
+        # An observer that asks for step T at t = 0 sees only the placement
+        # and the end: a fixed run's steps between are one kernel call.
+        config = SimConfig(8, 3, 5, steps=30)
+        T = config.steps
+        genomes = [spread_genome(1), spread_genome(2)]
+        seeds = np.array([[7, 8], [9, 10]], dtype=np.uint64)
+
+        def run(wanted):
+            seen = {}
+
+            def observe(t, pos, rh, occ):
+                seen[t] = (pos.copy(), rh.copy(), occ.copy())
+                return wanted
+            err, _ = simulate_batch(genomes, config, scenario, seeds,
+                                    observe=observe)
+            return err, seen
+
+        every_err, every = run(None)
+        ends_err, ends = run(T)
+        plain, _ = simulate_batch(genomes, config, scenario, seeds)
+        assert sorted(every) == list(range(T + 1)) and sorted(ends) == [0, T]
+        assert np.array_equal(every_err, plain)  # bitwise
+        assert np.array_equal(ends_err, plain)
+        for t in (0, T):
+            for a, b in zip(every[t], ends[t]):
+                assert np.array_equal(a, b)
+
+    def test_observer_must_ask_for_a_later_step(self):
+        with pytest.raises(ValueError, match="after step 0 asked for step 0"):
+            simulate_batch([spread_genome(1)], SimConfig(8, 3, 5, steps=30),
+                           Scenario.CLUSTERS, np.array([[7]], np.uint64),
+                           observe=lambda t, pos, rh, occ: t)
+
+    @pytest.mark.parametrize("scenario", [Scenario.EMERGENT,
+                                          Scenario.CLUSTERS])
+    @pytest.mark.parametrize("every", [1, 7, 40])
+    def test_traced_run_skips_only_unrecorded_steps(self, monkeypatch,
+                                                    scenario, every):
+        # The recorder asks for the next snapshot or the metrics window;
+        # the same recorder shown every step keeps the same results.
+        config = SimConfig(6, 3, 4, steps=40)  # window: steps 22 .. 40
+        genome = spread_genome(3)
+        skipped = simulate_traced(genome, config, scenario, 41, every)
+        batch = simulation.simulate_batch
+
+        def every_step(*args, observe):
+            def each(t, pos, rh, occ):
+                observe(t, pos, rh, occ)
+            return batch(*args, observe=each)
+
+        monkeypatch.setattr(simulation, "simulate_batch", every_step)
+        shown = simulate_traced(genome, config, scenario, 41, every)
+        assert skipped.snapshots == shown.snapshots
+        assert [t for t, _ in shown.snapshots] == sorted(
+            {*range(0, 41, every), 40})
+        assert skipped.error_sum == shown.error_sum
+        assert skipped.start_blocks == shown.start_blocks
+        assert skipped.end_blocks == shown.end_blocks
+        assert np.array_equal(skipped.robot_window, shown.robot_window)
+        assert np.array_equal(skipped.block_window, shown.block_window)
+
 
 def never_moving_genome():
     # all-zero action net with a negative move bias: every robot only turns
