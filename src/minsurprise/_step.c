@@ -68,7 +68,8 @@ static void sense(const struct batch *b)
     }
 }
 
-/* All turns and each robot's code reset to its move << 12, then each
+/* All turns, each robot's code reset to its move << 12 and, in the
+ * emergent scenario, its network input 12 set to its move, then each
  * world's movers in step t's order: a mover pushes a block at c1 on into a
  * free c2, then leaves its cell for a free c1. */
 static void actuate(const struct batch *b, int64_t t)
@@ -79,6 +80,8 @@ static void actuate(const struct batch *b, int64_t t)
         if (!d[0])
             b->rh[i] = (b->rh[i] + (d[1] ? 1 : 3)) & 3;
         b->code[i] = (int64_t)d[0] << SENSOR_BITS;
+        if (b->inputs)
+            b->inputs[i * INPUTS + SENSOR_BITS] = d[0];
     }
     for (int64_t k = 0; k < b->worlds; k++) {
         int32_t *grid = b->occ + k * b->cells;
@@ -157,13 +160,12 @@ static const double NIBBLE[16][4] = {
     BITS(8), BITS(9), BITS(10), BITS(11), BITS(12), BITS(13), BITS(14),
     BITS(15)};
 
-/* One robot's 13 network inputs, input j being bit j of its code. */
+/* One robot's 12 sensor inputs, input j being bit j of its code. */
 static void write_inputs(double *restrict x, int64_t code)
 {
     for (int q = 0; q < 3; q++)
         for (int j = 0; j < 4; j++)
             x[4 * q + j] = NIBBLE[code >> 4 * q & 15][j];
-    x[SENSOR_BITS] = (double)(code >> SENSOR_BITS);  /* the move bit */
 }
 
 /* One robot's 12 error terms |1 / (e + 1) - bit|, written over its pending
@@ -174,10 +176,10 @@ static void score_terms(double *restrict e, const double *restrict bit)
         e[s] = fabs(1.0 / (e[s] + 1.0) - bit[s]);
 }
 
-/* An emergent step's sensing: sense, write each robot's network inputs
- * and from step 1 on add each world's error terms against the pending
- * prediction, in numpy's order, to its sum. The terms overwrite the
- * prediction, which no later pass reads. */
+/* An emergent step's sensing: sense, write each robot's 12 sensor inputs
+ * (input 12, its previous move, is actuate's) and from step 1 on add each
+ * world's error terms against the pending prediction, in numpy's order, to
+ * its sum. The terms overwrite the prediction, which no later pass reads. */
 static void emergent_sense(const struct batch *b, int64_t t)
 {
     int64_t N = b->robots, terms = N * SENSOR_BITS;
@@ -192,14 +194,6 @@ static void emergent_sense(const struct batch *b, int64_t t)
             score_terms(e + n * SENSOR_BITS, x + n * INPUTS);
         b->score[k] += pairwise_sum(e, terms);
     }
-}
-
-/* Input 12 of the prediction net, the move each robot chose this step,
- * over input 12 of the action net, its previous move. */
-static void prediction_input(const struct batch *b)
-{
-    for (int64_t i = 0; i < b->worlds * b->robots; i++)
-        b->inputs[i * INPUTS + SENSOR_BITS] = b->decide[2 * i];
 }
 
 /* One robot's prediction net hidden layer before tanh, in the reference's
@@ -281,7 +275,6 @@ static int int_args(const char *name, PyObject *const *args,
 WRAP(actuate, 2, BATCH(v), v[1])
 WRAP(fixed_steps, 3, BATCH(v), v[1], v[2])
 WRAP(emergent_sense, 2, BATCH(v), v[1])
-WRAP(prediction_input, 1, BATCH(v))
 WRAP(prediction_hidden, 1, BATCH(v))
 WRAP(prediction_output, 1, BATCH(v))
 
@@ -293,7 +286,6 @@ static PyMethodDef methods[] = {
     METHOD(actuate, "(batch, t): turn, then move in step t's order"),
     METHOD(fixed_steps, "(batch, t0, t1): fixed steps t0 .. t1 - 1"),
     METHOD(emergent_sense, "(batch, t): sense, inputs, score at step t"),
-    METHOD(prediction_input, "(batch): input 12 = the chosen move"),
     METHOD(prediction_hidden, "(batch): (product + h * self) + bias"),
     METHOD(prediction_output, "(batch): -(output + bias)"),
     {NULL, NULL, 0, NULL},

@@ -6,7 +6,9 @@ package. It is compiled on first use with the interpreter's C compiler
 the user cache dir, ``${XDG_CACHE_HOME:-~/.cache}/minsurprise``, under a
 name keyed by the source, the compile command and the extension suffix.
 The library is written to a temp file and renamed into place, so processes
-that build at once never load a partial file.
+that build at once never load a partial file. A build also deletes the
+cached libraries built more than 30 days before it; a cache hit deletes
+nothing.
 
 Each of the module's functions is one pass of the step and takes the
 address of a ``Batch``, ``ctypes.addressof(batch)``, then its step numbers
@@ -20,6 +22,7 @@ import hashlib
 import os
 import shlex
 import sysconfig
+import time
 from importlib.machinery import ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
 from pathlib import Path
@@ -86,6 +89,13 @@ def build(source_path: Path = SOURCE) -> Path:
             raise BuildError(f"{command[0]} failed on {source_path.name} "
                              f"(exit {done.returncode}): {first.strip()}")
         os.replace(tmp, target)
+        cutoff = time.time() - 30 * 24 * 3600  # 30 days ago
+        for old in target.parent.glob("_step-*.so"):
+            try:
+                if old != target and old.stat().st_mtime < cutoff:
+                    old.unlink()
+            except FileNotFoundError:  # another process removed it first
+                pass
     except OSError as exc:
         raise BuildError(f"cannot compile {source_path.name} with "
                          f"{command[0]}: {exc}") from None

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .simulation import RunTrace
-from .world import SENSOR_COUNT
+from .world import SENSOR_COUNT, metrics_window
 
 Cell = tuple[int, int]
 
@@ -205,21 +205,16 @@ class MetricsRow:
 
 
 def metrics_from_trace(trace: RunTrace) -> MetricsRow:
-    fitness = score_run(trace.error_sum, trace.n_robots, trace.comparisons)
-    sim_value = (
-        similarity(trace.start_blocks, trace.end_blocks)
-        if trace.n_blocks else 1.0
-    )
-    _, _, m_blocks = movement(trace.block_window, trace.n_blocks, trace.tau,
-                              trace.side_length)
-    _, _, m_robots = movement(trace.robot_window, trace.n_robots, trace.tau,
-                              trace.side_length)
+    sim = trace.sim
+    L, N, B = sim.side_length, sim.swarm_size, sim.block_count
+    tau = metrics_window(L)
+    sim_value = similarity(trace.start_blocks, trace.end_blocks) if B else 1.0
     return MetricsRow(
-        fitness=fitness,
+        fitness=score_run(trace.error_sum, N, trace.comparisons),
         similarity=sim_value,
-        block_movement=m_blocks,
-        robot_movement=m_robots,
-        start_counts=structure_report(trace.start_blocks, trace.side_length),
-        end_counts=structure_report(trace.end_blocks, trace.side_length),
+        block_movement=movement(trace.block_window, B, tau, L)[2],
+        robot_movement=movement(trace.robot_window, N, tau, L)[2],
+        start_counts=structure_report(trace.start_blocks, L),
+        end_counts=structure_report(trace.end_blocks, L),
     )
 

@@ -32,8 +32,8 @@ step of the window; the tests' invariant sweep asks for every step.
 Compiled step. The C kernel ``_step.c``, a CPython extension module built
 and loaded by ``kernel.py``, takes the call's arrays once, bound in one
 struct whose address each call passes. It does the integer work on the grid
-and the emergent prediction network's float work between its products,
-including input 12, the chosen move. A fixed scenario runs all the steps
+and the emergent prediction network's float work between its products; an
+emergent step is four calls. A fixed scenario runs all the steps
 up to the next one observe asks for in one call, so an unobserved batch is
 one call. numpy keeps the products (``stable_rows_matmul``), tanh and exp,
 and ``_act``, the action network, which also builds the fixed scenarios'
@@ -46,8 +46,9 @@ Actuation sets the code to the robot's move << 12 (it starts at 0: no move
 before the first step); sensing then ORs in bit s for a robot in sensed
 cell s and bit 6 + s for a block. So the code holds the 12 sensor bits,
 sensor i in bit i, and the previous move in bit 12: network input i is bit
-i of the code. The emergent step's sensing call writes these 13 inputs as
-floats and, from step 1 on, scores the pending prediction against them.
+i of the code. The emergent step's sensing call writes the 12 sensor
+inputs as floats and, from step 1 on, scores the pending prediction
+against them.
 
 Actuation schedule. The reference actuates one robot at a time in the
 step's shuffled order. A robot reads and writes only its own cell and the
@@ -80,12 +81,13 @@ OpenBLAS's Haswell, SkylakeX and Zen cores have it; its Sandybridge,
 Nehalem and Prescott cores do not, and on them the engine is not bit-equal
 to the reference.
 
-Emergent step. Per step: the sensing call (sense, inputs, score); ``_act``;
-then, unless it is the last step, the prediction network: one kernel pass
-that sets input 12 to the chosen move, the product of the inputs with the
-hidden weights, one kernel pass hidden = (product +
-hidden * self weight) + bias, tanh, the product with the output weights,
-one kernel pass -(output + bias), exp; and actuation. The prediction is
+Emergent step. Per step: the sensing call (sense, sensor inputs 0-11,
+score); ``_act``, which reads input 12 as the previous move (0 at t = 0);
+actuation, which also sets input 12 to the chosen move; then, unless it is
+the last step, the prediction network, which reads nothing else actuation
+writes: the product of the inputs with the hidden weights, one kernel pass
+hidden = (product + hidden * self weight) + bias, tanh, the product with
+the output weights, one kernel pass -(output + bias), exp. The prediction is
 held as e = exp(-output) until the next step's score computes each term
 |1 / (e + 1) - sensor bit|, the reference's sigmoid and error, and sums a
 world's N * 12 terms in the order numpy's pairwise sum adds them. The
@@ -165,12 +167,9 @@ def _tables(L: int) -> np.ndarray:
 class RunTrace:
     """Everything the post-evaluation metrics need from one recorded run."""
 
-    side_length: int
-    n_robots: int
-    n_blocks: int
+    sim: SimConfig
     comparisons: int
     error_sum: float
-    tau: int
     start_blocks: frozenset[tuple[int, int]]
     end_blocks: frozenset[tuple[int, int]]
     robot_window: np.ndarray  # (tau + 1, N, 2) of (x, y), times T-tau .. T
@@ -308,7 +307,8 @@ def simulate_batch(
         p_self = np.stack([d[1].w_self for d in decoded])
         p_wo = np.stack([d[1].w_out for d in decoded])
         p_bo = np.stack([d[1].b_out for d in decoded])  # (G, 12)
-        X = np.empty((G, M, NET_INPUTS), dtype=np.float64)  # network inputs
+        # network inputs; input 12, the previous move, is 0 at t = 0
+        X = np.zeros((G, M, NET_INPUTS), dtype=np.float64)
         a_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
         a_out = np.empty((G, M, ACTION_OUTPUTS), dtype=np.float64)
         p_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
@@ -349,21 +349,21 @@ def simulate_batch(
             lib.fixed_steps(address, t, stop)
             t = stop
         else:
-            # Sense, write the network inputs, score the pending prediction.
+            # Sense, write the sensor inputs, score the pending prediction.
             lib.emergent_sense(address, t)
             _act(X, a_wh, a_bh, a_wo, a_bo, a_hid, a_out, decide)
-            # Prediction network, fed the chosen action; the final step's
+            # Actuate (schedule in the module docstring), which also sets
+            # input 12 to the chosen move.
+            lib.actuate(address, t)
+            # Prediction network, fed the chosen move; the final step's
             # prediction would never meet a sensor reading, so skip it.
             if t + 1 < T:
-                lib.prediction_input(address)
                 stable_rows_matmul(X, p_wh, out=p_hid)
                 lib.prediction_hidden(address)
                 np.tanh(hidden, out=hidden)
                 stable_rows_matmul(hidden, p_wo, out=pred)
                 lib.prediction_output(address)
                 np.exp(pred, out=pred)
-            # Actuate (schedule in the module docstring).
-            lib.actuate(address, t)
             t += 1
         if t == stop and observe is not None:
             stop = ask(t)
@@ -428,12 +428,9 @@ def simulate_traced(
         return frozenset(map(tuple, xy(flat).tolist()))
 
     return RunTrace(
-        side_length=L,
-        n_robots=N,
-        n_blocks=B,
+        sim=sim,
         comparisons=comparisons,
         error_sum=float(err[0, 0]),
-        tau=tau,
         start_blocks=cells(start_blocks),
         end_blocks=cells(blocks[-1]),
         robot_window=xy(robot_cells),

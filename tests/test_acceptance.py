@@ -373,7 +373,7 @@ def test_criterion_10_movement_properties():
     config = SimConfig(8, 1, 0, steps=40)
     trace = simulate_traced(genome, config, Scenario.EMERGENT, 5,
                             snapshot_every=config.steps)
-    _, _, m_robot = movement(trace.robot_window, 1, trace.tau, 8)
+    _, _, m_robot = movement(trace.robot_window, 1, 32, 8)  # tau = 8 * 8 // 2
     assert abs(m_robot - 1.0) <= 1e-12
 
     report("10 movement properties", True,

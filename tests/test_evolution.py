@@ -21,6 +21,7 @@ from minsurprise.networks import (
     Scenario,
     random_genome,
 )
+from minsurprise.simulation import simulate_batch
 from minsurprise.world import SimConfig
 
 
@@ -154,6 +155,25 @@ class TestSelectProportionate:
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
             select_proportionate([], np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: small_config(population_size=0), "population_size must be >= 1"),
+    (lambda: small_config(generations=0), "generations must be >= 1"),
+    (lambda: small_config(eval_runs=0), "eval_runs must be >= 1"),
+    (lambda: small_config(mutation_rate=-0.1), r"mutation_rate must lie in"),
+    (lambda: small_config(mutation_rate=1.5), r"mutation_rate must lie in"),
+    (lambda: select_proportionate([0.5, -0.25], np.random.default_rng(0)),
+     "fitnesses must be non-negative"),
+    (lambda: simulate_batch([random_genome(np.random.default_rng(0))] * 2,
+                            SimConfig(8, 3, 5, steps=30), Scenario.EMERGENT,
+                            np.zeros((3, 1), dtype=np.uint64)),
+     "one seed row per genome required"),
+], ids=["population", "generations", "eval-runs", "rate-below-0",
+        "rate-above-1", "negative-fitness", "seed-rows"])
+def test_public_input_checks_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestMutate:

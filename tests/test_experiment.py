@@ -84,6 +84,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("grid=16\nscenario=squares\n")
 
+    def test_line_without_equals_sign_is_named(self):
+        with pytest.raises(ConfigError,
+                           match="line 2: expected key=value, got 'robots 4'"):
+            parse_config("grid=16\nrobots 4\n")
+
     def test_impossible_placement_rejected(self):
         with pytest.raises(ConfigError, match="cannot place"):
             parse_config("robots=300\ngrid=16\n")
@@ -464,8 +469,10 @@ class TestCli:
         # complete records whose posteval_row is rewritten
         lambda row: "row0_run0,emergent",
         lambda row: row + ",0",
+        # a complete record whose run lost its genome
+        None,
     ], ids=["not-utf8", "not-an-object", "malformed-posteval-row",
-            "wrong-cell-count"])
+            "wrong-cell-count", "missing-genome"])
     def test_unreadable_record_is_recomputed(self, tmp_path, stored):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(SMOKE)
@@ -473,11 +480,14 @@ class TestCli:
         for out in (fresh, rerun):
             assert main(["evolve", str(cfg), "--out", str(out)]) == 0
         record = rerun / "row0_run0" / "run.json"
-        if callable(stored):
+        if stored is None:
+            (record.parent / "best.genome").unlink()
+        elif callable(stored):
             fields = json.loads(record.read_text())
             fields["posteval_row"] = stored(fields["posteval_row"])
-            stored = json.dumps(fields).encode()
-        record.write_bytes(stored)
+            record.write_text(json.dumps(fields))
+        else:
+            record.write_bytes(stored)
         assert main(["evolve", str(cfg), "--out", str(rerun)]) == 0
 
         def files(root):

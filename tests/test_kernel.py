@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -65,11 +66,30 @@ def test_parallel_cold_builds_leave_one_library(empty_cache):
     assert library.startswith("_step-") and library.endswith(".so")
 
 
+def test_build_prunes_month_old_libraries_only(empty_cache, monkeypatch):
+    cache = empty_cache / "minsurprise"
+    cache.mkdir(parents=True)
+    old, fresh = cache / "_step-old.so", cache / "_step-fresh.so"
+    for path in (old, fresh):
+        path.write_bytes(b"")
+    month_ago = time.time() - 31 * 24 * 3600
+    os.utime(old, (month_ago, month_ago))
+    # a stale file that another process removes between glob and stat
+    glob = Path.glob
+    monkeypatch.setattr(Path, "glob", lambda self, pattern: [
+        self / "_step-gone.so", *glob(self, pattern)])
+    target = kernel.build()
+    assert cached_files(empty_cache) == sorted([fresh.name, target.name])
+    # a cache hit prunes nothing
+    os.utime(fresh, (month_ago, month_ago))
+    assert kernel.build() == target
+    assert cached_files(empty_cache) == sorted([fresh.name, target.name])
+
+
 # Each function of the kernel module: the number of ints it takes, the
 # Batch address first.
 PASSES = {"actuate": 2, "fixed_steps": 3, "emergent_sense": 2,
-          "prediction_input": 1, "prediction_hidden": 1,
-          "prediction_output": 1}
+          "prediction_hidden": 1, "prediction_output": 1}
 
 
 def test_load_imports_the_module_once():

@@ -289,6 +289,17 @@ class TestGenomeFile:
         with pytest.raises(MalformedGenomeError):
             load_genome(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("minsurprise-genome v1 130 x\n", "bad genome header"),
+        ("minsurprise-genome v1 130 228\n" + "0 " * 357 + "zero\n",
+         "unparsable weight value"),
+    ], ids=["non-integer-count", "non-numeric-weight"])
+    def test_rejects_non_numbers(self, tmp_path, text, message):
+        path = tmp_path / "g.genome"
+        path.write_text(text)
+        with pytest.raises(MalformedGenomeError, match=message):
+            load_genome(path)
+
     def test_rejects_garbage_header(self, tmp_path):
         path = tmp_path / "g.genome"
         path.write_text("something else\n0 0\n")

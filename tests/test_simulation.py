@@ -633,7 +633,7 @@ class TestTraces:
         config = SimConfig(8, 3, 5, steps=40)  # tau = 32
         trace = simulate_traced(spread_genome(7), config, Scenario.EMERGENT, 2,
                                 snapshot_every=config.steps)
-        assert trace.tau == 32
+        assert trace.sim == config
         assert trace.robot_window.shape == (33, 3, 2)
         assert trace.block_window.shape == (33, 5, 2)
         assert len(trace.start_blocks) == 5
