@@ -46,7 +46,8 @@ class Batch(ctypes.Structure):
         + [(name, ctypes.c_void_p) for name in (
             "occ", "pos", "rh", "code", "decide", "sensed", "perms", "score",
             "mismatches", "decisions", "inputs", "pred", "product", "hidden",
-            "hidden_bias", "self_weight", "out_bias")])
+            "hidden_bias", "self_weight", "out_bias", "a_hidden", "a_out",
+            "a_hidden_bias", "a_out_bias")])
 
 
 def compile_command() -> list[str]:

@@ -141,10 +141,11 @@ def sigmoid_inplace(x: np.ndarray) -> np.ndarray:
     The engine's inputs cannot overflow ``exp``: an output of either
     network, action or prediction, is at most HIDDEN_UNITS * WEIGHT_LIMIT +
     WEIGHT_LIMIT = 45 in absolute value (tanh outputs lie in [-1, 1], every
-    weight within WEIGHT_LIMIT). The engine runs this function on the action
-    network only; it holds a pending prediction as exp(-output), at most
-    e^45, which is finite, and completes the sigmoid in the next step's
-    score."""
+    weight within WEIGHT_LIMIT). Only the fixed scenarios' decision-table
+    build runs this function. The emergent step holds both networks'
+    outputs as exp(-output), at most e^45, which is finite: it decides on
+    the action outputs in the kernel's actuation and completes the
+    prediction's sigmoid in the next step's score."""
     np.negative(x, out=x)
     np.exp(x, out=x)
     np.add(x, 1.0, out=x)

@@ -32,14 +32,14 @@ step of the window; the tests' invariant sweep asks for every step.
 Compiled step. The C kernel ``_step.c``, a CPython extension module built
 and loaded by ``kernel.py``, takes the call's arrays once, bound in one
 struct whose address each call passes. It does the integer work on the grid
-and the emergent prediction network's float work between its products; an
-emergent step is four calls. A fixed scenario runs all the steps
-up to the next one observe asks for in one call, so an unobserved batch is
-one call. numpy keeps the products (``stable_rows_matmul``), tanh and exp,
-and ``_act``, the action network, which also builds the fixed scenarios'
-decision tables. The kernel's float arithmetic is IEEE + - * / and fabs
-only, in the reference's order, built with -ffp-contract=off, so its bits
-are the same on every CPU.
+and both emergent networks' float work between their products; an emergent
+step is six calls. A fixed scenario runs all the steps up to the next one
+observe asks for in one call, so an unobserved batch is one call. numpy
+keeps the products (``stable_rows_matmul``), tanh and exp, and the fixed
+scenarios' decision-table build. The kernel's float arithmetic is IEEE
++ - * / and fabs only, in the reference's order, and one exact comparison
+(see Emergent step), built with -ffp-contract=off, so its bits are the
+same on every CPU.
 
 Sensing. Every scenario senses the same way, into one code per robot.
 Actuation sets the code to the robot's move << 12 (it starts at 0: no move
@@ -69,33 +69,36 @@ kernel adds them straight into each world's float64 error sum, as the
 emergent step adds its terms. Every partial sum is an integer of at most
 T * N * 12, far below 2^53, so the sums are exact. Each genome's (move,
 turn right) pair comes from its table of 8192 entries (16 KB) at code |
-previous move << 12. The tables are built once per call by ``_act``, the
-emergent step's action network (stable_rows_matmul, + b, tanh,
-stable_rows_matmul, + b, sigmoid >= 0.5), run once per genome on all of
-``_INPUT_ROWS``. An entry is the decision the network makes on that row
-alone if gemm computes each row of a product independently of the other
-rows and of their count: the row invariance that also makes a batched
-population bit-equal to single-genome calls and to the reference's padded
-two-row products. That invariance belongs to the BLAS kernel, not to gemm:
-OpenBLAS's Haswell, SkylakeX and Zen cores have it; its Sandybridge,
-Nehalem and Prescott cores do not, and on them the engine is not bit-equal
-to the reference.
+previous move << 12. The tables are built once per call by
+``_decision_tables``, which runs each genome's action network as the
+reference does (stable_rows_matmul, + b, tanh, stable_rows_matmul, + b,
+sigmoid >= 0.5) on all of ``_INPUT_ROWS``. An entry is the decision the
+network makes on that row alone if gemm computes each row of a product
+independently of the other rows and of their count: the row invariance
+that also makes a batched population bit-equal to single-genome calls and
+to the reference's padded two-row products. That invariance belongs to the
+BLAS kernel, not to gemm: OpenBLAS's Haswell, SkylakeX and Zen cores have
+it; its Sandybridge, Nehalem and Prescott cores do not, and on them the
+engine is not bit-equal to the reference.
 
-Emergent step. Per step: the sensing call (sense, sensor inputs 0-11,
-score); ``_act``, which reads input 12 as the previous move (0 at t = 0);
-actuation, which also sets input 12 to the chosen move; then, unless it is
-the last step, the prediction network, which reads nothing else actuation
-writes: the product of the inputs with the hidden weights, one kernel pass
-hidden = (product + hidden * self weight) + bias, tanh, the product with
-the output weights, one kernel pass -(output + bias), exp. The prediction is
-held as e = exp(-output) until the next step's score computes each term
-|1 / (e + 1) - sensor bit|, the reference's sigmoid and error, and sums a
-world's N * 12 terms in the order numpy's pairwise sum adds them. The
-kernel reads the prediction network's biases and self weights per genome.
-``_act``'s biases are repeated per robot row once per call, so each of its
-numpy operations is one inner loop over a contiguous (G, M, .) array. The
-floating-point operations and their order are those of the reference, so
-the layout changes speed only, never a bit of the results.
+Emergent step. Both networks run in one shape: the product of the inputs
+with the hidden weights, a kernel pass for the hidden sum, tanh, the
+product with the output weights, one kernel pass -(output + bias), exp.
+Per step: the sensing call (sense, sensor inputs 0-11, score); the action
+network, whose input 12 is the previous move (0 at t = 0) and whose hidden
+pass is product + bias; actuation, which completes each decision and also
+sets input 12 to the chosen move; then, unless it is the last step, the
+prediction network, which reads nothing else actuation writes and whose
+hidden pass is (product + hidden * self weight) + bias. Actuation decides
+e = exp(-output) <= 1 + 2^-52, which for every double e is the reference's
+sigmoid(y) = 1 / (1 + e) >= 0.5 (the proof is at ``actuate`` in _step.c),
+whatever exp's rounding. The prediction is held as e = exp(-output) until
+the next step's score computes each term |1 / (e + 1) - sensor bit|, the
+reference's sigmoid and error, and sums a world's N * 12 terms in the
+order numpy's pairwise sum adds them. The kernel reads both networks'
+biases and the self weights per genome. The floating-point operations and
+their order are those of the reference, so the layout changes speed only,
+never a bit of the results.
 """
 
 from __future__ import annotations
@@ -193,32 +196,22 @@ def _block_cells(occ: np.ndarray, K: int, B: int) -> np.ndarray:
     return bcell.reshape(K, B)
 
 
-def _act(x: np.ndarray, w_hidden: np.ndarray, b_hidden: np.ndarray,
-         w_out: np.ndarray, b_out: np.ndarray, hid: np.ndarray, y: np.ndarray,
-         decide: np.ndarray) -> None:
-    """The action network on input rows x: decide = sigmoid(y) >= 0.5 for
-    y = tanh(x @ w_hidden + b_hidden) @ w_out + b_out, as the reference
-    decides. hid and y are scratch buffers of the hidden layer's and
-    decide's shapes."""
-    stable_rows_matmul(x, w_hidden, out=hid)
-    hid += b_hidden
-    np.tanh(hid, out=hid)
-    stable_rows_matmul(hid, w_out, out=y)
-    y += b_out
-    np.greater_equal(sigmoid_inplace(y), 0.5, out=decide)
-
-
 def _decision_tables(nets: Sequence[ActionNetwork]) -> np.ndarray:
     """(G, 8192, 2) bools: each action network's (move, turn right) on
     every row of _INPUT_ROWS, that is at every sensor code | previous move
-    << 12. The rows go through the step's own ``_act``, once per genome."""
+    << 12, decided as the reference decides: sigmoid(y) >= 0.5 for
+    y = tanh(x @ w_hidden + b_hidden) @ w_out + b_out."""
     rows = len(_INPUT_ROWS)
     tables = np.empty((len(nets), rows, ACTION_OUTPUTS), dtype=bool)
     hid = np.empty((rows, HIDDEN_UNITS), dtype=np.float64)
     y = np.empty((rows, ACTION_OUTPUTS), dtype=np.float64)
     for net, table in zip(nets, tables):
-        _act(_INPUT_ROWS, net.w_hidden, net.b_hidden, net.w_out, net.b_out,
-             hid, y, table)
+        stable_rows_matmul(_INPUT_ROWS, net.w_hidden, out=hid)
+        hid += net.b_hidden
+        np.tanh(hid, out=hid)
+        stable_rows_matmul(hid, net.w_out, out=y)
+        y += net.b_out
+        np.greater_equal(sigmoid_inplace(y), 0.5, out=table)
     return tables
 
 
@@ -232,12 +225,6 @@ def _mismatch_table(scenario: Scenario) -> np.ndarray:
         mismatches += (codes >> i & 1) != p
     mismatches.flags.writeable = False
     return mismatches
-
-
-def _rows(arrays: Sequence[np.ndarray], M: int) -> np.ndarray:
-    """Per-genome vectors repeated for each of a genome's M robot rows: a
-    contiguous (G, M, n) operand in place of a broadcast (G, 1, n) one."""
-    return np.repeat(np.stack(arrays)[:, None, :], M, axis=1)
 
 
 def simulate_batch(
@@ -297,11 +284,12 @@ def simulate_batch(
     err = np.zeros(K, dtype=np.float64)  # each world's error sum
     mismatches = decisions = None
     X = pred = p_hid = hidden = p_bh = p_self = p_bo = None
+    a_hid = a_out = a_bh = a_bo = None
     if emergent:
         a_wh = np.stack([d[0].w_hidden for d in decoded])  # (G, 13, 8)
-        a_bh = _rows([d[0].b_hidden for d in decoded], M)  # (G, M, 8)
+        a_bh = np.stack([d[0].b_hidden for d in decoded])  # (G, 8)
         a_wo = np.stack([d[0].w_out for d in decoded])
-        a_bo = _rows([d[0].b_out for d in decoded], M)
+        a_bo = np.stack([d[0].b_out for d in decoded])  # (G, 2)
         p_wh = np.stack([d[1].w_hidden for d in decoded])
         p_bh = np.stack([d[1].b_hidden for d in decoded])  # (G, 8)
         p_self = np.stack([d[1].w_self for d in decoded])
@@ -310,6 +298,7 @@ def simulate_batch(
         # network inputs; input 12, the previous move, is 0 at t = 0
         X = np.zeros((G, M, NET_INPUTS), dtype=np.float64)
         a_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
+        # the action outputs as exp(-output)
         a_out = np.empty((G, M, ACTION_OUTPUTS), dtype=np.float64)
         p_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
         hidden = np.zeros((G, M, HIDDEN_UNITS), dtype=np.float64)
@@ -329,7 +318,7 @@ def simulate_batch(
         None if a is None else a.ctypes.data
         for a in (occ, pos, rh, code, decide, sensed, perms, err,
                   mismatches, decisions, X, pred, p_hid, hidden, p_bh, p_self,
-                  p_bo)))
+                  p_bo, a_hid, a_out, a_bh, a_bo)))
     address = ctypes.addressof(batch)
 
     def ask(t: int) -> int:
@@ -351,9 +340,15 @@ def simulate_batch(
         else:
             # Sense, write the sensor inputs, score the pending prediction.
             lib.emergent_sense(address, t)
-            _act(X, a_wh, a_bh, a_wo, a_bo, a_hid, a_out, decide)
-            # Actuate (schedule in the module docstring), which also sets
-            # input 12 to the chosen move.
+            # Action network, up to exp(-output).
+            stable_rows_matmul(X, a_wh, out=a_hid)
+            lib.action_hidden(address)
+            np.tanh(a_hid, out=a_hid)
+            stable_rows_matmul(a_hid, a_wo, out=a_out)
+            lib.action_output(address)
+            np.exp(a_out, out=a_out)
+            # Decide off exp(-output) and actuate (schedule in the module
+            # docstring), which also sets input 12 to the chosen move.
             lib.actuate(address, t)
             # Prediction network, fed the chosen move; the final step's
             # prediction would never meet a sensor reading, so skip it.

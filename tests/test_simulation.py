@@ -1,6 +1,7 @@
 """Batch engine: reference equivalence, batching invariance, determinism,
 trace recording, and conservation under load."""
 
+import math
 import warnings
 
 import numpy as np
@@ -136,8 +137,13 @@ class TestReferenceEquivalence:
 # Action output biases next to 0, where y >= 0 and sigmoid(y) >= 0.5 can
 # disagree: -1e-17, -2**-53 and -5e-324 are negative, yet 1 + exp(-y) rounds
 # to exactly 2 and the sigmoid to 0.5, which decides for move and for a
-# right turn.
-BAND_BIASES = [0.0, 1e-17, -1e-17, -2.0**-53, 1e-13, -1e-13, -5e-324]
+# right turn. The last three put exp(-y) at the engine's decision edge
+# 1 + 2**-52: exp(2**-52) is 1 + 2**-52 (move), exp(2**-51) is 1 + 2**-51
+# (no move), and exp(3 * 2**-53) lies between the two, where a correctly
+# rounded exp gives 1 + 2**-51 and numpy 2.4.6 gives 1 + 2**-52; either way
+# the engine must decide as the reference.
+BAND_BIASES = [0.0, 1e-17, -1e-17, -2.0**-53, 1e-13, -1e-13, -5e-324,
+               -2.0**-52, -3 * 2.0**-53, -2.0**-51]
 
 
 def biased_genome(move_bias, turn_bias):
@@ -175,6 +181,23 @@ class TestDecisionBand:
             assert trace.snapshots[-1][1] == render_cells(
                 6, [RobotPose(x, y, Heading(h)) for x, y, h in ref_robots],
                 ref_blocks)
+
+
+def test_decision_edge_is_the_sigmoid_threshold():
+    # The engine decides on e = exp(-y) <= 1 + 2**-52, the reference on
+    # sigmoid(y) = 1 / (1 + e) >= 0.5: equal on every double e near 1, on
+    # both sides of the edge, and on e = exp(u) across the outputs' range.
+    edge = float.fromhex("0x1.0000000000001p0")
+    below, above = [1.0], [1.0]
+    for _ in range(7000):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], 2.0))
+    near = sorted(set(below + above), key=lambda e: abs(e - 1.0))[:10_000]
+    assert min(near) < 1.0 < edge < max(near)
+    rng = np.random.default_rng(2)
+    spread = np.exp(rng.uniform(-45.0, 45.0, 100_000)).tolist()
+    for e in near + spread:
+        assert (1.0 / (1.0 + e) >= 0.5) == (e <= edge), e
 
 
 def limit_genome(seed):
