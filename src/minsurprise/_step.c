@@ -1,6 +1,7 @@
 /* The engine's step outside numpy (see simulation.py): sensing, the fixed
- * scenarios' table lookups, actuation and the emergent step's float work
- * other than products, tanh and exp, over the K worlds of one
+ * scenarios' scores (a popcount against the target code), actuation,
+ * which makes every scenario's decisions, and the emergent step's float
+ * work other than products, tanh and exp, over the K worlds of one
  * simulate_batch call. Its float arithmetic is IEEE + - * / and fabs
  * only, and one exact comparison, actuate's e = exp(-y) <= 1 + 2^-52 in
  * place of the reference's sigmoid(y) >= 0.5; built with
@@ -16,21 +17,20 @@
 enum { FREE = 0, ROBOT = 1, BLOCK = 2, SENSORS = 6, SENSOR_BITS = 12,
        INPUTS = 13, HIDDEN = 8 };
 
-/* Shapes and arrays of one call, bound once; field order as in
- * kernel.Batch. Robot i = k * N + n is robot n of world k, and robot
- * i = g * M + m is robot m of genome g. */
+/* Shapes and arrays of one call, bound once by name; field order as in
+ * kernel.Batch, a field not bound is 0 (NULL). Robot i = k * N + n is
+ * robot n of world k, and robot i = g * M + m is robot m of genome g. */
 struct batch {
     int64_t worlds, robots, cells;  /* K, N, L * L */
     int64_t genome_robots;          /* M = W * N robots per genome */
     int64_t steps, perm_size;       /* T; bytes per entry of perms */
+    int64_t target;                 /* fixed scenarios: predicted code */
     int32_t *occ;                   /* (K * L * L) grid codes */
     int64_t *pos, *rh;              /* (K * N) flat cells, headings */
     int64_t *code;                  /* (K * N) sensor code | move << 12 */
-    uint8_t *decide;                /* (K * N, 2) move, turn right */
     const int32_t *sensed;          /* (L * L * 4, 6): _tables(L) */
     const void *perms;              /* (K, T, N) step orders */
     double *score;                  /* (K,) error sums */
-    const uint8_t *mismatches;      /* (4096,) fixed scenarios only */
     const uint8_t *decisions;       /* (G, 8192, 2) fixed scenarios only */
     /* the emergent scenario only: */
     double *inputs;                 /* (K * N, 13) network inputs */
@@ -74,36 +74,39 @@ static void sense(const struct batch *b)
     }
 }
 
-/* In the emergent scenario, first each robot's (move, turn right) off its
- * action outputs e = exp(-y): the reference's 1 / (1 + e) >= 0.5 holds
- * exactly when 1 + e rounds to at most 2, that is when e <= 1 + 2^-52
- * (2 + 2^-52 ties to even at 2; 2 + 2^-51 is exact). Then all turns, each
+/* First each robot's (move, turn right): in the emergent scenario off its
+ * action outputs e = exp(-y), where the reference's 1 / (1 + e) >= 0.5
+ * holds exactly when 1 + e rounds to at most 2, that is when
+ * e <= 1 + 2^-52 (2 + 2^-52 ties to even at 2; 2 + 2^-51 is exact); in a
+ * fixed one from its genome's table at g << 13 | code. Then all turns, each
  * robot's code reset to its move << 12 and, in the emergent scenario, its
  * network input 12 set to its move, then each world's movers in step t's
  * order: a mover pushes a block at c1 on into a free c2, then leaves its
  * cell for a free c1. */
 static void actuate(const struct batch *b, int64_t t)
 {
-    int64_t N = b->robots;
-    for (int64_t i = 0; i < b->worlds * N; i++) {
-        uint8_t *d = b->decide + 2 * i;
-        if (b->a_out)
+    int64_t N = b->robots, M = b->genome_robots;
+    for (int64_t g = 0; g < b->worlds * N / M; g++)
+        for (int64_t i = g * M; i < (g + 1) * M; i++) {
+            int64_t row = g << (SENSOR_BITS + 1) | b->code[i];
+            int d[2];
             for (int j = 0; j < 2; j++)
-                d[j] = b->a_out[2 * i + j] <= 0x1.0000000000001p0;
-        if (!d[0])
-            b->rh[i] = (b->rh[i] + (d[1] ? 1 : 3)) & 3;
-        b->code[i] = (int64_t)d[0] << SENSOR_BITS;
-        if (b->inputs)
-            b->inputs[i * INPUTS + SENSOR_BITS] = d[0];
-    }
+                d[j] = b->a_out ? b->a_out[2 * i + j] <= 0x1.0000000000001p0
+                                : b->decisions[row * 2 + j];
+            if (!d[0])
+                b->rh[i] = (b->rh[i] + (d[1] ? 1 : 3)) & 3;
+            b->code[i] = (int64_t)d[0] << SENSOR_BITS;
+            if (b->inputs)
+                b->inputs[i * INPUTS + SENSOR_BITS] = d[0];
+        }
     for (int64_t k = 0; k < b->worlds; k++) {
         int32_t *grid = b->occ + k * b->cells;
         int64_t *pos = b->pos + k * N, *rh = b->rh + k * N;
-        const uint8_t *decide = b->decide + 2 * k * N;
+        const int64_t *code = b->code + k * N;
         int64_t at = (k * b->steps + t) * N;
         for (int64_t j = 0; j < N; j++) {
             int64_t r = order(b, at + j);
-            if (!decide[2 * r])
+            if (code[r] == 0)
                 continue;
             const int32_t *ahead = b->sensed + (pos[r] * 4 + rh[r]) * SENSORS;
             int32_t c1 = ahead[0], c2 = ahead[3], o1 = grid[c1];
@@ -118,22 +121,15 @@ static void actuate(const struct batch *b, int64_t t)
     }
 }
 
-/* Fixed-prediction steps t0 .. t1 - 1, each: sense, add each code's
- * mismatches to its world's sum, look up each robot's decisions in its
- * genome's table at g << 13 | code, actuate. */
+/* Fixed-prediction steps t0 .. t1 - 1, each: sense, add each sensor
+ * code's mismatch count with the target to its world's sum, actuate. */
 static void fixed_steps(const struct batch *b, int64_t t0, int64_t t1)
 {
     for (int64_t t = t0; t < t1; t++) {
         sense(b);
-        for (int64_t i = 0; i < b->worlds * b->robots; i++) {
-            int64_t code = b->code[i];
-            b->score[i / b->robots] +=
-                b->mismatches[code & ((1 << SENSOR_BITS) - 1)];
-            const uint8_t *d = b->decisions
-                + ((i / b->genome_robots) << (SENSOR_BITS + 1) | code) * 2;
-            b->decide[2 * i] = d[0];
-            b->decide[2 * i + 1] = d[1];
-        }
+        for (int64_t i = 0; i < b->worlds * b->robots; i++)
+            b->score[i / b->robots] += __builtin_popcountll(
+                (b->code[i] ^ b->target) & ((1 << SENSOR_BITS) - 1));
         actuate(b, t);
     }
 }

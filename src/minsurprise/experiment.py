@@ -412,10 +412,14 @@ def run_experiment(plan: ExperimentPlan, out_dir, workers: int = 1) -> int:
     and the exit status becomes 1. With workers > 1 that holds also for a
     run whose worker process dies. Failures go to the current
     ``sys.stderr``. A completed run in ``out_dir`` made with
-    a different plan raises ConfigError before any run starts.
+    a different plan, or an ``out_dir`` that cannot be created, raises
+    ConfigError before any run starts.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {out}: {exc.strerror}") from None
     jobs: list[tuple[int, int]] = [
         (i, j) for i in range(len(plan.rows)) for j in range(plan.runs_per_row)
     ]

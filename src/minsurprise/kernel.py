@@ -39,13 +39,16 @@ class BuildError(Exception):
 
 
 class Batch(ctypes.Structure):
-    """``struct batch`` of _step.c: one call's shapes and array addresses."""
+    """``struct batch`` of _step.c: one call's shapes and array addresses,
+    bound by field name; a field left out is 0 (NULL)."""
 
+    __slots__ = ()  # a misspelt field name raises rather than binding nothing
     _fields_ = ([(name, ctypes.c_int64) for name in (
-        "worlds", "robots", "cells", "genome_robots", "steps", "perm_size")]
+        "worlds", "robots", "cells", "genome_robots", "steps", "perm_size",
+        "target")]
         + [(name, ctypes.c_void_p) for name in (
-            "occ", "pos", "rh", "code", "decide", "sensed", "perms", "score",
-            "mismatches", "decisions", "inputs", "pred", "product", "hidden",
+            "occ", "pos", "rh", "code", "sensed", "perms", "score",
+            "decisions", "inputs", "pred", "product", "hidden",
             "hidden_bias", "self_weight", "out_bias", "a_hidden", "a_out",
             "a_hidden_bias", "a_out_bias")])
 

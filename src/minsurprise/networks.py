@@ -143,9 +143,9 @@ def sigmoid_inplace(x: np.ndarray) -> np.ndarray:
     WEIGHT_LIMIT = 45 in absolute value (tanh outputs lie in [-1, 1], every
     weight within WEIGHT_LIMIT). Only the fixed scenarios' decision-table
     build runs this function. The emergent step holds both networks'
-    outputs as exp(-output), at most e^45, which is finite: it decides on
-    the action outputs in the kernel's actuation and completes the
-    prediction's sigmoid in the next step's score."""
+    outputs as exp(-output), at most e^45, which is finite: the kernel's
+    actuation tests the action outputs, and the next step's score completes
+    the prediction's sigmoid."""
     np.negative(x, out=x)
     np.exp(x, out=x)
     np.add(x, 1.0, out=x)

@@ -31,12 +31,14 @@ step of the window; the tests' invariant sweep asks for every step.
 
 Compiled step. The C kernel ``_step.c``, a CPython extension module built
 and loaded by ``kernel.py``, takes the call's arrays once, bound in one
-struct whose address each call passes. It does the integer work on the grid
-and both emergent networks' float work between their products; an emergent
-step is six calls. A fixed scenario runs all the steps up to the next one
-observe asks for in one call, so an unobserved batch is one call. numpy
-keeps the products (``stable_rows_matmul``), tanh and exp, and the fixed
-scenarios' decision-table build. The kernel's float arithmetic is IEEE
+struct whose address each call passes. It does the integer work on the grid,
+the fixed scenarios' scores (a popcount against the target code) and both
+emergent networks' float work between their products; its ``actuate``
+makes every scenario's decisions. An emergent step is six calls. A fixed
+scenario runs all the steps up to the next one observe asks for in one
+call, so an unobserved batch is one call. numpy keeps the products
+(``stable_rows_matmul``), tanh and exp, and the fixed scenarios'
+decision-table build. The kernel's float arithmetic is IEEE
 + - * / and fabs only, in the reference's order, and one exact comparison
 (see Emergent step), built with -ffp-contract=off, so its bits are the
 same on every CPU.
@@ -63,13 +65,14 @@ matter.
 
 Fixed scenarios. With a fixed prediction vector (pairs, clusters, empty)
 every network input is a bit and every error term an integer, so the step
-does no floating-point network work: the kernel runs the whole step. A
-4096-entry table gives the code's mismatches against the fixed vector; the
-kernel adds them straight into each world's float64 error sum, as the
-emergent step adds its terms. Every partial sum is an integer of at most
-T * N * 12, far below 2^53, so the sums are exact. Each genome's (move,
-turn right) pair comes from its table of 8192 entries (16 KB) at code |
-previous move << 12. The tables are built once per call by
+does no floating-point network work: the kernel runs the whole step. The
+fixed vector is itself a sensor code, the target; a code's mismatch count
+is popcount((code ^ target) & 0xFFF), which the kernel adds straight into
+each world's float64 error sum, as the emergent step adds its terms. Every
+partial sum is an integer of at most T * N * 12, far below 2^53, so the
+sums are exact. ``actuate`` reads each robot's (move, turn right) from its
+genome's table of 8192 entries (16 KB) at code | previous move << 12,
+before it resets the code. The tables are built once per call by
 ``_decision_tables``, which runs each genome's action network as the
 reference does (stable_rows_matmul, + b, tanh, stable_rows_matmul, + b,
 sigmoid >= 0.5) on all of ``_INPUT_ROWS``. An entry is the decision the
@@ -89,7 +92,7 @@ network, whose input 12 is the previous move (0 at t = 0) and whose hidden
 pass is product + bias; actuation, which completes each decision and also
 sets input 12 to the chosen move; then, unless it is the last step, the
 prediction network, which reads nothing else actuation writes and whose
-hidden pass is (product + hidden * self weight) + bias. Actuation decides
+hidden pass is (product + hidden * self weight) + bias. Actuation's test
 e = exp(-output) <= 1 + 2^-52, which for every double e is the reference's
 sigmoid(y) = 1 / (1 + e) >= 0.5 (the proof is at ``actuate`` in _step.c),
 whatever exp's rounding. The prediction is held as e = exp(-output) until
@@ -199,7 +202,7 @@ def _block_cells(occ: np.ndarray, K: int, B: int) -> np.ndarray:
 def _decision_tables(nets: Sequence[ActionNetwork]) -> np.ndarray:
     """(G, 8192, 2) bools: each action network's (move, turn right) on
     every row of _INPUT_ROWS, that is at every sensor code | previous move
-    << 12, decided as the reference decides: sigmoid(y) >= 0.5 for
+    << 12, by the reference's test sigmoid(y) >= 0.5 for
     y = tanh(x @ w_hidden + b_hidden) @ w_out + b_out."""
     rows = len(_INPUT_ROWS)
     tables = np.empty((len(nets), rows, ACTION_OUTPUTS), dtype=bool)
@@ -213,18 +216,6 @@ def _decision_tables(nets: Sequence[ActionNetwork]) -> np.ndarray:
         y += net.b_out
         np.greater_equal(sigmoid_inplace(y), 0.5, out=table)
     return tables
-
-
-@functools.cache
-def _mismatch_table(scenario: Scenario) -> np.ndarray:
-    """(4096,) uint8, read-only: the mismatches of every sensor code against
-    the scenario's fixed prediction vector."""
-    codes = np.arange(1 << SENSOR_COUNT)
-    mismatches = np.zeros(1 << SENSOR_COUNT, dtype=np.uint8)
-    for i, p in enumerate(scenario_prediction(scenario)):
-        mismatches += (codes >> i & 1) != p
-    mismatches.flags.writeable = False
-    return mismatches
 
 
 def simulate_batch(
@@ -277,14 +268,11 @@ def simulate_batch(
     occ = occ.reshape(-1)
 
     # Each robot's sensor code | previous move << 12 (no move before the
-    # first step) and its (move, turn right).
+    # first step).
     code = np.zeros(K * N, dtype=np.int64)
-    decide = np.empty((G, M, ACTION_OUTPUTS), dtype=bool)
     decoded = [decode(g) for g in genomes]
     err = np.zeros(K, dtype=np.float64)  # each world's error sum
-    mismatches = decisions = None
-    X = pred = p_hid = hidden = p_bh = p_self = p_bo = None
-    a_hid = a_out = a_bh = a_bo = None
+    target = 0
     if emergent:
         a_wh = np.stack([d[0].w_hidden for d in decoded])  # (G, 13, 8)
         a_bh = np.stack([d[0].b_hidden for d in decoded])  # (G, 8)
@@ -304,21 +292,26 @@ def simulate_batch(
         hidden = np.zeros((G, M, HIDDEN_UNITS), dtype=np.float64)
         # the pending prediction as exp(-output)
         pred = np.empty((G, M, SENSOR_COUNT), dtype=np.float64)
+        arrays = dict(inputs=X, pred=pred, product=p_hid, hidden=hidden,
+                      hidden_bias=p_bh, self_weight=p_self, out_bias=p_bo,
+                      a_hidden=a_hid, a_out=a_out, a_hidden_bias=a_bh,
+                      a_out_bias=a_bo)
     else:
-        # Lookups by sensor code: its mismatches, and each genome's
-        # decisions at g << 13 | previous move << 12 | code.
-        mismatches = _mismatch_table(scenario)
-        decisions = _decision_tables([d[0] for d in decoded])
+        # The fixed prediction as a sensor code, and each genome's decisions
+        # at g << 13 | previous move << 12 | code.
+        target = sum(1 << i for i, p in
+                     enumerate(scenario_prediction(scenario)) if p)
+        arrays = dict(decisions=_decision_tables([d[0] for d in decoded]))
 
     # The kernel's view of this call, its array addresses bound once; the
     # struct lives in this frame for the whole call, its address with it.
-    sensed = _tables(L)
+    arrays.update(occ=occ, pos=pos, rh=rh, code=code, sensed=_tables(L),
+                  perms=perms, score=err)
     lib = kernel.load()
-    batch = kernel.Batch(K, N, L2, M, T, perms.itemsize, *(
-        None if a is None else a.ctypes.data
-        for a in (occ, pos, rh, code, decide, sensed, perms, err,
-                  mismatches, decisions, X, pred, p_hid, hidden, p_bh, p_self,
-                  p_bo, a_hid, a_out, a_bh, a_bo)))
+    batch = kernel.Batch(
+        worlds=K, robots=N, cells=L2, genome_robots=M, steps=T,
+        perm_size=perms.itemsize, target=target,
+        **{name: a.ctypes.data for name, a in arrays.items()})
     address = ctypes.addressof(batch)
 
     def ask(t: int) -> int:
@@ -334,7 +327,7 @@ def simulate_batch(
     t, stop = 0, T if observe is None else ask(0)
     while t < T:
         if not emergent:
-            # Sense, add the mismatches, look up the decisions, actuate.
+            # Sense, score each code against the target, actuate.
             lib.fixed_steps(address, t, stop)
             t = stop
         else:

@@ -343,6 +343,9 @@ class TestCli:
             (["replay", str(tmp_path), str(cfg)], "genome error: "),
             (["classify", missing], "snapshot error: "),
             (["render", str(tmp_path)], "snapshot error: "),
+            # an output directory under a regular file
+            (["evolve", str(cfg), "--out", str(cfg / "out")],
+             "config error: "),
         ):
             assert main(argv) == 2
             captured = capsys.readouterr()

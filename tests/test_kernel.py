@@ -135,6 +135,13 @@ def test_batch_fields_match_the_c_struct():
     assert fields == kernel.Batch._fields_
 
 
+def test_batch_rejects_an_unknown_field_name():
+    # Fields are bound by name: a misspelt one must not leave the real
+    # field's pointer NULL for the kernel to read.
+    with pytest.raises(AttributeError):
+        kernel.Batch(ocupancy=0)
+
+
 def test_c_constants_match_python():
     # The kernel's enum restates the grid codes and the network sizes; a
     # value changed on one side only would misread the shared arrays.

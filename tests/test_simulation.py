@@ -38,7 +38,8 @@ def spread_genome(seed, scale=3.0):
 
 
 class TestReferenceEquivalence:
-    @pytest.mark.parametrize("scenario", [Scenario.EMERGENT, Scenario.PAIRS])
+    @pytest.mark.parametrize("scenario", [Scenario.EMERGENT, Scenario.PAIRS,
+                                          Scenario.EMPTY])
     def test_engine_matches_scalar_reference_bit_exactly(self, scenario):
         rng = np.random.default_rng(321)
         for trial in range(4):
@@ -211,25 +212,32 @@ class TestDecisionTables:
     """The fixed scenarios' per-genome decision tables equal the oracle's
     action network on every one of the 8192 (sensors, last action) inputs."""
 
+    # Checked against the oracle on every row.
     GENOMES = ([spread_genome(i) for i in range(2)]
                + [Genome(np.zeros(ACTION_LENGTH), np.zeros(PREDICTION_LENGTH))]
-               + TestDecisionBand.GENOMES + [limit_genome(8)])
+               + [limit_genome(8)])
 
     def test_tables_match_oracle_on_every_input(self):
-        # one call for all genomes, so each is read at its own offset
-        tables = _decision_tables([decode(g)[0] for g in self.GENOMES])
-        assert tables.shape == (len(self.GENOMES), 8192, 2)
-        assert tables.nbytes // len(self.GENOMES) <= 16 * 1024
-        inputs = [(((r >> np.arange(12)) & 1).astype(np.float64), r >> 12)
-                  for r in range(8192)]
-        for genome, table in zip(self.GENOMES, tables):
+        # One call for all genomes, so each is read at its own offset. A
+        # band genome's action weights are 0 but its output biases, so each
+        # output is exactly its bias on every row: its table is constant,
+        # and the oracle is asked on the rows' corners.
+        genomes = self.GENOMES + TestDecisionBand.GENOMES
+        tables = _decision_tables([decode(g)[0] for g in genomes])
+        assert tables.shape == (len(genomes), 8192, 2)
+        assert tables.nbytes // len(genomes) <= 16 * 1024
+        for g, (genome, table) in enumerate(zip(genomes, tables)):
+            rows = range(8192)
+            if g >= len(self.GENOMES):
+                assert (table == table[0]).all()
+                rows = [0, 4095, 4096, 8191]
             net = decode(genome)[0]
             expected = np.array([
-                oracle.act(net, sensors,
-                           oracle.ControllerState(last_action=float(last)))
-                for sensors, last in inputs])
-            assert np.array_equal(table[:, 0], expected[:, 0] == oracle.MOVE)
-            assert np.array_equal(table[:, 1], expected[:, 1] == 1)
+                oracle.act(net, ((r >> np.arange(12)) & 1).astype(np.float64),
+                           oracle.ControllerState(last_action=float(r >> 12)))
+                for r in rows])
+            # (move, turn right): (action == MOVE, turn == +1)
+            assert np.array_equal(table[rows], expected == [oracle.MOVE, 1])
 
     def test_fixed_step_runs_no_network(self, monkeypatch):
         # Only the per-call table build runs the network: its calls do not
