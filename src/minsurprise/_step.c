@@ -32,15 +32,14 @@ struct batch {
     const void *perms;              /* (K, T, N) step orders */
     double *score;                  /* (K,) error sums */
     const uint8_t *decisions;       /* (G, 8192, 2) fixed scenarios only */
-    /* the emergent scenario only: */
+    /* the emergent scenario only; both nets run through product and out,
+     * which holds the action outputs, (K * N, 2), until actuate reads them: */
     double *inputs;                 /* (K * N, 13) network inputs */
-    double *pred;                   /* (K * N, 12) exp(-output) pending */
+    double *out;                    /* (K * N, 12) either net's exp(-y) */
     double *product;                /* (K * N, 8) inputs @ hidden weights */
     double *hidden;                 /* (K * N, 8) prediction net state */
     const double *hidden_bias, *self_weight;  /* (G, 8) */
     const double *out_bias;         /* (G, 12) */
-    double *a_hidden;               /* (K * N, 8) action net hidden layer */
-    double *a_out;                  /* (K * N, 2) action net exp(-output) */
     const double *a_hidden_bias;    /* (G, 8) */
     const double *a_out_bias;       /* (G, 2) */
 };
@@ -75,14 +74,14 @@ static void sense(const struct batch *b)
 }
 
 /* First each robot's (move, turn right): in the emergent scenario off its
- * action outputs e = exp(-y), where the reference's 1 / (1 + e) >= 0.5
- * holds exactly when 1 + e rounds to at most 2, that is when
- * e <= 1 + 2^-52 (2 + 2^-52 ties to even at 2; 2 + 2^-51 is exact); in a
- * fixed one from its genome's table at g << 13 | code. Then all turns, each
- * robot's code reset to its move << 12 and, in the emergent scenario, its
- * network input 12 set to its move, then each world's movers in step t's
- * order: a mover pushes a block at c1 on into a free c2, then leaves its
- * cell for a free c1. */
+ * action outputs e = exp(-y), the first K * N * 2 of out, where the
+ * reference's 1 / (1 + e) >= 0.5 holds exactly when 1 + e rounds to at
+ * most 2, that is when e <= 1 + 2^-52 (2 + 2^-52 ties to even at 2;
+ * 2 + 2^-51 is exact); in a fixed one from its genome's table at
+ * g << 13 | code. Then all turns, each robot's code reset to its
+ * move << 12 and, in the emergent scenario, its network input 12 set to
+ * its move, then each world's movers in step t's order: a mover pushes a
+ * block at c1 on into a free c2, then leaves its cell for a free c1. */
 static void actuate(const struct batch *b, int64_t t)
 {
     int64_t N = b->robots, M = b->genome_robots;
@@ -91,8 +90,8 @@ static void actuate(const struct batch *b, int64_t t)
             int64_t row = g << (SENSOR_BITS + 1) | b->code[i];
             int d[2];
             for (int j = 0; j < 2; j++)
-                d[j] = b->a_out ? b->a_out[2 * i + j] <= 0x1.0000000000001p0
-                                : b->decisions[row * 2 + j];
+                d[j] = b->decisions ? b->decisions[row * 2 + j]
+                                    : b->out[2 * i + j] <= 0x1.0000000000001p0;
             if (!d[0])
                 b->rh[i] = (b->rh[i] + (d[1] ? 1 : 3)) & 3;
             b->code[i] = (int64_t)d[0] << SENSOR_BITS;
@@ -190,13 +189,14 @@ static void score_terms(double *restrict e, const double *restrict bit)
 /* An emergent step's sensing: sense, write each robot's 12 sensor inputs
  * (input 12, its previous move, is actuate's) and from step 1 on add each
  * world's error terms against the pending prediction, in numpy's order, to
- * its sum. The terms overwrite the prediction, which no later pass reads. */
+ * its sum. The terms overwrite the prediction in out; the action outputs
+ * overwrite them next. */
 static void emergent_sense(const struct batch *b, int64_t t)
 {
     int64_t N = b->robots, terms = N * SENSOR_BITS;
     sense(b);
     for (int64_t k = 0; k < b->worlds; k++) {
-        double *x = b->inputs + k * N * INPUTS, *e = b->pred + k * terms;
+        double *x = b->inputs + k * N * INPUTS, *e = b->out + k * terms;
         for (int64_t n = 0; n < N; n++)
             write_inputs(x + n * INPUTS, b->code[k * N + n]);
         if (t == 0)
@@ -251,7 +251,7 @@ static void prediction_output(const struct batch *b)
     int64_t M = b->genome_robots, genomes = b->worlds * b->robots / M;
     for (int64_t g = 0; g < genomes; g++)
         for (int64_t i = g * M; i < (g + 1) * M; i++)
-            output_sum(b->pred + i * SENSOR_BITS,
+            output_sum(b->out + i * SENSOR_BITS,
                        b->out_bias + g * SENSOR_BITS, SENSOR_BITS);
 }
 
@@ -261,7 +261,7 @@ static void action_hidden(const struct batch *b)
     int64_t M = b->genome_robots, genomes = b->worlds * b->robots / M;
     for (int64_t g = 0; g < genomes; g++)
         for (int64_t i = g * M; i < (g + 1) * M; i++)
-            bias_sum(b->a_hidden + i * HIDDEN, b->a_hidden_bias + g * HIDDEN);
+            bias_sum(b->product + i * HIDDEN, b->a_hidden_bias + g * HIDDEN);
 }
 
 /* output_sum over every robot's two action outputs. */
@@ -270,7 +270,7 @@ static void action_output(const struct batch *b)
     int64_t M = b->genome_robots, genomes = b->worlds * b->robots / M;
     for (int64_t g = 0; g < genomes; g++)
         for (int64_t i = g * M; i < (g + 1) * M; i++)
-            output_sum(b->a_out + 2 * i, b->a_out_bias + 2 * g, 2);
+            output_sum(b->out + 2 * i, b->a_out_bias + 2 * g, 2);
 }
 
 /* The Python side: one METH_FASTCALL function per pass, taking the address

@@ -1,9 +1,10 @@
 """Command line interface.
 
 Subcommands: evolve, posteval, classify, render, replay. The output root
-defaults to $MINSURPRISE_OUT (falling back to ./out). For evolve, --seed
-overrides the config file's seed; for posteval and replay it is the world
-seed of the one recorded simulation.
+defaults to $MINSURPRISE_OUT, or ./out where that is unset or empty; an
+empty --out is a config error. For evolve, --seed overrides the config
+file's seed; for posteval and replay it is the world seed of the one
+recorded simulation.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ _FLAG_RANGES = {"seed": "seed", "runs": "runs", "workers": "runs",
 
 
 def _default_out() -> str:
-    return os.environ.get("MINSURPRISE_OUT", "out")
+    return os.environ.get("MINSURPRISE_OUT") or "out"
 
 
 def _check_flags(args) -> None:
@@ -76,6 +77,8 @@ def _load_plan(args) -> ExperimentPlan:
 
 
 def _cmd_evolve(args) -> int:
+    if not args.out:  # Path("") is the current directory
+        raise ConfigError("--out must name a directory, not ''")
     plan = _load_plan(args)
     if args.runs is not None:
         plan = replace(plan, runs_per_row=args.runs)

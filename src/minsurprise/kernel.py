@@ -48,9 +48,9 @@ class Batch(ctypes.Structure):
         "target")]
         + [(name, ctypes.c_void_p) for name in (
             "occ", "pos", "rh", "code", "sensed", "perms", "score",
-            "decisions", "inputs", "pred", "product", "hidden",
-            "hidden_bias", "self_weight", "out_bias", "a_hidden", "a_out",
-            "a_hidden_bias", "a_out_bias")])
+            "decisions", "inputs", "out", "product", "hidden",
+            "hidden_bias", "self_weight", "out_bias", "a_hidden_bias",
+            "a_out_bias")])
 
 
 def compile_command() -> list[str]:

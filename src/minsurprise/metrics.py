@@ -159,7 +159,6 @@ def classify_blocks(blocks: Iterable[Cell], L: int) -> dict[Cell, StructureLabel
         x, y = cell
         moore = 0
         von_neumann = 0
-        diagonal = 0
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
                 if dx == 0 and dy == 0:
@@ -168,15 +167,13 @@ def classify_blocks(blocks: Iterable[Cell], L: int) -> dict[Cell, StructureLabel
                     moore += 1
                     if dx == 0 or dy == 0:
                         von_neumann += 1
-                    else:
-                        diagonal += 1
         if cell in line_members:
             labels[cell] = StructureLabel.LINE
         elif moore >= 4 and von_neumann >= 3:
             labels[cell] = StructureLabel.CLUSTER
         elif cell in pair_members:
             labels[cell] = StructureLabel.PAIR
-        elif von_neumann == 0 and diagonal <= 1:
+        elif von_neumann == 0 and moore <= 1:  # at most one diagonal
             labels[cell] = StructureLabel.DISPERSED
         else:
             labels[cell] = StructureLabel.OTHER

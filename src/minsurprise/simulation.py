@@ -33,15 +33,15 @@ Compiled step. The C kernel ``_step.c``, a CPython extension module built
 and loaded by ``kernel.py``, takes the call's arrays once, bound in one
 struct whose address each call passes. It does the integer work on the grid,
 the fixed scenarios' scores (a popcount against the target code) and both
-emergent networks' float work between their products; its ``actuate``
-makes every scenario's decisions. An emergent step is six calls. A fixed
-scenario runs all the steps up to the next one observe asks for in one
-call, so an unobserved batch is one call. numpy keeps the products
-(``stable_rows_matmul``), tanh and exp, and the fixed scenarios'
-decision-table build. The kernel's float arithmetic is IEEE
-+ - * / and fabs only, in the reference's order, and one exact comparison
-(see Emergent step), built with -ffp-contract=off, so its bits are the
-same on every CPU.
+emergent networks' float work between their products, which share one
+product and one output buffer; its ``actuate`` makes every scenario's
+decisions. An emergent step is six calls. A fixed scenario runs all the
+steps up to the next one observe asks for in one call, so an unobserved
+batch is one call. numpy keeps the products (``stable_rows_matmul``), tanh
+and exp, and the fixed scenarios' decision-table build. The kernel's float
+arithmetic is IEEE + - * / and fabs only, in the reference's order, and one
+exact comparison (see Emergent step), built with -ffp-contract=off, so its
+bits are the same on every CPU.
 
 Sensing. Every scenario senses the same way, into one code per robot.
 Actuation sets the code to the robot's move << 12 (it starts at 0: no move
@@ -84,24 +84,25 @@ BLAS kernel, not to gemm: OpenBLAS's Haswell, SkylakeX and Zen cores have
 it; its Sandybridge, Nehalem and Prescott cores do not, and on them the
 engine is not bit-equal to the reference.
 
-Emergent step. Both networks run in one shape: the product of the inputs
-with the hidden weights, a kernel pass for the hidden sum, tanh, the
-product with the output weights, one kernel pass -(output + bias), exp.
-Per step: the sensing call (sense, sensor inputs 0-11, score); the action
-network, whose input 12 is the previous move (0 at t = 0) and whose hidden
-pass is product + bias; actuation, which completes each decision and also
-sets input 12 to the chosen move; then, unless it is the last step, the
-prediction network, which reads nothing else actuation writes and whose
-hidden pass is (product + hidden * self weight) + bias. Actuation's test
-e = exp(-output) <= 1 + 2^-52, which for every double e is the reference's
-sigmoid(y) = 1 / (1 + e) >= 0.5 (the proof is at ``actuate`` in _step.c),
-whatever exp's rounding. The prediction is held as e = exp(-output) until
-the next step's score computes each term |1 / (e + 1) - sensor bit|, the
-reference's sigmoid and error, and sums a world's N * 12 terms in the
-order numpy's pairwise sum adds them. The kernel reads both networks'
-biases and the self weights per genome. The floating-point operations and
-their order are those of the reference, so the layout changes speed only,
-never a bit of the results.
+Emergent step. Both networks run in one shape and share two buffers: the
+product of the inputs with the hidden weights into ``product``, a kernel
+pass for the hidden sum, tanh, the product with the output weights into
+``out``, one kernel pass -(output + bias), exp. Per step: the sensing call
+(sense, sensor inputs 0-11, score, whose terms overwrite the prediction in
+``out``); the action network, whose input 12 is the previous move (0 at
+t = 0), whose hidden pass is product + bias and whose outputs live in the
+first G * M * 2 doubles of ``out`` until actuation, which decides off them
+and sets input 12 to the chosen move; then, unless it is the last step, the
+prediction network, which reads nothing else actuation writes, whose hidden
+pass is (product + hidden * self weight) + bias and whose outputs fill all
+of ``out``. Actuation's test e = exp(-output) <= 1 + 2^-52, which for every
+double e is the reference's sigmoid(y) = 1 / (1 + e) >= 0.5 (the proof is
+at ``actuate`` in _step.c), whatever exp's rounding. The prediction is held
+as e = exp(-output) until the next step's score computes each term
+|1 / (e + 1) - sensor bit|, the reference's sigmoid and error, and sums a
+world's N * 12 terms in the order numpy's pairwise sum adds them. The
+floating-point operations and their order are those of the reference, so
+the layout changes speed only, never a bit of the results.
 """
 
 from __future__ import annotations
@@ -285,17 +286,15 @@ def simulate_batch(
         p_bo = np.stack([d[1].b_out for d in decoded])  # (G, 12)
         # network inputs; input 12, the previous move, is 0 at t = 0
         X = np.zeros((G, M, NET_INPUTS), dtype=np.float64)
-        a_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
-        # the action outputs as exp(-output)
-        a_out = np.empty((G, M, ACTION_OUTPUTS), dtype=np.float64)
-        p_hid = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
+        # both networks' inputs @ hidden weights and exp(-output); the action
+        # outputs are out's first G * M * 2, contiguous as BLAS needs them
+        product = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
+        out = np.empty((G, M, SENSOR_COUNT), dtype=np.float64)
+        a_out = out.reshape(-1)[:G * M * ACTION_OUTPUTS].reshape(G, M, -1)
         hidden = np.zeros((G, M, HIDDEN_UNITS), dtype=np.float64)
-        # the pending prediction as exp(-output)
-        pred = np.empty((G, M, SENSOR_COUNT), dtype=np.float64)
-        arrays = dict(inputs=X, pred=pred, product=p_hid, hidden=hidden,
+        arrays = dict(inputs=X, out=out, product=product, hidden=hidden,
                       hidden_bias=p_bh, self_weight=p_self, out_bias=p_bo,
-                      a_hidden=a_hid, a_out=a_out, a_hidden_bias=a_bh,
-                      a_out_bias=a_bo)
+                      a_hidden_bias=a_bh, a_out_bias=a_bo)
     else:
         # The fixed prediction as a sensor code, and each genome's decisions
         # at g << 13 | previous move << 12 | code.
@@ -333,11 +332,11 @@ def simulate_batch(
         else:
             # Sense, write the sensor inputs, score the pending prediction.
             lib.emergent_sense(address, t)
-            # Action network, up to exp(-output).
-            stable_rows_matmul(X, a_wh, out=a_hid)
+            # Action network, up to exp(-output), in product and a_out.
+            stable_rows_matmul(X, a_wh, out=product)
             lib.action_hidden(address)
-            np.tanh(a_hid, out=a_hid)
-            stable_rows_matmul(a_hid, a_wo, out=a_out)
+            np.tanh(product, out=product)
+            stable_rows_matmul(product, a_wo, out=a_out)
             lib.action_output(address)
             np.exp(a_out, out=a_out)
             # Decide off exp(-output) and actuate (schedule in the module
@@ -346,12 +345,12 @@ def simulate_batch(
             # Prediction network, fed the chosen move; the final step's
             # prediction would never meet a sensor reading, so skip it.
             if t + 1 < T:
-                stable_rows_matmul(X, p_wh, out=p_hid)
+                stable_rows_matmul(X, p_wh, out=product)
                 lib.prediction_hidden(address)
                 np.tanh(hidden, out=hidden)
-                stable_rows_matmul(hidden, p_wo, out=pred)
+                stable_rows_matmul(hidden, p_wo, out=out)
                 lib.prediction_output(address)
-                np.exp(pred, out=pred)
+                np.exp(out, out=out)
             t += 1
         if t == stop and observe is not None:
             stop = ask(t)

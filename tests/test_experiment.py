@@ -334,7 +334,9 @@ class TestCli:
             assert err.startswith("genome error: ")
             assert "garbage" in err and err.count("\n") == 1
 
-    def test_missing_input_files_are_one_line_errors(self, tmp_path, capsys):
+    def test_missing_input_files_are_one_line_errors(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(SMOKE)
         missing = str(tmp_path / "missing")
@@ -346,12 +348,15 @@ class TestCli:
             # an output directory under a regular file
             (["evolve", str(cfg), "--out", str(cfg / "out")],
              "config error: "),
+            # an empty output root, which would be the current directory
+            (["evolve", "--out", "", str(cfg)], "config error: "),
         ):
             assert main(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(prefix)
             assert argv[1] in captured.err and captured.err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["exp.cfg"]
 
     @pytest.mark.parametrize("command, flag, value", [
         ("posteval", "--seed", "-1"),
@@ -543,7 +548,10 @@ class TestCli:
     def test_env_var_sets_default_out(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(SMOKE)
-        monkeypatch.setenv("MINSURPRISE_OUT", str(tmp_path / "envout"))
         monkeypatch.chdir(tmp_path)
-        assert main(["evolve", str(cfg)]) == 0
-        assert (tmp_path / "envout" / "posteval.csv").exists()
+        # an empty value is unset: ./out, not the current directory
+        for value, out in ((str(tmp_path / "envout"), "envout"), ("", "out")):
+            monkeypatch.setenv("MINSURPRISE_OUT", value)
+            assert main(["evolve", str(cfg)]) == 0
+            assert (tmp_path / out / "posteval.csv").exists()
+        assert sorted(os.listdir(tmp_path)) == ["envout", "exp.cfg", "out"]
