@@ -2,8 +2,8 @@
 
 Subcommands: evolve, posteval, classify, render, replay. The output root
 defaults to $MINSURPRISE_OUT, or ./out where that is unset or empty; an
-empty --out is a config error. For evolve, --seed overrides the config
-file's seed; for posteval and replay it is the world seed of the one
+empty --out is a config error. For evolve, --seed overrides every row's
+master seed; for posteval and replay it is the world seed of the one
 recorded simulation.
 """
 
@@ -65,6 +65,9 @@ def _read_input(path, error,
 def _load_plan(args) -> ExperimentPlan:
     evolve = args.command == "evolve"
     if evolve and args.matrix:
+        if args.config is not None:
+            raise ConfigError(f"--matrix takes no config file, got "
+                              f"{args.config}")
         plan = matrix_plan()
     elif args.config is None:
         raise ConfigError("a config file (or --matrix) is required" if evolve
@@ -72,7 +75,8 @@ def _load_plan(args) -> ExperimentPlan:
     else:
         plan = parse_config(_read_input(args.config, ConfigError))
     if args.seed is not None:
-        plan = replace(plan, master_seed=args.seed)
+        plan = replace(plan, rows=tuple(replace(row, master_seed=args.seed)
+                                        for row in plan.rows))
     return plan
 
 
@@ -94,7 +98,7 @@ def _stored_genome_run(args):
     plan = _load_plan(args)
     genome = _read_input(args.genome, MalformedGenomeError, load_genome)
     seed = args.seed if args.seed is not None else posteval_seed_for(
-        plan.master_seed, run_index_for(0, 0)
+        plan.rows[0].master_seed, run_index_for(0, 0)
     )
     return genome, plan.rows[0], seed
 
@@ -154,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve = sub.add_parser("evolve", help="run the evolutionary experiment")
     add_plan_args(p_evolve)
     p_evolve.add_argument("--matrix", action="store_true",
-                          help="use the built-in experiment matrix instead "
-                               "of the config rows")
+                          help="use the built-in experiment matrix; takes "
+                               "no config file")
     p_evolve.add_argument("--runs", type=int, default=None,
                           help="runs per row (overrides the config)")
     p_evolve.add_argument("--out", default=_default_out(),

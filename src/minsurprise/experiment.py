@@ -45,8 +45,7 @@ from .networks import Genome, Scenario, save_genome, write_text_atomic
 from .simulation import RunTrace, simulate_traced
 from .world import SimConfig, metrics_window
 
-DEFAULT_SIM = SimConfig(side_length=16, swarm_size=10, block_count=32,
-                        steps=1000)
+DEFAULT_SIM = SimConfig(side_length=16, swarm_size=10, block_count=32)
 
 # The experiment matrix at 12.5% block density plus the denser final row.
 MATRIX_ROWS: tuple[tuple[int, int, int], ...] = (
@@ -61,61 +60,42 @@ MATRIX_ROWS: tuple[tuple[int, int, int], ...] = (
 
 
 @dataclass(frozen=True)
-class PlanRow:
-    sim: SimConfig
-    scenario: Scenario
-
-
-@dataclass(frozen=True)
 class ExperimentPlan:
-    rows: tuple[PlanRow, ...]
-    runs_per_row: int = 20
-    master_seed: int = 0
-    population_size: int = 50
-    generations: int = 100
-    eval_runs: int = 10
-    mutation_rate: float = 0.1
+    """runs_per_row runs per row; each row is its runs' EvolutionConfig."""
 
-    def evolution_config(self, row: PlanRow) -> EvolutionConfig:
-        return EvolutionConfig(
-            sim=row.sim,
-            scenario=row.scenario,
-            population_size=self.population_size,
-            generations=self.generations,
-            eval_runs=self.eval_runs,
-            mutation_rate=self.mutation_rate,
-            master_seed=self.master_seed,
-        )
+    rows: tuple[EvolutionConfig, ...]
+    runs_per_row: int = 20
+
+    def evolution_config(self, row: EvolutionConfig) -> EvolutionConfig:
+        """The row itself; perfbench/workloads.py::GaWorkload calls it."""
+        return row
 
 
 def matrix_plan() -> ExperimentPlan:
     """The default experiment matrix (six 12.5%-density rows plus 18.75%)."""
-    rows = tuple(
-        PlanRow(SimConfig(L, N, B, steps=1000), Scenario.EMERGENT)
-        for L, N, B in MATRIX_ROWS
-    )
-    return ExperimentPlan(rows=rows)
+    return ExperimentPlan(rows=tuple(
+        EvolutionConfig(SimConfig(L, N, B)) for L, N, B in MATRIX_ROWS))
 
 
 class ConfigError(ValueError):
     pass
 
 
-# Each numeric config key: the SimConfig or ExperimentPlan field it sets, the
-# type of its value and its range. A field the file does not set keeps its
-# default (DEFAULT_SIM's for the SimConfig). Command line flags that stand for
-# a key take its range too.
+# Each numeric config key: the SimConfig, EvolutionConfig or ExperimentPlan
+# field it sets, the type of its value and its range. A field the file does
+# not set keeps its default (DEFAULT_SIM's for the SimConfig). Command line
+# flags that stand for a key take its range too.
 NUMERIC_KEYS: dict[str, tuple[type, str, type, int, int]] = {
     "grid": (SimConfig, "side_length", int, 3, 10_000),
     "robots": (SimConfig, "swarm_size", int, 1, 100_000_000),
     "blocks": (SimConfig, "block_count", int, 0, 100_000_000),
     "steps": (SimConfig, "steps", int, 1, 100_000_000),
-    "population": (ExperimentPlan, "population_size", int, 1, 1_000_000),
-    "generations": (ExperimentPlan, "generations", int, 1, 1_000_000),
-    "eval_runs": (ExperimentPlan, "eval_runs", int, 1, 1_000_000),
+    "population": (EvolutionConfig, "population_size", int, 1, 1_000_000),
+    "generations": (EvolutionConfig, "generations", int, 1, 1_000_000),
+    "eval_runs": (EvolutionConfig, "eval_runs", int, 1, 1_000_000),
     "runs": (ExperimentPlan, "runs_per_row", int, 1, 1_000_000),
-    "seed": (ExperimentPlan, "master_seed", int, 0, 2**64 - 1),
-    "mutation_rate": (ExperimentPlan, "mutation_rate", float, 0, 1),
+    "seed": (EvolutionConfig, "master_seed", int, 0, 2**64 - 1),
+    "mutation_rate": (EvolutionConfig, "mutation_rate", float, 0, 1),
 }
 
 _TYPE_NAMES = {int: "an integer", float: "a number"}
@@ -124,10 +104,10 @@ _TYPE_NAMES = {int: "an integer", float: "a number"}
 def parse_config(text: str) -> ExperimentPlan:
     """Parse a key=value experiment config into a single-row plan.
 
-    Missing keys keep their defaults: DEFAULT_SIM's, the emergent scenario
-    and ExperimentPlan's. '#' starts a comment. Unknown keys, out-of-range
-    values and runs shorter than the grid's metrics window are rejected with
-    the offending line number.
+    Missing keys keep their defaults: DEFAULT_SIM's, EvolutionConfig's
+    (the emergent scenario among them) and ExperimentPlan's. '#' starts a
+    comment. Unknown keys, out-of-range values and runs shorter than the
+    grid's metrics window are rejected with the offending line number.
     """
     values: dict[str, object] = {}
     lines_of: dict[str, int] = {}
@@ -184,7 +164,8 @@ def parse_config(text: str) -> ExperimentPlan:
         lineno = max(lines_of.get("grid", 0), lines_of.get("steps", 0))
         raise ConfigError(f"line {lineno}: a run of {sim.steps} steps is "
                           f"shorter than the metrics window tau={tau}")
-    row = PlanRow(sim, values.get("scenario", Scenario.EMERGENT))
+    row = EvolutionConfig(sim, values.get("scenario", Scenario.EMERGENT),
+                          **fields(EvolutionConfig))
     return ExperimentPlan(rows=(row,), **fields(ExperimentPlan))
 
 
@@ -249,7 +230,7 @@ def _plan_record(plan: ExperimentPlan, row_idx: int, run_idx: int) -> dict:
     Resume reuses a stored run only if this part matches the current plan."""
     row = plan.rows[row_idx]
     return {"run_id": f"row{row_idx}_run{run_idx}", "row": row_idx,
-            "run": run_idx, **asdict(plan.evolution_config(row)),
+            "run": run_idx, **asdict(row),
             "scenario": row.scenario.value,
             "run_index": run_index_for(row_idx, run_idx)}
 
@@ -264,8 +245,8 @@ def _execute_run(plan: ExperimentPlan, row_idx: int, run_idx: int,
     run_dir = out_dir / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    best, history = evolve(plan.evolution_config(row), run_index=run_index)
-    posteval_seed = posteval_seed_for(plan.master_seed, run_index)
+    best, history = evolve(row, run_index=run_index)
+    posteval_seed = posteval_seed_for(row.master_seed, run_index)
     snapshots, metrics_row, _ = replay(best.genome, row.sim, row.scenario,
                                        posteval_seed, every=row.sim.steps)
 

@@ -3,7 +3,8 @@
 The source is a CPython extension module, ``_step``, that ships with the
 package. It is compiled on first use with the interpreter's C compiler
 (``sysconfig``'s CC) against the interpreter's headers (``Python.h``) into
-the user cache dir, ``${XDG_CACHE_HOME:-~/.cache}/minsurprise``, under a
+the user cache dir, ``$XDG_CACHE_HOME/minsurprise``, or
+``~/.cache/minsurprise`` unless that variable is an absolute path, under a
 name keyed by the source, the compile command and the extension suffix.
 The library is written to a temp file and renamed into place, so processes
 that build at once never load a partial file. A build also deletes the
@@ -67,8 +68,10 @@ def library_path(source: bytes, command: list[str]) -> Path:
     key = hashlib.sha256(b"\0".join(
         [source, *map(str.encode, command),
          sysconfig.get_config_var("EXT_SUFFIX").encode()])).hexdigest()
-    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    return Path(root) / "minsurprise" / f"_step-{key}.so"
+    root = Path(os.environ.get("XDG_CACHE_HOME", ""))
+    if not root.is_absolute():  # unset, empty, or relative (invalid by XDG)
+        root = Path.home() / ".cache"
+    return root / "minsurprise" / f"_step-{key}.so"
 
 
 def build(source_path: Path = SOURCE) -> Path:

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from minsurprise import experiment
+from minsurprise import cli, experiment
 from minsurprise.cli import main
 from minsurprise.experiment import (
     ConfigError,
@@ -55,10 +55,10 @@ class TestParseConfig:
             == (16, 10, 32)
         assert row.sim.steps == 1000
         assert row.scenario == Scenario.EMERGENT
-        assert plan.population_size == 50
-        assert plan.generations == 100
-        assert plan.eval_runs == 10
-        assert plan.mutation_rate == 0.1
+        assert row.population_size == 50
+        assert row.generations == 100
+        assert row.eval_runs == 10
+        assert row.mutation_rate == 0.1
         assert plan.runs_per_row == 20
 
     def test_explicit_row(self):
@@ -430,6 +430,35 @@ class TestCli:
         rec2 = json.loads((out2 / "row0_run0" / "run.json").read_text())
         assert rec1["master_seed"] == 99
         assert rec2["master_seed"] == 11
+
+    def test_matrix_seed_flag_sets_every_rows_seed(self, tmp_path,
+                                                   monkeypatch):
+        plans = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda plan, *_, **__: plans.append(plan) or 0)
+        assert main(["evolve", "--matrix", "--seed", "5",
+                     "--out", str(tmp_path / "out")]) == 0
+        plan, = plans
+        assert len(plan.rows) == len(MATRIX_ROWS)
+        for i in range(len(plan.rows)):
+            assert experiment._plan_record(plan, i, 0)["master_seed"] == 5
+
+    def test_matrix_takes_no_config_file(self, tmp_path, monkeypatch,
+                                         capsys):
+        def never(*_, **__):
+            raise AssertionError("run_experiment was called")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMOKE)
+        for path in (str(cfg), str(tmp_path / "missing.cfg")):
+            assert main(["evolve", path, "--matrix"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("config error: --matrix ")
+            assert path in captured.err and captured.err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["exp.cfg"]
 
     def test_rerun_with_another_plan_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

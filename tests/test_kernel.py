@@ -182,6 +182,16 @@ def test_one_changed_source_byte_changes_the_cache_key(tmp_path):
         kernel.library_path(kernel.SOURCE.read_bytes(), command)
 
 
+@pytest.mark.parametrize("value", ["relative/cache", ""])
+def test_a_relative_or_empty_cache_home_means_the_home_cache(
+        value, tmp_path, monkeypatch):
+    # XDG: a relative $XDG_CACHE_HOME is invalid and must be ignored
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", value)
+    path = kernel.library_path(b"", kernel.compile_command())
+    assert path.parent == tmp_path / ".cache" / "minsurprise"
+
+
 def test_failing_compiler_names_its_first_error_line(empty_cache, tmp_path):
     broken = tmp_path / "_step.c"
     broken.write_text("int broken(void) { return }\n")
