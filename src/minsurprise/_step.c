@@ -1,12 +1,13 @@
-/* The engine's step outside numpy (see simulation.py): sensing, the fixed
- * scenarios' scores (a popcount against the target code), actuation,
- * which makes every scenario's decisions, and the emergent step's float
- * work other than products, tanh and exp, over the K worlds of one
- * simulate_batch call. Its float arithmetic is IEEE + - * / and fabs
- * only, and one exact comparison, actuate's e = exp(-y) <= 1 + 2^-52 in
- * place of the reference's sigmoid(y) >= 0.5; built with
- * -ffp-contract=off, so every CPU gives the same bits. A CPython
- * extension module, _step, built and loaded by kernel.py. */
+/* The engine's step outside numpy (see simulation.py) over the K worlds of
+ * one simulate_batch call: sensing, the fixed scenarios' scores (a popcount
+ * against the target code), actuation, which makes every scenario's
+ * decisions, and the emergent step's float work other than products, tanh
+ * and exp. steps actuates, world by world: a whole fixed stretch, or one
+ * emergent step. Its float arithmetic is IEEE + - * / and fabs only, and
+ * one exact comparison, actuate's e = exp(-y) <= 1 + 2^-52 in place of the
+ * reference's sigmoid(y) >= 0.5; built with -ffp-contract=off, so every CPU
+ * gives the same bits. A CPython extension module, _step, built and loaded
+ * by kernel.py. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>  /* first, as the C API requires */
@@ -53,84 +54,84 @@ static int64_t order(const struct batch *b, int64_t i)
     }
 }
 
-/* Each robot's six sensed cells ORed into its code, which holds only its
- * previous move << 12: sensor s in bit s for a robot and bit 6 + s for a
- * block. */
-static void sense(const struct batch *b)
+/* Each robot of world k's six sensed cells ORed into its code, which holds
+ * only its previous move << 12: sensor s in bit s for a robot and bit
+ * 6 + s for a block. */
+static void sense(const struct batch *b, int64_t k)
 {
-    for (int64_t k = 0; k < b->worlds; k++) {
-        const int32_t *grid = b->occ + k * b->cells;
-        for (int64_t i = k * b->robots; i < (k + 1) * b->robots; i++) {
-            const int32_t *cell = b->sensed + (b->pos[i] * 4 + b->rh[i]) * SENSORS;
-            int64_t code = b->code[i];
-            for (int s = 0; s < SENSORS; s++) {
-                int32_t v = grid[cell[s]];
-                code |= (int64_t)(v == ROBOT) << s
-                        | (int64_t)(v >= BLOCK) << (SENSORS + s);
-            }
-            b->code[i] = code;
+    const int32_t *grid = b->occ + k * b->cells;
+    for (int64_t i = k * b->robots; i < (k + 1) * b->robots; i++) {
+        const int32_t *cell = b->sensed + (b->pos[i] * 4 + b->rh[i]) * SENSORS;
+        int64_t code = b->code[i];
+        for (int s = 0; s < SENSORS; s++) {
+            int32_t v = grid[cell[s]];
+            code |= (int64_t)(v == ROBOT) << s
+                    | (int64_t)(v >= BLOCK) << (SENSORS + s);
         }
+        b->code[i] = code;
     }
 }
 
-/* First each robot's (move, turn right): in the emergent scenario off its
- * action outputs e = exp(-y), the first K * N * 2 of out, where the
- * reference's 1 / (1 + e) >= 0.5 holds exactly when 1 + e rounds to at
- * most 2, that is when e <= 1 + 2^-52 (2 + 2^-52 ties to even at 2;
+/* World k's step t. First each robot's (move, turn right): in the emergent
+ * scenario off its action outputs e = exp(-y), the first K * N * 2 of out,
+ * where the reference's 1 / (1 + e) >= 0.5 holds exactly when 1 + e rounds
+ * to at most 2, that is when e <= 1 + 2^-52 (2 + 2^-52 ties to even at 2;
  * 2 + 2^-51 is exact); in a fixed one from its genome's table at
- * g << 13 | code. Then all turns, each robot's code reset to its
- * move << 12 and, in the emergent scenario, its network input 12 set to
- * its move, then each world's movers in step t's order: a mover pushes a
- * block at c1 on into a free c2, then leaves its cell for a free c1. */
-static void actuate(const struct batch *b, int64_t t)
+ * g << 13 | code. Then its turn, its code reset to its move << 12 and, in
+ * the emergent scenario, its network input 12 set to its move. Then the
+ * world's movers in step t's order: a mover pushes a block at c1 on into a
+ * free c2, then leaves its cell for a free c1. */
+static void actuate(const struct batch *b, int64_t k, int64_t t)
 {
-    int64_t N = b->robots, M = b->genome_robots;
-    for (int64_t g = 0; g < b->worlds * N / M; g++)
-        for (int64_t i = g * M; i < (g + 1) * M; i++) {
-            int64_t row = g << (SENSOR_BITS + 1) | b->code[i];
-            int d[2];
-            for (int j = 0; j < 2; j++)
-                d[j] = b->decisions ? b->decisions[row * 2 + j]
-                                    : b->out[2 * i + j] <= 0x1.0000000000001p0;
-            if (!d[0])
-                b->rh[i] = (b->rh[i] + (d[1] ? 1 : 3)) & 3;
-            b->code[i] = (int64_t)d[0] << SENSOR_BITS;
-            if (b->inputs)
-                b->inputs[i * INPUTS + SENSOR_BITS] = d[0];
-        }
-    for (int64_t k = 0; k < b->worlds; k++) {
-        int32_t *grid = b->occ + k * b->cells;
-        int64_t *pos = b->pos + k * N, *rh = b->rh + k * N;
-        const int64_t *code = b->code + k * N;
-        int64_t at = (k * b->steps + t) * N;
-        for (int64_t j = 0; j < N; j++) {
-            int64_t r = order(b, at + j);
-            if (code[r] == 0)
-                continue;
-            const int32_t *ahead = b->sensed + (pos[r] * 4 + rh[r]) * SENSORS;
-            int32_t c1 = ahead[0], c2 = ahead[3], o1 = grid[c1];
-            if (o1 >= BLOCK && grid[c2] == FREE)
-                grid[c2] = o1;  /* push the block ahead on */
-            else if (o1 != FREE)
-                continue;  /* blocked: the robot stays */
-            grid[pos[r]] = FREE;
-            grid[c1] = ROBOT;
-            pos[r] = c1;
-        }
+    int64_t N = b->robots, g = k * N / b->genome_robots;
+    int32_t *grid = b->occ + k * b->cells;
+    int64_t *pos = b->pos + k * N, *rh = b->rh + k * N, *code = b->code + k * N;
+    for (int64_t n = 0; n < N; n++) {
+        int64_t i = k * N + n, row = g << (SENSOR_BITS + 1) | code[n];
+        int d[2];
+        for (int j = 0; j < 2; j++)
+            d[j] = b->decisions ? b->decisions[row * 2 + j]
+                                : b->out[2 * i + j] <= 0x1.0000000000001p0;
+        if (!d[0])
+            rh[n] = (rh[n] + (d[1] ? 1 : 3)) & 3;
+        code[n] = (int64_t)d[0] << SENSOR_BITS;
+        if (b->inputs)
+            b->inputs[i * INPUTS + SENSOR_BITS] = d[0];
+    }
+    int64_t at = (k * b->steps + t) * N;
+    for (int64_t j = 0; j < N; j++) {
+        int64_t r = order(b, at + j);
+        if (code[r] == 0)
+            continue;
+        const int32_t *ahead = b->sensed + (pos[r] * 4 + rh[r]) * SENSORS;
+        int32_t c1 = ahead[0], c2 = ahead[3], o1 = grid[c1];
+        if (o1 >= BLOCK && grid[c2] == FREE)
+            grid[c2] = o1;  /* push the block ahead on */
+        else if (o1 != FREE)
+            continue;  /* blocked: the robot stays */
+        grid[pos[r]] = FREE;
+        grid[c1] = ROBOT;
+        pos[r] = c1;
     }
 }
 
-/* Fixed-prediction steps t0 .. t1 - 1, each: sense, add each sensor
- * code's mismatch count with the target to its world's sum, actuate. */
-static void fixed_steps(const struct batch *b, int64_t t0, int64_t t1)
+/* Steps t0 .. t1 - 1 of each world in turn: worlds share no cell, and each
+ * world's sum still adds its terms in step order. With the decision tables
+ * bound (a fixed scenario) a step first senses and adds each sensor code's
+ * mismatch count with the target to its world's sum; an emergent step has
+ * been sensed and scored by emergent_sense before its one-step call. */
+static void steps(const struct batch *b, int64_t t0, int64_t t1)
 {
-    for (int64_t t = t0; t < t1; t++) {
-        sense(b);
-        for (int64_t i = 0; i < b->worlds * b->robots; i++)
-            b->score[i / b->robots] += __builtin_popcountll(
-                (b->code[i] ^ b->target) & ((1 << SENSOR_BITS) - 1));
-        actuate(b, t);
-    }
+    for (int64_t k = 0; k < b->worlds; k++)
+        for (int64_t t = t0; t < t1; t++) {
+            if (b->decisions) {
+                sense(b, k);
+                for (int64_t i = k * b->robots; i < (k + 1) * b->robots; i++)
+                    b->score[k] += __builtin_popcountll(
+                        (b->code[i] ^ b->target) & ((1 << SENSOR_BITS) - 1));
+            }
+            actuate(b, k, t);
+        }
 }
 
 /* numpy's pairwise_sum of a[0 .. n): the order in which np.sum adds the
@@ -186,16 +187,16 @@ static void score_terms(double *restrict e, const double *restrict bit)
         e[s] = fabs(1.0 / (e[s] + 1.0) - bit[s]);
 }
 
-/* An emergent step's sensing: sense, write each robot's 12 sensor inputs
- * (input 12, its previous move, is actuate's) and from step 1 on add each
- * world's error terms against the pending prediction, in numpy's order, to
- * its sum. The terms overwrite the prediction in out; the action outputs
- * overwrite them next. */
+/* An emergent step's sensing, world by world: sense, write each robot's 12
+ * sensor inputs (input 12, its previous move, is actuate's) and from step 1
+ * on add the world's error terms against the pending prediction, in
+ * numpy's order, to its sum. The terms overwrite the prediction in out;
+ * the action outputs overwrite them next. */
 static void emergent_sense(const struct batch *b, int64_t t)
 {
     int64_t N = b->robots, terms = N * SENSOR_BITS;
-    sense(b);
     for (int64_t k = 0; k < b->worlds; k++) {
+        sense(b, k);
         double *x = b->inputs + k * N * INPUTS, *e = b->out + k * terms;
         for (int64_t n = 0; n < N; n++)
             write_inputs(x + n * INPUTS, b->code[k * N + n]);
@@ -311,8 +312,7 @@ static int int_args(const char *name, PyObject *const *args,
         Py_RETURN_NONE;                                                    \
     }
 
-WRAP(actuate, 2, BATCH(v), v[1])
-WRAP(fixed_steps, 3, BATCH(v), v[1], v[2])
+WRAP(steps, 3, BATCH(v), v[1], v[2])
 WRAP(emergent_sense, 2, BATCH(v), v[1])
 WRAP(prediction_hidden, 1, BATCH(v))
 WRAP(prediction_output, 1, BATCH(v))
@@ -324,8 +324,7 @@ WRAP(action_output, 1, BATCH(v))
      #pass signature}
 
 static PyMethodDef methods[] = {
-    METHOD(actuate, "(batch, t): turn, then move in step t's order"),
-    METHOD(fixed_steps, "(batch, t0, t1): fixed steps t0 .. t1 - 1"),
+    METHOD(steps, "(batch, t0, t1): each world's steps t0 .. t1 - 1"),
     METHOD(emergent_sense, "(batch, t): sense, inputs, score at step t"),
     METHOD(prediction_hidden, "(batch): (product + h * self) + bias"),
     METHOD(prediction_output, "(batch): -(output + bias)"),

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -366,15 +367,17 @@ def _outcome(call, *args):
 
 def _pool_outcomes(plan: ExperimentPlan, jobs: list[tuple[int, int]],
                    out: Path, workers: int):
-    """Run (row, run) jobs in a new process pool; yield each one's run.json
-    record or exception, in job order. A worker that dies breaks its pool
-    and fails every job left in it; each such job is retried alone in
-    another pool, so only a job that breaks its own pool fails."""
+    """Run (row, run) jobs in a new pool of at most one process per job and
+    per CPU, which starts them all on the first submit; yield each one's
+    run.json record or exception, in job order. A worker that dies breaks
+    its pool and fails every job left in it; each such job is retried alone
+    in another pool, so only a job that breaks its own pool fails."""
     # imported here: they cost a noticeable share of every CLI start-up
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+    size = min(workers, len(jobs), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=size) as pool:
         # submit itself raises BrokenProcessPool once a worker has died
         futures = [_outcome(pool.submit, _execute_run, plan, i, j, out)
                    for i, j in jobs]

@@ -11,9 +11,11 @@ that build at once never load a partial file. A build also deletes the
 cached libraries built more than 30 days before it; a cache hit deletes
 nothing.
 
-Each of the module's functions is one pass of the step and takes the
-address of a ``Batch``, ``ctypes.addressof(batch)``, then its step numbers
-as ints; the caller keeps the ``Batch`` and its arrays alive for the call.
+Each of the module's functions takes the address of a ``Batch``,
+``ctypes.addressof(batch)``, then its step numbers as ints; the caller
+keeps the ``Batch`` and its arrays alive for the call. ``steps(batch, t0,
+t1)`` actuates each world's steps t0 .. t1 - 1 before the next world's; the
+others are passes of the emergent step.
 """
 
 from __future__ import annotations

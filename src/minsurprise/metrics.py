@@ -81,8 +81,10 @@ _SCENE_ORDER = (
 
 def scene_label(counts: Mapping[StructureLabel, int]) -> StructureLabel:
     """The dominant label of per-label block counts; a tie goes to the
-    candidate first in _SCENE_ORDER (max keeps the first maximum)."""
-    return max(_SCENE_ORDER, key=counts.__getitem__)
+    candidate first in _SCENE_ORDER (max keeps the first maximum). A scene
+    without a block of any candidate label, or without blocks, is OTHER."""
+    label = max(_SCENE_ORDER, key=counts.__getitem__)
+    return label if counts[label] else StructureLabel.OTHER
 
 
 def _runs_along_axis(blocks: set[Cell], L: int, vertical: bool) -> list[list[Cell]]:

@@ -34,14 +34,15 @@ and loaded by ``kernel.py``, takes the call's arrays once, bound in one
 struct whose address each call passes. It does the integer work on the grid,
 the fixed scenarios' scores (a popcount against the target code) and both
 emergent networks' float work between their products, which share one
-product and one output buffer; its ``actuate`` makes every scenario's
-decisions. An emergent step is six calls. A fixed scenario runs all the
-steps up to the next one observe asks for in one call, so an unobserved
-batch is one call. numpy keeps the products (``stable_rows_matmul``), tanh
-and exp, and the fixed scenarios' decision-table build. The kernel's float
-arithmetic is IEEE + - * / and fabs only, in the reference's order, and one
-exact comparison (see Emergent step), built with -ffp-contract=off, so its
-bits are the same on every CPU.
+product and one output buffer; its ``steps(batch, t0, t1)`` makes every
+scenario's decisions and actuates. An emergent step is six calls, one of
+them ``steps`` for that step. A fixed scenario runs all the steps up to the
+next one observe asks for in one call, so an unobserved batch is one call.
+numpy keeps the products (``stable_rows_matmul``), tanh and exp, and the
+fixed scenarios' decision-table build. The kernel's float arithmetic is
+IEEE + - * / and fabs only, in the reference's order, and one exact
+comparison (see Emergent step), built with -ffp-contract=off, so its bits
+are the same on every CPU.
 
 Sensing. Every scenario senses the same way, into one code per robot.
 Actuation sets the code to the robot's move << 12 (it starts at 0: no move
@@ -57,11 +58,11 @@ step's shuffled order. A robot reads and writes only its own cell and the
 two ahead of it (c1, c2); a turner touches none of them, so all turns are
 applied first. A mover's heading is fixed and its cell changes only in its
 own turn, so its c1 and c2 are its sensed cells 0 and 3 at the start of the
-step. The kernel then runs the reference's loop, world by world over the
-step's order: it skips the robots that do not move, and a mover pushes a
-block at c1 into c2 if c2 is free, then advances into c1 unless c1 still
-holds a robot or a block. Worlds share no cell, so their order does not
-matter.
+step. The kernel then runs the reference's loop over the step's order: it
+skips the robots that do not move, and a mover pushes a block at c1 into c2
+if c2 is free, then advances into c1 unless c1 still holds a robot or a
+block. Worlds share no cell, so their order does not matter: ``steps`` runs
+each world through the whole stretch before the next.
 
 Fixed scenarios. With a fixed prediction vector (pairs, clusters, empty)
 every network input is a bit and every error term an integer, so the step
@@ -327,7 +328,7 @@ def simulate_batch(
     while t < T:
         if not emergent:
             # Sense, score each code against the target, actuate.
-            lib.fixed_steps(address, t, stop)
+            lib.steps(address, t, stop)
             t = stop
         else:
             # Sense, write the sensor inputs, score the pending prediction.
@@ -341,7 +342,7 @@ def simulate_batch(
             np.exp(a_out, out=a_out)
             # Decide off exp(-output) and actuate (schedule in the module
             # docstring), which also sets input 12 to the chosen move.
-            lib.actuate(address, t)
+            lib.steps(address, t, t + 1)
             # Prediction network, fed the chosen move; the final step's
             # prediction would never meet a sensor reading, so skip it.
             if t + 1 < T:

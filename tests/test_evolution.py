@@ -1,5 +1,7 @@
 """GA mechanics: seed mixing, evaluation, selection, mutation, evolve loop."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from minsurprise.evolution import (
     mutate,
     select_proportionate,
 )
+from minsurprise.experiment import parse_config
 from minsurprise.networks import (
     ACTION_LENGTH,
     PREDICTION_LENGTH,
@@ -23,6 +26,8 @@ from minsurprise.networks import (
 )
 from minsurprise.simulation import simulate_batch
 from minsurprise.world import SimConfig
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_config(**overrides):
@@ -290,6 +295,22 @@ class TestEvolve:
                                g.prediction_weights)
             for g in gen1
         )
+
+    def test_progress_sink_sees_every_generation_in_order(self):
+        plan = parse_config((CONFIG_DIR / "smoke.cfg").read_text())
+        config = plan.rows[0]
+        seen = []
+        best, history = evolve(config, progress=lambda g, row:
+                               seen.append((g, row)))
+        assert seen == [(g, history.rows[g])
+                        for g in range(config.generations)]
+        plain_best, plain_history = evolve(config)
+        assert history.rows == plain_history.rows
+        assert best.fitness == plain_best.fitness
+        assert np.array_equal(best.genome.action_weights,
+                              plain_best.genome.action_weights)
+        assert np.array_equal(best.genome.prediction_weights,
+                              plain_best.genome.prediction_weights)
 
     def test_history_csv_round_trips(self):
         config = small_config(population_size=3, generations=3)

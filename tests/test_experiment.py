@@ -1,5 +1,6 @@
 """Config parsing, batch runner artifacts, replay, and the CLI surface."""
 
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -37,6 +38,27 @@ seed=11
 """
 
 _execute_run = experiment._execute_run
+
+
+class InlinePool:
+    """The ProcessPoolExecutor surface of _pool_outcomes, running each job
+    at submit in this process; records each pool's max_workers."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
 
 
 def _die_on_run1(plan, row_idx, run_idx, out_dir):
@@ -172,6 +194,21 @@ class TestRunExperiment:
                        (tmp_path / "pool" / rel).read_bytes(), rel
         assert (tmp_path / "serial" / "posteval.csv").read_bytes() == \
                (tmp_path / "pool" / "posteval.csv").read_bytes()
+
+    def test_pool_starts_at_most_one_worker_per_cpu(self, tmp_path,
+                                                     monkeypatch):
+        # A fork pool starts all its workers on the first submit, so the
+        # pool size is the number of processes --workers W starts at once.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        monkeypatch.setattr(InlinePool, "sizes", [])
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        plan = parse_config(SMOKE.replace("runs=1", "runs=3"))
+        assert run_experiment(plan, tmp_path, workers=1_000_000) == 0
+        assert InlinePool.sizes == [2]
+        rows = (tmp_path / "posteval.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == \
+            ["row0_run0", "row0_run1", "row0_run2"]
 
     def test_run_reconstructible_from_seed_record_alone(self, tmp_path):
         from minsurprise.evolution import EvolutionConfig, evolve
@@ -312,6 +349,23 @@ class TestCli:
         )
         total = sum(int(v) for k, v in counts.items() if k != "scene")
         assert total == 6
+
+    def test_blockless_posteval_row(self, tmp_path, capsys):
+        # B = 0: no start blocks to keep (similarity 1.0), none to move
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMOKE.replace("blocks=5", "blocks=0"))
+        genome = tmp_path / "g.genome"
+        save_genome(genome, random_genome(np.random.default_rng(3)))
+        assert main(["posteval", str(genome), str(cfg)]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        cells = dict(zip(header.split(","), row.split(","), strict=True))
+        assert cells["B"] == "0"
+        assert cells["similarity"] == "1.0"
+        assert cells["block_movement"] == "0.0"
+        for when in ("start", "end"):
+            for stem in ("lines", "pairs", "clusters", "dispersed", "other"):
+                assert cells[f"{stem}_{when}"] == "0"
+            assert cells[f"scene_{when}"] == "other"
 
     def test_malformed_inputs_are_one_line_errors(self, tmp_path, capsys):
         world = random_world(SimConfig(8, 2, 6, steps=5),

@@ -88,7 +88,7 @@ def test_build_prunes_month_old_libraries_only(empty_cache, monkeypatch):
 
 # Each function of the kernel module: the number of ints it takes, the
 # Batch address first.
-PASSES = {"actuate": 2, "fixed_steps": 3, "emergent_sense": 2,
+PASSES = {"steps": 3, "emergent_sense": 2,
           "prediction_hidden": 1, "prediction_output": 1,
           "action_hidden": 1, "action_output": 1}
 

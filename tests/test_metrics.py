@@ -236,6 +236,15 @@ class TestClassifier:
         labels = labels_of(blocks)
         assert set(labels.values()) == {LINE}
 
+    def test_full_ring_flanks_are_adjacent_across_the_seam(self):
+        # a full row of 8 with flank blocks at x = 0 and x = 7 of the next
+        # row: two flanks, within the limit of 4 and not adjacent along the
+        # row, yet adjacent across the seam of a ring, so no line
+        row = [(x, 0) for x in range(8)]
+        counts = structure_report(row + [(0, 1), (7, 1)], 8)
+        assert counts[LINE] == 0
+        assert structure_report(row + [(0, 1), (6, 1)], 8)[LINE] == 8
+
     def test_translation_invariance(self):
         rng = np.random.default_rng(9)
         base = {(int(x), int(y)) for x, y in rng.integers(0, L16, (24, 2))}
@@ -285,3 +294,10 @@ class TestClassifier:
                 tied = {label: 0 for label in StructureLabel}
                 tied[first] = tied[later] = 3
                 assert scene_label(tied) == first
+
+    def test_scene_without_candidate_blocks_is_other(self):
+        # no blocks, and a 2x2 square: four OTHER blocks, no candidate
+        for blocks in ([], [(0, 0), (1, 0), (0, 1), (1, 1)]):
+            counts = structure_report(blocks, 8)
+            assert counts[OTHER] == len(blocks)
+            assert scene_label(counts) == OTHER

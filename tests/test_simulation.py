@@ -347,8 +347,11 @@ class TestObserveHook:
                                           Scenario.CLUSTERS])
     def test_skipped_steps_change_nothing(self, scenario):
         # An observer that asks for step T at t = 0 sees only the placement
-        # and the end: a fixed run's steps between are one kernel call.
-        config = SimConfig(8, 3, 5, steps=30)
+        # and the end: a fixed run's steps between are one kernel call,
+        # which runs each of the 4 worlds through them before the next. One
+        # that asks for step 13 first splits that stretch in two. The worlds
+        # are dense enough that the robots' order within a step matters.
+        config = SimConfig(8, 12, 8, steps=30)
         T = config.steps
         genomes = [spread_genome(1), spread_genome(2)]
         seeds = np.array([[7, 8], [9, 10]], dtype=np.uint64)
@@ -358,19 +361,25 @@ class TestObserveHook:
 
             def observe(t, pos, rh, occ):
                 seen[t] = (pos.copy(), rh.copy(), occ.copy())
-                return wanted
+                return wanted(t)
             err, _ = simulate_batch(genomes, config, scenario, seeds,
                                     observe=observe)
             return err, seen
 
-        every_err, every = run(None)
-        ends_err, ends = run(T)
+        every_err, every = run(lambda t: None)
+        ends_err, ends = run(lambda t: T)
+        split_err, split = run(lambda t: 13 if t < 13 else T)
         plain, _ = simulate_batch(genomes, config, scenario, seeds)
         assert sorted(every) == list(range(T + 1)) and sorted(ends) == [0, T]
+        assert sorted(split) == [0, 13, T]
         assert np.array_equal(every_err, plain)  # bitwise
         assert np.array_equal(ends_err, plain)
+        assert np.array_equal(split_err, plain)
         for t in (0, T):
             for a, b in zip(every[t], ends[t]):
+                assert np.array_equal(a, b)
+        for t in (0, 13, T):
+            for a, b in zip(every[t], split[t]):
                 assert np.array_equal(a, b)
 
     def test_observer_must_ask_for_a_later_step(self):
