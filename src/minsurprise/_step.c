@@ -14,6 +14,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 enum { FREE = 0, ROBOT = 1, BLOCK = 2, SENSORS = 6, SENSOR_BITS = 12,
        INPUTS = 13, HIDDEN = 8 };
@@ -35,7 +36,8 @@ struct batch {
     const uint8_t *decisions;       /* (G, 8192, 2) fixed scenarios only */
     /* the emergent scenario only; both nets run through product and out,
      * which holds the action outputs, (K * N, 2), until actuate reads them: */
-    double *inputs;                 /* (K * N, 13) network inputs */
+    const double *input_rows;       /* (8192, 13) row c: input i = bit i of c */
+    double *inputs;                 /* (K * N, 13) each robot's input row */
     double *out;                    /* (K * N, 12) either net's exp(-y) */
     double *product;                /* (K * N, 8) inputs @ hidden weights */
     double *hidden;                 /* (K * N, 8) prediction net state */
@@ -159,25 +161,10 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
-/* The per-robot helpers below take restrict operands of a length fixed
- * where they are inlined: the loops gcc -O2 vectorizes. Unrolled, an
- * 8-unit hidden loop runs at numpy's speed at K = 500; rolled, at half of
- * it. */
-
-/* Network inputs 4q .. 4q + 3 of a code whose bits 4q .. 4q + 3 are v. */
-#define BITS(v) {v & 1, v >> 1 & 1, v >> 2 & 1, v >> 3 & 1}
-static const double NIBBLE[16][4] = {
-    BITS(0), BITS(1), BITS(2), BITS(3), BITS(4), BITS(5), BITS(6), BITS(7),
-    BITS(8), BITS(9), BITS(10), BITS(11), BITS(12), BITS(13), BITS(14),
-    BITS(15)};
-
-/* One robot's 12 sensor inputs, input j being bit j of its code. */
-static void write_inputs(double *restrict x, int64_t code)
-{
-    for (int q = 0; q < 3; q++)
-        for (int j = 0; j < 4; j++)
-            x[4 * q + j] = NIBBLE[code >> 4 * q & 15][j];
-}
+/* The per-robot helpers below, error terms and layer sums, take restrict
+ * operands of a length fixed where they are inlined: the loops gcc -O2
+ * vectorizes. Unrolled, an 8-unit hidden loop runs at numpy's speed at
+ * K = 500; rolled, at half of it. */
 
 /* One robot's 12 error terms |1 / (e + 1) - bit|, written over its pending
  * e = exp(-output): the reference's sigmoid and error. */
@@ -187,9 +174,10 @@ static void score_terms(double *restrict e, const double *restrict bit)
         e[s] = fabs(1.0 / (e[s] + 1.0) - bit[s]);
 }
 
-/* An emergent step's sensing, world by world: sense, write each robot's 12
- * sensor inputs (input 12, its previous move, is actuate's) and from step 1
- * on add the world's error terms against the pending prediction, in
+/* An emergent step's sensing, world by world: sense, copy each robot's row
+ * of input_rows at its code (its sensor bits and, as input 12, its previous
+ * move: its action net input) and from step 1 on score its pending
+ * prediction against that row, then add the world's error terms, in
  * numpy's order, to its sum. The terms overwrite the prediction in out;
  * the action outputs overwrite them next. */
 static void emergent_sense(const struct batch *b, int64_t t)
@@ -198,13 +186,14 @@ static void emergent_sense(const struct batch *b, int64_t t)
     for (int64_t k = 0; k < b->worlds; k++) {
         sense(b, k);
         double *x = b->inputs + k * N * INPUTS, *e = b->out + k * terms;
-        for (int64_t n = 0; n < N; n++)
-            write_inputs(x + n * INPUTS, b->code[k * N + n]);
-        if (t == 0)
-            continue;
-        for (int64_t n = 0; n < N; n++)
-            score_terms(e + n * SENSOR_BITS, x + n * INPUTS);
-        b->score[k] += pairwise_sum(e, terms);
+        for (int64_t n = 0; n < N; n++) {
+            const double *row = b->input_rows + b->code[k * N + n] * INPUTS;
+            memcpy(x + n * INPUTS, row, sizeof *row * INPUTS);
+            if (t > 0)
+                score_terms(e + n * SENSOR_BITS, row);
+        }
+        if (t > 0)
+            b->score[k] += pairwise_sum(e, terms);
     }
 }
 

@@ -51,7 +51,7 @@ class Batch(ctypes.Structure):
         "target")]
         + [(name, ctypes.c_void_p) for name in (
             "occ", "pos", "rh", "code", "sensed", "perms", "score",
-            "decisions", "inputs", "out", "product", "hidden",
+            "decisions", "input_rows", "inputs", "out", "product", "hidden",
             "hidden_bias", "self_weight", "out_bias", "a_hidden_bias",
             "a_out_bias")])
 

@@ -48,10 +48,11 @@ Sensing. Every scenario senses the same way, into one code per robot.
 Actuation sets the code to the robot's move << 12 (it starts at 0: no move
 before the first step); sensing then ORs in bit s for a robot in sensed
 cell s and bit 6 + s for a block. So the code holds the 12 sensor bits,
-sensor i in bit i, and the previous move in bit 12: network input i is bit
-i of the code. The emergent step's sensing call writes the 12 sensor
-inputs as floats and, from step 1 on, scores the pending prediction
-against them.
+sensor i in bit i, and the previous move in bit 12: a robot's network
+inputs are row code of ``_INPUT_ROWS``, input i being bit i, in every
+scenario. The fixed scenarios' decision tables are indexed by that row;
+the emergent step's sensing call copies it into the robot's inputs and,
+from step 1 on, scores the pending prediction against it.
 
 Actuation schedule. The reference actuates one robot at a time in the
 step's shuffled order. A robot reads and writes only its own cell and the
@@ -89,8 +90,8 @@ Emergent step. Both networks run in one shape and share two buffers: the
 product of the inputs with the hidden weights into ``product``, a kernel
 pass for the hidden sum, tanh, the product with the output weights into
 ``out``, one kernel pass -(output + bias), exp. Per step: the sensing call
-(sense, sensor inputs 0-11, score, whose terms overwrite the prediction in
-``out``); the action network, whose input 12 is the previous move (0 at
+(sense, each robot's input row, score, whose terms overwrite the prediction
+in ``out``); the action network, whose input 12 is the previous move (0 at
 t = 0), whose hidden pass is product + bias and whose outputs live in the
 first G * M * 2 doubles of ``out`` until actuation, which decides off them
 and sets input 12 to the chosen move; then, unless it is the last step, the
@@ -143,11 +144,12 @@ from .world import (
 # Grid cell codes, as in _step.c; block b is stored as _BLOCK + b.
 _FREE, _ROBOT, _BLOCK = 0, 1, 2
 
-# Every network input row, the decision tables' inputs: row r holds input i
-# as bit i of r, so the row of a robot is its sensor code | previous move
-# << 12. The bits are unpacked from each r's two little-endian bytes, so the
-# build's temporaries are uint16 and uint8 and the import keeps little more
-# than the table.
+# Every network input row, the one definition of a network input: row r
+# holds input i as bit i of r, so the row of a robot is its sensor code |
+# previous move << 12. The decision tables run every row; the emergent
+# sensing call copies each robot's row. The bits are unpacked from each r's
+# two little-endian bytes, so the build's temporaries are uint16 and uint8
+# and the import keeps little more than the table.
 _INPUT_ROWS = np.unpackbits(
     np.arange(1 << NET_INPUTS, dtype="<u2").view(np.uint8).reshape(-1, 2),
     axis=1, count=NET_INPUTS, bitorder="little").astype(np.float64)
@@ -244,6 +246,9 @@ def simulate_batch(
     L, N, B, T = sim.side_length, sim.swarm_size, sim.block_count, sim.steps
     G = len(genomes)
     seeds = np.asarray(seeds, dtype=np.uint64)
+    if seeds.ndim != 2 or 0 in seeds.shape:
+        raise ValueError(f"seeds must be a (G, W) array with G, W >= 1, "
+                         f"got shape {seeds.shape}")
     if seeds.shape[0] != G:
         raise ValueError("one seed row per genome required")
     W = seeds.shape[1]
@@ -285,17 +290,19 @@ def simulate_batch(
         p_self = np.stack([d[1].w_self for d in decoded])
         p_wo = np.stack([d[1].w_out for d in decoded])
         p_bo = np.stack([d[1].b_out for d in decoded])  # (G, 12)
-        # network inputs; input 12, the previous move, is 0 at t = 0
-        X = np.zeros((G, M, NET_INPUTS), dtype=np.float64)
+        # network inputs: each robot's _INPUT_ROWS row, copied by the
+        # sensing call before a product reads it (then input 12 by actuate)
+        X = np.empty((G, M, NET_INPUTS), dtype=np.float64)
         # both networks' inputs @ hidden weights and exp(-output); the action
         # outputs are out's first G * M * 2, contiguous as BLAS needs them
         product = np.empty((G, M, HIDDEN_UNITS), dtype=np.float64)
         out = np.empty((G, M, SENSOR_COUNT), dtype=np.float64)
         a_out = out.reshape(-1)[:G * M * ACTION_OUTPUTS].reshape(G, M, -1)
         hidden = np.zeros((G, M, HIDDEN_UNITS), dtype=np.float64)
-        arrays = dict(inputs=X, out=out, product=product, hidden=hidden,
-                      hidden_bias=p_bh, self_weight=p_self, out_bias=p_bo,
-                      a_hidden_bias=a_bh, a_out_bias=a_bo)
+        arrays = dict(input_rows=_INPUT_ROWS, inputs=X, out=out,
+                      product=product, hidden=hidden, hidden_bias=p_bh,
+                      self_weight=p_self, out_bias=p_bo, a_hidden_bias=a_bh,
+                      a_out_bias=a_bo)
     else:
         # The fixed prediction as a sensor code, and each genome's decisions
         # at g << 13 | previous move << 12 | code.
@@ -331,7 +338,7 @@ def simulate_batch(
             lib.steps(address, t, stop)
             t = stop
         else:
-            # Sense, write the sensor inputs, score the pending prediction.
+            # Sense, copy each robot's input row, score the prediction.
             lib.emergent_sense(address, t)
             # Action network, up to exp(-output), in product and a_out.
             stable_rows_matmul(X, a_wh, out=product)

@@ -122,14 +122,13 @@ class SnapshotError(ValueError):
 def parse_snapshot_cells(
     text: str,
 ) -> tuple[int, list[RobotPose], list[tuple[int, int]]]:
-    """Parse snapshot text into raw entity lists (row-major id assignment).
-    The grid must be at least 3x3, as ``SimConfig.side_length`` requires."""
+    """Parse snapshot text, L lines of L characters with L set by the first,
+    into raw entity lists (row-major id assignment). The grid must be at
+    least 3x3, as ``SimConfig.side_length`` requires."""
     lines = text.splitlines()
     if not lines:
         raise SnapshotError("empty snapshot")
-    L = len(lines)
-    if L < 3:
-        raise SnapshotError(f"a {L}x{L} grid is smaller than 3x3")
+    L = len(lines[0])
     robots: list[RobotPose] = []
     blocks: list[tuple[int, int]] = []
     for y, line in enumerate(lines):
@@ -146,4 +145,8 @@ def parse_snapshot_cells(
                 robots.append(RobotPose(x, y, _LETTER_TO_HEADING[ch]))
             else:
                 raise SnapshotError(f"line {y + 1}: invalid character {ch!r}")
+    if len(lines) != L:
+        raise SnapshotError(f"expected {L} lines, got {len(lines)}")
+    if L < 3:
+        raise SnapshotError(f"a {L}x{L} grid is smaller than 3x3")
     return L, robots, blocks

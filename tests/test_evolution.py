@@ -162,6 +162,19 @@ class TestSelectProportionate:
             select_proportionate([], np.random.default_rng(0))
 
 
+# Seed arrays simulate_batch refuses: (genomes, seed array shape).
+_BAD_SEEDS = {"no-columns": (1, (1, 0)), "no-rows": (0, (0, 2)),
+              "1-d": (1, (2,))}
+_SEED_SCENARIOS = (Scenario.EMERGENT, Scenario.CLUSTERS)
+
+
+def _simulate(scenario, genomes, shape):
+    """A simulate_batch call of genomes random genomes on zero seeds."""
+    return lambda: simulate_batch(
+        [random_genome(np.random.default_rng(0))] * genomes,
+        SimConfig(8, 3, 5, steps=30), scenario, np.zeros(shape, np.uint64))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: small_config(population_size=0), "population_size must be >= 1"),
     (lambda: small_config(generations=0), "generations must be >= 1"),
@@ -174,8 +187,13 @@ class TestSelectProportionate:
                             SimConfig(8, 3, 5, steps=30), Scenario.EMERGENT,
                             np.zeros((3, 1), dtype=np.uint64)),
      "one seed row per genome required"),
+    *[(_simulate(scenario, genomes, shape), r"seeds must be a \(G, W\)")
+      for scenario in _SEED_SCENARIOS
+      for genomes, shape in _BAD_SEEDS.values()],
 ], ids=["population", "generations", "eval-runs", "rate-below-0",
-        "rate-above-1", "negative-fitness", "seed-rows"])
+        "rate-above-1", "negative-fitness", "seed-rows",
+        *[f"seeds-{case}-{scenario.value}" for scenario in _SEED_SCENARIOS
+          for case in _BAD_SEEDS]])
 def test_public_input_checks_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -309,6 +309,8 @@ class TestSnapshots:
             parse_snapshot("B\n")  # 1x1: the block would neighbour itself
         with pytest.raises(SnapshotError):
             parse_snapshot("B.\n.N\n")  # 2x2
+        with pytest.raises(SnapshotError, match="line 5"):
+            parse_snapshot("B...\n....\n..N.\n....\n\n")  # blank line 5
 
 
 class TestInvariants:
