@@ -166,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="output directory (default $MINSURPRISE_OUT "
                                "or ./out)")
     p_evolve.add_argument("--workers", type=int, default=1,
-                          help="parallel (row, run) jobs, at most one "
-                               "process per CPU")
+                          help="worker processes that run the (row, run) "
+                               "jobs, at most one per usable CPU")
     p_evolve.set_defaults(func=_cmd_evolve)
 
     p_post = sub.add_parser("posteval", help="post-evaluate a stored genome")

@@ -367,16 +367,18 @@ def _outcome(call, *args):
 
 def _pool_outcomes(plan: ExperimentPlan, jobs: list[tuple[int, int]],
                    out: Path, workers: int):
-    """Run (row, run) jobs in a new pool of at most one process per job and
-    per CPU, which starts them all on the first submit; yield each one's
-    run.json record or exception, in job order. A worker that dies breaks
-    its pool and fails every job left in it; each such job is retried alone
-    in another pool, so only a job that breaks its own pool fails."""
+    """Yield each (row, run) job's run.json record or exception, in job
+    order. The jobs run in a pool of at most ``workers`` processes, one per
+    job and per CPU this process may use, made when the first outcome is
+    asked for; it starts them all on the first submit. A worker that dies
+    breaks its pool and fails every job left in it; each such job is retried
+    alone in another pool, so only a job that breaks its own pool fails."""
     # imported here: they cost a noticeable share of every CLI start-up
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    size = min(workers, len(jobs), os.cpu_count() or 1)
+    size = min(workers, len(jobs), len(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=size) as pool:
         # submit itself raises BrokenProcessPool once a worker has died
         futures = [_outcome(pool.submit, _execute_run, plan, i, j, out)
@@ -392,12 +394,12 @@ def _pool_outcomes(plan: ExperimentPlan, jobs: list[tuple[int, int]],
 def run_experiment(plan: ExperimentPlan, out_dir, workers: int = 1) -> int:
     """Execute all (row, run) jobs, skipping completed ones; emit CSVs.
 
-    A failing run is reported and skipped; the remaining runs still execute
-    and the exit status becomes 1. With workers > 1 that holds also for a
-    run whose worker process dies. Failures go to the current
-    ``sys.stderr``. A completed run in ``out_dir`` made with
-    a different plan, or an ``out_dir`` that cannot be created, raises
-    ConfigError before any run starts.
+    Pending runs execute in a pool of at most ``workers`` processes, and
+    none starts if no run is pending. A failing run, also one that kills its
+    process, is reported and skipped; the others still execute and the exit
+    status becomes 1. Failures go to the current ``sys.stderr``. A completed
+    run in ``out_dir`` made with a different plan, or an ``out_dir`` that
+    cannot be created, raises ConfigError before any run starts.
     """
     out = Path(out_dir)
     try:
@@ -411,12 +413,9 @@ def run_experiment(plan: ExperimentPlan, out_dir, workers: int = 1) -> int:
     records = {job: _load_completed(plan, *job, out) for job in jobs}
     pending = [job for job in jobs if records[job] is None]
 
-    if workers > 1 and len(pending) > 1:
-        outcomes = _pool_outcomes(plan, pending, out, workers)
-    else:
-        outcomes = (_outcome(_execute_run, plan, i, j, out) for i, j in pending)
     failures = 0
-    for (i, j), outcome in zip(pending, outcomes):
+    for (i, j), outcome in zip(pending, _pool_outcomes(plan, pending, out,
+                                                       workers)):
         if isinstance(outcome, Exception):
             failures += 1
             print(f"row{i}_run{j} failed: {outcome}", file=sys.stderr)

@@ -129,6 +129,8 @@ def parse_snapshot_cells(
     if not lines:
         raise SnapshotError("empty snapshot")
     L = len(lines[0])
+    if L < 3:
+        raise SnapshotError(f"a {L}x{L} grid is smaller than 3x3")
     robots: list[RobotPose] = []
     blocks: list[tuple[int, int]] = []
     for y, line in enumerate(lines):
@@ -147,6 +149,4 @@ def parse_snapshot_cells(
                 raise SnapshotError(f"line {y + 1}: invalid character {ch!r}")
     if len(lines) != L:
         raise SnapshotError(f"expected {L} lines, got {len(lines)}")
-    if L < 3:
-        raise SnapshotError(f"a {L}x{L} grid is smaller than 3x3")
     return L, robots, blocks

@@ -143,7 +143,7 @@ def test_cached_generation_zero_reproduces_at_full_batch(name):
     must give the cached fitness_history.csv line byte for byte: the guard
     above replays single worlds only."""
     plan = parse_config((CONFIG_DIR / f"acceptance_{name}.cfg").read_text())
-    config = dataclasses.replace(plan.evolution_config(plan.rows[0]),
+    config = dataclasses.replace(plan.rows[0],
                                  generations=1)
     _, history = evolve(config, run_index=run_index_for(0, 0))
     cached = (ACCEPT_DIR / name / "row0_run0" / "fitness_history.csv") \

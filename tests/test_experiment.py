@@ -13,14 +13,13 @@ from minsurprise.cli import main
 from minsurprise.experiment import (
     ConfigError,
     MATRIX_ROWS,
-    _write_text,
     matrix_plan,
     parse_config,
     replay,
     run_experiment,
 )
 from minsurprise.networks import Scenario, load_genome, random_genome, \
-    save_genome
+    save_genome, write_text_atomic
 from minsurprise.world import SimConfig
 from oracle import parse_snapshot, random_world, render_snapshot
 
@@ -195,14 +194,24 @@ class TestRunExperiment:
         assert (tmp_path / "serial" / "posteval.csv").read_bytes() == \
                (tmp_path / "pool" / "posteval.csv").read_bytes()
 
+    # the CPUs this process may run on (an affinity mask of 2 of 4 CPUs),
+    # or os.cpu_count() where os has no sched_getaffinity
+    @pytest.mark.parametrize("affinity", [{0, 1}, None],
+                             ids=["affinity", "cpu_count"])
     def test_pool_starts_at_most_one_worker_per_cpu(self, tmp_path,
-                                                     monkeypatch):
+                                                     monkeypatch, affinity):
         # A fork pool starts all its workers on the first submit, so the
         # pool size is the number of processes --workers W starts at once.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             InlinePool)
         monkeypatch.setattr(InlinePool, "sizes", [])
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity,
+                                raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 4)
         plan = parse_config(SMOKE.replace("runs=1", "runs=3"))
         assert run_experiment(plan, tmp_path, workers=1_000_000) == 0
         assert InlinePool.sizes == [2]
@@ -265,16 +274,17 @@ class TestRunExperiment:
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched job reaches workers only by fork")
-    def test_dead_worker_fails_only_its_run(self, tmp_path, monkeypatch,
-                                            capsys):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dead_worker_fails_only_its_run(self, tmp_path, workers,
+                                            monkeypatch, capsys):
         monkeypatch.setattr(experiment, "_execute_run", _die_on_run1)
-        self.assert_only_run1_fails(tmp_path, 2, capsys)
+        self.assert_only_run1_fails(tmp_path, workers, capsys)
 
     def test_failed_artifact_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "summary.csv"
-        _write_text(path, "complete\n")
+        write_text_atomic(path, "complete\n")
         with pytest.raises(UnicodeEncodeError):
-            _write_text(path, "half written \ud800")
+            write_text_atomic(path, "half written \ud800")
         assert path.read_text(encoding="utf-8") == "complete\n"
         assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
 

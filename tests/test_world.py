@@ -309,6 +309,8 @@ class TestSnapshots:
             parse_snapshot("B\n")  # 1x1: the block would neighbour itself
         with pytest.raises(SnapshotError):
             parse_snapshot("B.\n.N\n")  # 2x2
+        with pytest.raises(SnapshotError, match="a 0x0 grid"):
+            parse_snapshot("\n")  # one empty line
         with pytest.raises(SnapshotError, match="line 5"):
             parse_snapshot("B...\n....\n..N.\n....\n\n")  # blank line 5
 
