@@ -357,50 +357,47 @@ def summary_csv(plan: ExperimentPlan, records: Sequence[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _outcome(call, *args):
-    """call(*args), or the exception it raised."""
-    try:
-        return call(*args)
-    except Exception as exc:  # noqa: BLE001 - isolate per run
-        return exc
-
-
 def _pool_outcomes(plan: ExperimentPlan, jobs: list[tuple[int, int]],
                    out: Path, workers: int):
-    """Yield each (row, run) job's run.json record or exception, in job
-    order. The jobs run in a pool of at most ``workers`` processes, one per
-    job and per CPU this process may use, made when the first outcome is
-    asked for; it starts them all on the first submit. A worker that dies
-    breaks its pool and fails every job left in it; each such job is retried
-    alone in another pool, so only a job that breaks its own pool fails."""
+    """Yield (job, run.json record or exception) for each (row, run) job as
+    it ends. Each job runs in its own one-process pool; at most ``workers``
+    of these, and no more than the CPUs this process may use, are open at
+    once. A job that kills its process breaks only its own pool."""
     # imported here: they cost a noticeable share of every CLI start-up
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    size = min(workers, len(jobs), len(os.sched_getaffinity(0))
-               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        # submit itself raises BrokenProcessPool once a worker has died
-        futures = [_outcome(pool.submit, _execute_run, plan, i, j, out)
-                   for i, j in jobs]
-        for job, future in zip(jobs, futures):
-            outcome = (future if isinstance(future, Exception)
-                       else _outcome(future.result))
-            if isinstance(outcome, BrokenProcessPool) and len(jobs) > 1:
-                outcome, = _pool_outcomes(plan, [job], out, 1)
-            yield outcome
+    slots = min(workers, len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    waiting = jobs[::-1]  # popped from the end: started in job order
+    running = {}  # each open pool's future: (job, pool)
+    try:
+        while waiting or running:
+            while waiting and len(running) < slots:
+                job, pool = waiting.pop(), ProcessPoolExecutor(max_workers=1)
+                running[pool.submit(_execute_run, plan, *job, out)] = job, pool
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                job, pool = running.pop(future)
+                pool.shutdown()
+                yield job, future.exception() or future.result()
+    finally:
+        for _, pool in running.values():
+            pool.shutdown(cancel_futures=True)
 
 
 def run_experiment(plan: ExperimentPlan, out_dir, workers: int = 1) -> int:
     """Execute all (row, run) jobs, skipping completed ones; emit CSVs.
 
-    Pending runs execute in a pool of at most ``workers`` processes, and
-    none starts if no run is pending. A failing run, also one that kills its
-    process, is reported and skipped; the others still execute and the exit
-    status becomes 1. Failures go to the current ``sys.stderr``. A completed
-    run in ``out_dir`` made with a different plan, or an ``out_dir`` that
-    cannot be created, raises ConfigError before any run starts.
+    Each pending run executes in its own one-process pool, at most
+    ``workers`` >= 1 at once. A failing run, also one that kills its
+    process, is reported as it ends and skipped; the others are neither
+    recomputed nor run one at a time, and the exit status becomes 1.
+    Failures go to the current ``sys.stderr``. A completed run in
+    ``out_dir`` made with a different plan, or an ``out_dir`` that cannot be
+    created, raises ConfigError before any run starts.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -414,9 +411,8 @@ def run_experiment(plan: ExperimentPlan, out_dir, workers: int = 1) -> int:
     pending = [job for job in jobs if records[job] is None]
 
     failures = 0
-    for (i, j), outcome in zip(pending, _pool_outcomes(plan, pending, out,
-                                                       workers)):
-        if isinstance(outcome, Exception):
+    for (i, j), outcome in _pool_outcomes(plan, pending, out, workers):
+        if isinstance(outcome, BaseException):
             failures += 1
             print(f"row{i}_run{j} failed: {outcome}", file=sys.stderr)
         else:

@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -41,18 +42,19 @@ _execute_run = experiment._execute_run
 
 class InlinePool:
     """The ProcessPoolExecutor surface of _pool_outcomes, running each job
-    at submit in this process; records each pool's max_workers."""
+    at submit in this process; records each pool's max_workers and the most
+    pools open at once."""
 
     sizes = []
+    open = most_open = 0
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
+        InlinePool.open += 1
+        InlinePool.most_open = max(InlinePool.most_open, InlinePool.open)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
+    def shutdown(self, cancel_futures=False):
+        InlinePool.open -= 1
 
     def submit(self, fn, *args):
         future = concurrent.futures.Future()
@@ -61,9 +63,14 @@ class InlinePool:
 
 
 def _die_on_run1(plan, row_idx, run_idx, out_dir):
-    """A job whose worker process dies, without an exception, on run 1."""
+    """A job that exits on run 1: its worker process dies, without an
+    exception, under os._exit, or raises SystemExit under sys.exit, as
+    $RUN1_EXIT says. Each start appends the run index to $RUN_STARTS."""
+    with open(os.environ["RUN_STARTS"], "a") as starts:
+        starts.write(f"{run_idx}\n")
     if run_idx == 1:
-        os._exit(1)
+        exit_call = {"os._exit": os._exit, "sys.exit": sys.exit}
+        exit_call[os.environ["RUN1_EXIT"]](1)
     return _execute_run(plan, row_idx, run_idx, out_dir)
 
 
@@ -200,11 +207,13 @@ class TestRunExperiment:
                              ids=["affinity", "cpu_count"])
     def test_pool_starts_at_most_one_worker_per_cpu(self, tmp_path,
                                                      monkeypatch, affinity):
-        # A fork pool starts all its workers on the first submit, so the
-        # pool size is the number of processes --workers W starts at once.
+        # Each run gets a one-process pool, so the pools open at once are
+        # the processes --workers W runs at once.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             InlinePool)
         monkeypatch.setattr(InlinePool, "sizes", [])
+        monkeypatch.setattr(InlinePool, "open", 0)
+        monkeypatch.setattr(InlinePool, "most_open", 0)
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -214,7 +223,8 @@ class TestRunExperiment:
             monkeypatch.setattr(os, "cpu_count", lambda: 4)
         plan = parse_config(SMOKE.replace("runs=1", "runs=3"))
         assert run_experiment(plan, tmp_path, workers=1_000_000) == 0
-        assert InlinePool.sizes == [2]
+        assert InlinePool.sizes == [1, 1, 1]
+        assert (InlinePool.open, InlinePool.most_open) == (0, 2)
         rows = (tmp_path / "posteval.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == \
             ["row0_run0", "row0_run1", "row0_run2"]
@@ -276,9 +286,27 @@ class TestRunExperiment:
                         reason="the patched job reaches workers only by fork")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_dead_worker_fails_only_its_run(self, tmp_path, workers,
-                                            monkeypatch, capsys):
+                                            monkeypatch, capsys,
+                                            ending="os._exit"):
+        starts = tmp_path / "starts.txt"
+        monkeypatch.setenv("RUN_STARTS", str(starts))
+        monkeypatch.setenv("RUN1_EXIT", ending)
         monkeypatch.setattr(experiment, "_execute_run", _die_on_run1)
-        self.assert_only_run1_fails(tmp_path, workers, capsys)
+        self.assert_only_run1_fails(tmp_path / "out", workers, capsys)
+        # no run is recomputed because another one's process died
+        assert sorted(starts.read_text().split()) == ["0", "1", "2", "3"]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched job reaches workers only by fork")
+    def test_system_exit_fails_only_its_run(self, tmp_path, monkeypatch,
+                                            capsys):
+        self.test_dead_worker_fails_only_its_run(tmp_path, 2, monkeypatch,
+                                                 capsys, ending="sys.exit")
+
+    def test_zero_workers_raise_before_any_run(self, tmp_path):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_experiment(parse_config(SMOKE), tmp_path / "out", workers=0)
+        assert not (tmp_path / "out").exists()
 
     def test_failed_artifact_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "summary.csv"

@@ -129,8 +129,10 @@ def _first_difference(ours: Path, theirs: Path, rev: str) -> str | None:
             return f"{path} only in {rev}"
         a, b = (theirs / path).read_bytes(), (ours / path).read_bytes()
         if a != b:
-            pairs = zip_longest(a.decode(errors="replace").splitlines(),
-                                b.decode(errors="replace").splitlines())
+            # lines with their endings, as bytes: any byte that differs,
+            # a line ending or an undecodable one too, is in a line that does
+            pairs = zip_longest(a.splitlines(keepends=True),
+                                b.splitlines(keepends=True))
             i, (x, y) = next((i, xy) for i, xy in enumerate(pairs)
                              if xy[0] != xy[1])
             return f"{path} line {i + 1}: {rev} {x!r}, working tree {y!r}"
