@@ -53,8 +53,9 @@ def _check_flags(args) -> None:
 
 
 def _read_input(path, error,
-                read=lambda p: Path(p).read_text(encoding="utf-8")):
-    """read(path), reporting a file that cannot be read as error."""
+                read=lambda p: Path(p).read_text(encoding="utf-8-sig")):
+    """read(path), reporting a file that cannot be read as error. Text
+    files may start with a UTF-8 byte-order mark."""
     try:
         return read(path)
     except (OSError, UnicodeDecodeError) as exc:

@@ -3,7 +3,8 @@ and block-structure classification.
 
 The classifier assigns every block exactly one label with precedence
 Line > Cluster > Pair > Dispersed > Other, operating on torus-aware maximal
-horizontal/vertical runs and Moore / von Neumann neighbor counts.
+runs and Moore / von Neumann neighbor counts. Runs are found along rows
+only: the column runs of a block set are the row runs of its transpose.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .simulation import RunTrace
-from .world import SENSOR_COUNT, metrics_window
+from .world import SENSOR_COUNT
 
 Cell = tuple[int, int]
 
@@ -32,31 +33,26 @@ def score_run(error_sum: float, n_robots: int, comparisons: int) -> float:
 
 
 def similarity(start_blocks: Iterable[Cell], end_blocks: Iterable[Cell]) -> float:
-    """Fraction of start block cells still (or again) block-occupied at the end."""
+    """Fraction of start block cells still (or again) block-occupied at the
+    end; 1.0 for two empty sets, as a run without blocks has none to move."""
     start, end = set(start_blocks), set(end_blocks)
-    if not start or len(start) != len(end):
-        raise ValueError("similarity needs equal, non-empty block sets")
-    return len(start & end) / len(start)
+    if len(start) != len(end):
+        raise ValueError("similarity needs block sets of equal size")
+    return len(start & end) / len(start) if start else 1.0
 
 
-def movement(window: np.ndarray, n_entities: int, tau: int,
-             side_length: int) -> tuple[float, float, float]:
+def movement(window: np.ndarray, side_length: int) -> tuple[float, float, float]:
     """Mean per-step torus displacement over a window of tau transitions.
 
-    window holds (tau + 1, P, 2) positions as (x, y). Per-axis step distance
-    is the torus-wrapped min(|d|, L - |d|). Returns (M_x, M_y, M).
+    window holds (tau + 1, P, 2) positions of P entities as (x, y); tau and
+    P are read off its shape. Per-axis step distance is the torus-wrapped
+    min(|d|, L - |d|). Returns (M_x, M_y, M), zeros if tau or P is 0.
     """
-    window = np.asarray(window)
-    if window.shape[0] < tau + 1:
-        raise ValueError(
-            f"window of {window.shape[0]} positions is shorter than tau+1={tau + 1}"
-        )
-    if window.shape[1] != n_entities:
-        raise ValueError("entity count does not match window")
+    deltas = np.abs(np.diff(np.asarray(window), axis=0))
+    deltas = np.minimum(deltas, side_length - deltas)
+    tau, n_entities = deltas.shape[:2]
     if n_entities == 0 or tau == 0:
         return 0.0, 0.0, 0.0
-    deltas = np.abs(np.diff(window[-(tau + 1):], axis=0))
-    deltas = np.minimum(deltas, side_length - deltas)
     m_x = float(deltas[:, :, 0].sum() / (n_entities * tau))
     m_y = float(deltas[:, :, 1].sum() / (n_entities * tau))
     return m_x, m_y, m_x + m_y
@@ -87,39 +83,36 @@ def scene_label(counts: Mapping[StructureLabel, int]) -> StructureLabel:
     return label if counts[label] else StructureLabel.OTHER
 
 
-def _runs_along_axis(blocks: set[Cell], L: int, vertical: bool) -> list[list[Cell]]:
-    """Maximal runs of orthogonally adjacent blocks along one axis.
+def _row_runs(blocks: set[Cell], L: int) -> list[list[Cell]]:
+    """Maximal runs of horizontally adjacent blocks, row by row.
 
-    Torus-aware: a run may cross the seam; a fully occupied line is one
+    Torus-aware: a run may cross the seam; a fully occupied row is one
     circular run of length L.
     """
-    lanes: dict[int, list[int]] = {}
+    rows: dict[int, set[int]] = {}
     for x, y in blocks:
-        lane, along = (x, y) if vertical else (y, x)
-        lanes.setdefault(lane, []).append(along)
+        rows.setdefault(y, set()).add(x)
     runs = []
-    for lane, coords in lanes.items():
-        present = set(coords)
+    for y, present in rows.items():
         if len(present) == L:
-            ordered = list(range(L))
-            runs.append([(lane, a) if vertical else (a, lane) for a in ordered])
+            runs.append([(x, y) for x in range(L)])
             continue
-        for a in sorted(present):
-            if (a - 1) % L in present:
+        for x in sorted(present):
+            if (x - 1) % L in present:
                 continue  # not a run start
-            run = [a]
-            nxt = (a + 1) % L
+            run = [x]
+            nxt = (x + 1) % L
             while nxt in present:
                 run.append(nxt)
                 nxt = (nxt + 1) % L
-            runs.append([(lane, v) if vertical else (v, lane) for v in run])
+            runs.append([(v, y) for v in run])
     return runs
 
 
-def _flank_ok(run: list[Cell], blocks: set[Cell], L: int, vertical: bool) -> bool:
-    """Check the side-neighbor rule for a pair/line run.
+def _flank_ok(run: list[Cell], blocks: set[Cell], L: int) -> bool:
+    """Check the side-neighbor rule for a pair/line run along a row.
 
-    Each of the two rows parallel to the run may hold at most ceil(len/2)
+    Each of the two rows next to the run may hold at most ceil(len/2)
     blocks over the run's extent, and no two of them may sit in adjacent
     cells. A circular (full-ring) run wraps the adjacency check as well.
     """
@@ -127,13 +120,7 @@ def _flank_ok(run: list[Cell], blocks: set[Cell], L: int, vertical: bool) -> boo
     limit = -(-length // 2)  # ceil
     ring = length == L
     for side in (-1, 1):
-        occupied = []
-        for x, y in run:
-            if vertical:
-                flank = ((x + side) % L, y)
-            else:
-                flank = (x, (y + side) % L)
-            occupied.append(flank in blocks)
+        occupied = [(x, (y + side) % L) in blocks for x, y in run]
         if sum(occupied) > limit:
             return False
         for i in range(length - 1):
@@ -149,12 +136,13 @@ def classify_blocks(blocks: Iterable[Cell], L: int) -> dict[Cell, StructureLabel
     bset = set(blocks)
     line_members: set[Cell] = set()
     pair_members: set[Cell] = set()
-    for vertical in (False, True):
-        for run in _runs_along_axis(bset, L, vertical):
-            if len(run) >= 3 and _flank_ok(run, bset, L, vertical):
-                line_members.update(run)
-            elif len(run) == 2 and _flank_ok(run, bset, L, vertical):
-                pair_members.update(run)
+    # the row runs, then those of the transpose: the columns, mapped back
+    for cells, transposed in ((bset, False), ({(y, x) for x, y in bset}, True)):
+        for run in _row_runs(cells, L):
+            if len(run) >= 2 and _flank_ok(run, cells, L):
+                if transposed:
+                    run = [(x, y) for y, x in run]
+                (line_members if len(run) >= 3 else pair_members).update(run)
 
     labels: dict[Cell, StructureLabel] = {}
     for cell in bset:
@@ -204,15 +192,12 @@ class MetricsRow:
 
 
 def metrics_from_trace(trace: RunTrace) -> MetricsRow:
-    sim = trace.sim
-    L, N, B = sim.side_length, sim.swarm_size, sim.block_count
-    tau = metrics_window(L)
-    sim_value = similarity(trace.start_blocks, trace.end_blocks) if B else 1.0
+    L, N = trace.sim.side_length, trace.sim.swarm_size
     return MetricsRow(
         fitness=score_run(trace.error_sum, N, trace.comparisons),
-        similarity=sim_value,
-        block_movement=movement(trace.block_window, B, tau, L)[2],
-        robot_movement=movement(trace.robot_window, N, tau, L)[2],
+        similarity=similarity(trace.start_blocks, trace.end_blocks),
+        block_movement=movement(trace.block_window, L)[2],
+        robot_movement=movement(trace.robot_window, L)[2],
         start_counts=structure_report(trace.start_blocks, L),
         end_counts=structure_report(trace.end_blocks, L),
     )

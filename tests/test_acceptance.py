@@ -355,15 +355,15 @@ def test_criterion_9_random_init_dispersed_baseline():
 
 def test_criterion_10_movement_properties():
     static = np.tile(np.array([[[4, 7], [1, 2], [9, 9]]]), (129, 1, 1))
-    assert movement(static, 3, 128, 16) == (0.0, 0.0, 0.0)
+    assert movement(static, 16) == (0.0, 0.0, 0.0)
 
     tau = 128
     marching = np.array([[[t % 16, 3]] for t in range(tau + 1)])
-    m_x, m_y, m = movement(marching, 1, tau, 16)
+    m_x, m_y, m = movement(marching, 16)
     assert abs(m - 1.0) <= 1e-12 and m_y == 0.0
 
     wrap = np.array([[[15, 0]], [[0, 0]]])
-    m_x, _, _ = movement(wrap, 1, 1, 16)
+    m_x, _, _ = movement(wrap, 16)
     assert m_x == 1.0
 
     # engine cross-check: a hand-built always-forward single robot
@@ -373,7 +373,8 @@ def test_criterion_10_movement_properties():
     config = SimConfig(8, 1, 0, steps=40)
     trace = simulate_traced(genome, config, Scenario.EMERGENT, 5,
                             snapshot_every=config.steps)
-    _, _, m_robot = movement(trace.robot_window, 1, 32, 8)  # tau = 8 * 8 // 2
+    assert trace.robot_window.shape == (33, 1, 2)  # tau = 8 * 8 // 2
+    _, _, m_robot = movement(trace.robot_window, 8)
     assert abs(m_robot - 1.0) <= 1e-12
 
     report("10 movement properties", True,

@@ -388,6 +388,32 @@ class TestCli:
         total = sum(int(v) for k, v in counts.items() if k != "scene")
         assert total == 6
 
+    def test_byte_order_marked_config_posts_the_same_row(self, tmp_path,
+                                                        capsys):
+        genome = tmp_path / "g.genome"
+        save_genome(genome, random_genome(np.random.default_rng(3)))
+        rows = []
+        for name, text in (("plain.cfg", SMOKE), ("bom.cfg", "\ufeff" + SMOKE)):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            assert main(["posteval", str(genome), str(tmp_path / name),
+                         "--seed", "5"]) == 0
+            rows.append(capsys.readouterr())
+        assert rows[1] == rows[0] and rows[0].err == ""
+
+    def test_byte_order_marked_snapshot_reads_the_same(self, tmp_path,
+                                                       capsys):
+        world = random_world(SimConfig(8, 2, 6, steps=5),
+                             np.random.default_rng(1))
+        outputs = []
+        for name, text in (("plain.snap", render_snapshot(world)),
+                           ("bom.snap", "\ufeff" + render_snapshot(world))):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            for command in ("render", "classify"):
+                assert main([command, str(tmp_path / name)]) == 0
+                outputs.append(capsys.readouterr())
+        assert outputs[2:] == outputs[:2]
+        assert outputs[0].out == render_snapshot(world)
+
     def test_blockless_posteval_row(self, tmp_path, capsys):
         # B = 0: no start blocks to keep (similarity 1.0), none to move
         cfg = tmp_path / "exp.cfg"

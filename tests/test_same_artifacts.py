@@ -41,3 +41,12 @@ def test_file_in_one_set_only(tmp_path):
 def test_every_byte_difference_names_its_line(tmp_path, rev, work, line):
     found = _difference(tmp_path, {"out.csv": rev}, {"out.csv": work})
     assert found.startswith(f"out.csv line {line}: REV ")
+
+
+def test_unknown_revision_is_one_line_error(capsys):
+    assert same_artifacts.main(["--against", "no-such-revision"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith("same_artifacts: cannot archive no-such-revision: ")
+    assert line != "same_artifacts: cannot archive no-such-revision: "

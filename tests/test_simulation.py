@@ -526,6 +526,30 @@ class TestDenseWorlds:
                     genome, config, Scenario.EMERGENT, int(seeds[g, w]))
                 assert batched[g, w] == ref_err  # bitwise
 
+    @pytest.mark.parametrize("scenario", [Scenario.EMERGENT,
+                                          Scenario.CLUSTERS])
+    def test_every_step_order_width_runs_the_same_worlds(self, scenario,
+                                                         monkeypatch):
+        # The kernel reads the step orders at their item size. int64 needs
+        # N >= 2**15 robots, too many for the reference, so each width runs
+        # the same crowded batch and every width must agree with int8's.
+        config = SimConfig(6, 12, 12, steps=40)
+        results = []
+        for width in (np.int8, np.int16, np.int64):
+            monkeypatch.setattr(simulation, "_int_type", lambda n: width)
+            end = []
+
+            def observe(t, pos, rh, occ):
+                if t == config.steps:
+                    end.extend(a.copy() for a in (pos, rh, occ))
+
+            err, _ = simulate_batch(self.GENOMES, config, scenario,
+                                    self.SEEDS, observe=observe)
+            results.append([err, *end])
+        for other in results[1:]:
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(results[0], other, strict=True))
+
 
 class TestLoneMovers:
     """World 0 never moves and world 1 always moves, so every order position

@@ -12,6 +12,9 @@ tree and in the working tree, each in its own process with its own
 - ``posteval`` and ``replay --every 250`` of the 15 cached genomes, each at
   the ``posteval_seed`` of its ``run.json``;
 - ``render`` and ``classify`` of the 30 cached snapshots;
+- ``labels``: ``classify_blocks`` of 100 seeded random block sets per
+  L = 3..20, each of a random density, about a fifth with a full row or
+  column, one line per set;
 - the sha256 of generation 0's error sums of emergent, pairs, clusters and
   empty at acceptance size (50 genomes x 10 worlds x 1000 steps; pairs on
   the emergent row's world).
@@ -20,7 +23,7 @@ A command's set keeps its exit status, stdout and stderr, and evolve's
 also every file of its output dir. Both trees read the working tree's
 configs and ``.acceptance_cache/``, so only the code differs. Prints one
 line per set, ``identical`` or its first difference, and exits 1 if any
-set differs.
+set differs, or 2 if git cannot archive the revision.
 """
 
 from __future__ import annotations
@@ -85,6 +88,32 @@ def _generation_zero(out: Path) -> None:
     (out / "sha256.txt").write_text("".join(lines), encoding="utf-8")
 
 
+def _labels(out: Path) -> None:
+    """Every block's classify_blocks label, in sorted cell order, of 100
+    seeded random block sets per L = 3..20, one line per set."""
+    import numpy as np
+
+    from minsurprise.metrics import classify_blocks
+
+    out.mkdir(parents=True)
+    rng = np.random.default_rng(2024)
+    lines = []
+    for L in range(3, 21):
+        for _ in range(100):
+            grid = rng.random((L, L)) < rng.random()  # grid[y, x]
+            full, lane = rng.random(), int(rng.integers(L))
+            if full < 0.1:
+                grid[lane, :] = True
+            elif full < 0.2:
+                grid[:, lane] = True
+            blocks = [(int(x), int(y)) for y, x in np.argwhere(grid)]
+            labels = classify_blocks(blocks, L)
+            lines.append(f"L={L} " + " ".join(
+                f"{x},{y}={labels[x, y].value}" for x, y in sorted(blocks))
+                + "\n")
+    (out / "labels.txt").write_text("".join(lines), encoding="utf-8")
+
+
 def produce() -> None:
     """Make every set in the current dir, one subdir each, with the
     minsurprise this process imports. Output paths are relative, so both
@@ -115,6 +144,7 @@ def produce() -> None:
                     _cli(Path(command, scenario, run.name, snapshot.name),
                          command, str(snapshot))
     _generation_zero(Path("generation-0"))
+    _labels(Path("labels"))
 
 
 def _first_difference(ours: Path, theirs: Path, rev: str) -> str | None:
@@ -144,11 +174,17 @@ def main(argv=None) -> int:
     parser.add_argument("--against", required=True, metavar="REV",
                         help="git revision to compare the working tree with")
     args = parser.parse_args(argv)
+    archive = subprocess.run(["git", "archive", args.against], cwd=REPO,
+                             capture_output=True)
+    if archive.returncode:
+        reason = archive.stderr.decode(errors="replace").strip() or \
+            f"git exited with status {archive.returncode}"
+        print(f"same_artifacts: cannot archive {args.against}: "
+              f"{reason.splitlines()[0]}", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory(prefix="same_artifacts-") as tmp:
         tmp = Path(tmp)
-        archive = subprocess.run(["git", "archive", args.against], cwd=REPO,
-                                 capture_output=True, check=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp / "rev", filter="data")
         for tree, src in (("rev", tmp / "rev" / "src"), ("work", REPO / "src")):
             env = dict(os.environ, PYTHONPATH=str(src))
