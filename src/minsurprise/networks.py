@@ -154,7 +154,7 @@ def sigmoid_inplace(x: np.ndarray) -> np.ndarray:
 
 
 class Scenario(enum.Enum):
-    """Prediction regime: evolved predictions, or a fixed target vector."""
+    """Prediction regime: evolved predictions, or a fixed target code."""
 
     EMERGENT = "emergent"
     PAIRS = "pairs"
@@ -162,22 +162,12 @@ class Scenario(enum.Enum):
     EMPTY = "empty"
 
 
-def scenario_prediction(scenario: Scenario) -> np.ndarray:
-    """Fixed prediction vector of a predefined scenario.
-
-    Robot-sensor components are 0 in every predefined scenario; the block
-    bank is 1 on the two straight-ahead cells for PAIRS, all ones for
-    CLUSTERS, and all zeros for EMPTY.
-    """
-    if scenario is Scenario.EMERGENT:
-        raise ValueError("emergent scenario has no fixed prediction vector")
-    p = np.zeros(SENSOR_COUNT, dtype=np.float64)
-    if scenario is Scenario.PAIRS:
-        p[6] = 1.0
-        p[9] = 1.0
-    elif scenario is Scenario.CLUSTERS:
-        p[6:] = 1.0
-    return p
+# Each predefined scenario's fixed prediction as a sensor code, sensor s in
+# bit s: no robot is predicted in any of them; a block on the two
+# straight-ahead cells (sensors 6 and 9) for PAIRS, on all six for CLUSTERS,
+# on none for EMPTY.
+FIXED_TARGETS = {Scenario.PAIRS: 1 << 6 | 1 << 9,
+                 Scenario.CLUSTERS: 0b111111 << 6, Scenario.EMPTY: 0}
 
 
 def save_genome(path, genome: Genome) -> None:
@@ -207,7 +197,7 @@ def write_text_atomic(path, text: str) -> None:
 
 def load_genome(path) -> Genome:
     """Parse a genome file written by save_genome."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header = fh.readline().strip()
         parts = header.split()
         if parts[:2] != GENOME_HEADER.split() or len(parts) != 4:

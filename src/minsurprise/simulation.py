@@ -11,11 +11,11 @@ Per-world RNG contract (PCG64 seeded with the world seed):
      the argsort of row t.
 
 Per-step event order: sense all robots; compare the pending prediction (or
-the scenario's fixed vector) against the fresh sensors; run the action
-network (fixed vectors: look up its table); in emergent mode run the
+the scenario's target code) against the fresh sensors; run the action
+network (target codes: look up its table); in emergent mode run the
 prediction network; actuate robots sequentially in the step's shuffled
 order. Emergent mode therefore yields T - 1 comparisons (a prediction meets
-the *next* step's sensors), fixed vectors yield T.
+the *next* step's sensors), target codes yield T.
 
 Grid. All K worlds share one flat int32 grid, L * L cells each: 0 free,
 1 robot, 2 + b block b. A push copies the block's code, so block identity
@@ -65,11 +65,11 @@ if c2 is free, then advances into c1 unless c1 still holds a robot or a
 block. Worlds share no cell, so their order does not matter: ``steps`` runs
 each world through the whole stretch before the next.
 
-Fixed scenarios. With a fixed prediction vector (pairs, clusters, empty)
-every network input is a bit and every error term an integer, so the step
-does no floating-point network work: the kernel runs the whole step. The
-fixed vector is itself a sensor code, the target; a code's mismatch count
-is popcount((code ^ target) & 0xFFF), which the kernel adds straight into
+Fixed scenarios. A fixed scenario (pairs, clusters, empty) predicts one
+sensor code, its target code in ``FIXED_TARGETS``, so every network input is
+a bit and every error term an integer: the step does no floating-point
+network work, the kernel runs the whole step. A code's mismatch count is
+popcount((code ^ target) & 0xFFF), which the kernel adds straight into
 each world's float64 error sum, as the emergent step adds its terms. Every
 partial sum is an integer of at most T * N * 12, far below 2^53, so the
 sums are exact. ``actuate`` reads each robot's (move, turn right) from its
@@ -119,13 +119,13 @@ import numpy as np
 from . import kernel
 from .networks import (
     ACTION_OUTPUTS,
+    FIXED_TARGETS,
     HIDDEN_UNITS,
     NET_INPUTS,
     ActionNetwork,
     Genome,
     Scenario,
     decode,
-    scenario_prediction,
     sigmoid_inplace,
     stable_rows_matmul,
 )
@@ -304,10 +304,9 @@ def simulate_batch(
                       self_weight=p_self, out_bias=p_bo, a_hidden_bias=a_bh,
                       a_out_bias=a_bo)
     else:
-        # The fixed prediction as a sensor code, and each genome's decisions
-        # at g << 13 | previous move << 12 | code.
-        target = sum(1 << i for i, p in
-                     enumerate(scenario_prediction(scenario)) if p)
+        # The fixed prediction's sensor code, and each genome's decisions at
+        # g << 13 | previous move << 12 | code.
+        target = FIXED_TARGETS[scenario]
         arrays = dict(decisions=_decision_tables([d[0] for d in decoded]))
 
     # The kernel's view of this call, its array addresses bound once; the

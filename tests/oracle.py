@@ -24,6 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from minsurprise.networks import (
+    FIXED_TARGETS,
     HIDDEN_UNITS,
     NET_INPUTS,
     ActionNetwork,
@@ -31,7 +32,6 @@ from minsurprise.networks import (
     PredictionNetwork,
     Scenario,
     decode,
-    scenario_prediction,
     stable_rows_matmul,
 )
 from minsurprise.simulation import _BLOCK, _ROBOT
@@ -329,7 +329,9 @@ def reference_simulation(genome, config, scenario, seed, io_log=None):
     n, t_steps = config.swarm_size, config.steps
     states = [ControllerState() for _ in range(n)]
     pred_prev = np.zeros((n, 12))
-    fixed = None if scenario is Scenario.EMERGENT else scenario_prediction(scenario)
+    fixed = None if scenario is Scenario.EMERGENT else np.array(
+        [(FIXED_TARGETS[scenario] >> s) & 1 for s in range(SENSOR_COUNT)],
+        dtype=float)
     err = 0.0
     for t in range(t_steps):
         sensors = np.stack([sense(world, i) for i in range(n)]).astype(float)

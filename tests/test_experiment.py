@@ -400,6 +400,21 @@ class TestCli:
             rows.append(capsys.readouterr())
         assert rows[1] == rows[0] and rows[0].err == ""
 
+    def test_byte_order_marked_genome_posts_the_same_row(self, tmp_path,
+                                                         capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(SMOKE, encoding="utf-8")
+        plain, bom = tmp_path / "plain.genome", tmp_path / "bom.genome"
+        save_genome(plain, random_genome(np.random.default_rng(3)))
+        bom.write_text("\ufeff" + plain.read_text(encoding="utf-8"),
+                       encoding="utf-8")
+        rows = []
+        for genome in (plain, bom):
+            assert main(["posteval", str(genome), str(cfg),
+                         "--seed", "5"]) == 0
+            rows.append(capsys.readouterr())
+        assert rows[1] == rows[0] and rows[0].err == ""
+
     def test_byte_order_marked_snapshot_reads_the_same(self, tmp_path,
                                                        capsys):
         world = random_world(SimConfig(8, 2, 6, steps=5),

@@ -8,6 +8,7 @@ import pytest
 from minsurprise import networks
 from minsurprise.networks import (
     ACTION_LENGTH,
+    FIXED_TARGETS,
     HIDDEN_UNITS,
     NET_INPUTS,
     PREDICTION_LENGTH,
@@ -18,10 +19,18 @@ from minsurprise.networks import (
     load_genome,
     random_genome,
     save_genome,
-    scenario_prediction,
     stable_rows_matmul,
 )
-from oracle import ControllerState, act, encode, predict
+from minsurprise.world import Heading, RobotPose, SimConfig
+from oracle import (
+    ControllerState,
+    World,
+    act,
+    encode,
+    predict,
+    sense,
+    sensed_cells,
+)
 
 
 def zero_genome():
@@ -242,22 +251,24 @@ class TestStableMatmul:
 
 
 class TestScenarios:
-    def test_pairs_vector(self):
-        assert scenario_prediction(Scenario.PAIRS).tolist() == [
-            0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0
-        ]
+    @pytest.mark.parametrize("scenario, cells", [
+        (Scenario.PAIRS, (0, 3)),  # the two cells straight ahead
+        (Scenario.CLUSTERS, range(6)),
+        (Scenario.EMPTY, ()),
+    ])
+    @pytest.mark.parametrize("heading", list(Heading))
+    def test_target_is_the_code_of_the_predicted_scene(self, scenario, cells,
+                                                       heading):
+        pose = RobotPose(3, 3, heading)
+        ahead = sensed_cells(pose, 7)
+        world = World(SimConfig(7, 1, len(cells)), [pose],
+                      [ahead[s] for s in cells])
+        reading = sense(world, 0)
+        assert sum(int(b) << s for s, b in enumerate(reading)) == \
+            FIXED_TARGETS[scenario]
 
-    def test_clusters_vector(self):
-        p = scenario_prediction(Scenario.CLUSTERS)
-        assert p[:6].tolist() == [0] * 6
-        assert p[6:].tolist() == [1] * 6
-
-    def test_empty_vector(self):
-        assert scenario_prediction(Scenario.EMPTY).tolist() == [0] * 12
-
-    def test_emergent_has_no_fixed_vector(self):
-        with pytest.raises(ValueError):
-            scenario_prediction(Scenario.EMERGENT)
+    def test_emergent_has_no_target(self):
+        assert Scenario.EMERGENT not in FIXED_TARGETS
 
 
 class TestGenomeFile:

@@ -9,6 +9,8 @@ tree and in the working tree, each in its own process with its own
 - smoke ``evolve`` of ``configs/smoke.cfg``: fresh, with ``--seed 99``,
   with ``--runs 3 --workers 2``, and resumed (a copy of the fresh output
   evolved again);
+- ``evolve-pairs``: fresh smoke ``evolve`` of ``configs/smoke.cfg`` plus
+  ``scenario=pairs``, a config written into the set's own dir;
 - ``posteval`` and ``replay --every 250`` of the 15 cached genomes, each at
   the ``posteval_seed`` of its ``run.json``;
 - ``render`` and ``classify`` of the 30 cached snapshots;
@@ -127,6 +129,12 @@ def produce() -> None:
     shutil.copytree("evolve-fresh/out", "evolve-resumed/out")
     _cli(Path("evolve-resumed", "cli.txt"), "evolve", smoke, "--out",
          "evolve-resumed/out")
+    pairs = Path("evolve-pairs", "pairs.cfg")
+    pairs.parent.mkdir()
+    pairs.write_text(Path(smoke).read_text(encoding="utf-8")
+                     + "scenario=pairs\n", encoding="utf-8")
+    _cli(Path("evolve-pairs", "cli.txt"), "evolve", str(pairs), "--out",
+         "evolve-pairs/out")
     for scenario in SCENARIOS:
         config = str(REPO / "configs" / f"acceptance_{scenario}.cfg")
         for run in sorted((REPO / ".acceptance_cache" / scenario)
