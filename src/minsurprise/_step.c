@@ -3,11 +3,12 @@
  * against the target code), actuation, which makes every scenario's
  * decisions, and the emergent step's float work other than products, tanh
  * and exp. steps actuates, world by world: a whole fixed stretch, or one
- * emergent step. Its float arithmetic is IEEE + - * / and fabs only, and
- * one exact comparison, actuate's e = exp(-y) <= 1 + 2^-52 in place of the
- * reference's sigmoid(y) >= 0.5; built with -ffp-contract=off, so every CPU
- * gives the same bits. A CPython extension module, _step, built and loaded
- * by kernel.py. */
+ * emergent step, and copies the metrics window's states into its buffers
+ * when they are bound. Its float arithmetic is IEEE + - * / and fabs only,
+ * and one exact comparison, actuate's e = exp(-y) <= 1 + 2^-52 in place of
+ * the reference's sigmoid(y) >= 0.5; built with -ffp-contract=off, so
+ * every CPU gives the same bits. A CPython extension module, _step, built
+ * and loaded by kernel.py. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>  /* first, as the C API requires */
@@ -27,13 +28,15 @@ struct batch {
     int64_t genome_robots;          /* M = W * N robots per genome */
     int64_t steps, perm_size;       /* T; bytes per entry of perms */
     int64_t target;                 /* fixed scenarios: predicted code */
+    int64_t window_first;           /* the state window row 0 holds */
     int32_t *occ;                   /* (K * L * L) grid codes */
     int64_t *pos, *rh;              /* (K * N) flat cells, headings */
     int64_t *code;                  /* (K * N) sensor code | move << 12 */
     const int32_t *sensed;          /* (L * L * 4, 6): _tables(L) */
     const void *perms;              /* (K, T, N) step orders */
     double *score;                  /* (K,) error sums */
-    const uint8_t *decisions;       /* (G, 8192, 2) fixed scenarios only */
+    const uint8_t *decisions;       /* (G, 8192, 2) fixed scenarios only;
+                                       0 at the rows sensing never makes */
     /* the emergent scenario only; both nets run through product and out,
      * which holds the action outputs, (K * N, 2), until actuate reads them: */
     const double *input_rows;       /* (8192, 13) row c: input i = bit i of c */
@@ -45,6 +48,12 @@ struct batch {
     const double *out_bias;         /* (G, 12) */
     const double *a_hidden_bias;    /* (G, 8) */
     const double *a_out_bias;       /* (G, 2) */
+    /* the metrics window, NULL unless simulate_traced binds it: row r is
+     * the state after window_first + r steps, which steps copies once the
+     * step that makes it has run (the placement, row 0 at window_first =
+     * 0, is no step's: the caller copies it) */
+    int64_t *window_pos;            /* (T + 1 - window_first, K * N) */
+    int32_t *window_occ;            /* (T + 1 - window_first, K * L * L) */
 };
 
 static int64_t order(const struct batch *b, int64_t i)
@@ -121,18 +130,28 @@ static void actuate(const struct batch *b, int64_t k, int64_t t)
  * world's sum still adds its terms in step order. With the decision tables
  * bound (a fixed scenario) a step first senses and adds each sensor code's
  * mismatch count with the target to its world's sum; an emergent step has
- * been sensed and scored by emergent_sense before its one-step call. */
+ * been sensed and scored by emergent_sense before its one-step call. With
+ * the window bound, each step that ends at or after window_first copies the
+ * world's robot cells and grid into the window's row for that state. */
 static void steps(const struct batch *b, int64_t t0, int64_t t1)
 {
-    for (int64_t k = 0; k < b->worlds; k++)
+    int64_t K = b->worlds, N = b->robots, L2 = b->cells;
+    for (int64_t k = 0; k < K; k++)
         for (int64_t t = t0; t < t1; t++) {
             if (b->decisions) {
                 sense(b, k);
-                for (int64_t i = k * b->robots; i < (k + 1) * b->robots; i++)
+                for (int64_t i = k * N; i < (k + 1) * N; i++)
                     b->score[k] += __builtin_popcountll(
                         (b->code[i] ^ b->target) & ((1 << SENSOR_BITS) - 1));
             }
             actuate(b, k, t);
+            int64_t row = t + 1 - b->window_first;
+            if (b->window_pos && row >= 0) {
+                memcpy(b->window_pos + (row * K + k) * N, b->pos + k * N,
+                       sizeof *b->pos * N);
+                memcpy(b->window_occ + (row * K + k) * L2, b->occ + k * L2,
+                       sizeof *b->occ * L2);
+            }
         }
 }
 
@@ -301,7 +320,24 @@ static int int_args(const char *name, PyObject *const *args,
         Py_RETURN_NONE;                                                    \
     }
 
-WRAP(steps, 3, BATCH(v), v[1], v[2])
+/* steps(batch, t0, t1), which first checks 0 <= t0 <= t1 <= T: a step
+ * outside the run would read past the step orders and the window. */
+static PyObject *py_steps(PyObject *self, PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    int64_t v[3];
+    (void)self;
+    if (int_args("steps", args, nargs, 3, v) < 0)
+        return NULL;
+    if (v[1] < 0 || v[1] > v[2] || v[2] > BATCH(v)->steps)
+        return PyErr_Format(PyExc_ValueError,
+                            "steps(batch, %lld, %lld) outside 0 .. %lld",
+                            (long long)v[1], (long long)v[2],
+                            (long long)BATCH(v)->steps);
+    steps(BATCH(v), v[1], v[2]);
+    Py_RETURN_NONE;
+}
+
 WRAP(emergent_sense, 2, BATCH(v), v[1])
 WRAP(prediction_hidden, 1, BATCH(v))
 WRAP(prediction_output, 1, BATCH(v))

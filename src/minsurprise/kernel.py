@@ -14,7 +14,9 @@ nothing.
 Each of the module's functions takes the address of a ``Batch``,
 ``ctypes.addressof(batch)``, then its step numbers as ints; the caller
 keeps the ``Batch`` and its arrays alive for the call. ``steps(batch, t0,
-t1)`` actuates each world's steps t0 .. t1 - 1 before the next world's; the
+t1)`` actuates each world's steps t0 .. t1 - 1 before the next world's,
+copying each state from ``window_first`` on into the window buffers when
+they are bound, and raises ValueError unless 0 <= t0 <= t1 <= T; the
 others are passes of the emergent step.
 """
 
@@ -48,12 +50,12 @@ class Batch(ctypes.Structure):
     __slots__ = ()  # a misspelt field name raises rather than binding nothing
     _fields_ = ([(name, ctypes.c_int64) for name in (
         "worlds", "robots", "cells", "genome_robots", "steps", "perm_size",
-        "target")]
+        "target", "window_first")]
         + [(name, ctypes.c_void_p) for name in (
             "occ", "pos", "rh", "code", "sensed", "perms", "score",
             "decisions", "input_rows", "inputs", "out", "product", "hidden",
             "hidden_bias", "self_weight", "out_bias", "a_hidden_bias",
-            "a_out_bias")])
+            "a_out_bias", "window_pos", "window_occ")])
 
 
 def compile_command() -> list[str]:

@@ -22,12 +22,16 @@ Grid. All K worlds share one flat int32 grid, L * L cells each: 0 free,
 needs no other state. Block cells by id are read off the grid only where a
 result reads them: snapshots when taken (the one at t = 0 gives the start
 blocks), the metrics window once after the run. ``simulate_traced`` keeps
-all of these through its ``record``, an observer of the engine's one
-``observe`` hook, which sees robot cells, headings and grid after setup, at
-the end and after each step it asks for: it returns the next step whose
-state it needs, or None for the next one. ``record`` asks for the next
-snapshot or the window's first step, whichever comes first, then for every
-step of the window; the tests' invariant sweep asks for every step.
+the metrics window, the tau + 1 states T - tau .. T, through
+``simulate_batch``'s ``window``: two buffers into which the kernel's
+``steps`` copies the robot cells and grid after each step that makes one
+of those states. It takes snapshots through its ``record``, an
+observer of the engine's one ``observe`` hook, which sees robot cells,
+headings and grid after setup, at the end and after each step it asks for:
+it returns the next step whose state it needs, or None for the next one.
+``record`` asks for the next snapshot only, and copies the window's first
+state when that is the placement (T = tau), which no step makes; the tests'
+invariant sweep asks for every step.
 
 Compiled step. The C kernel ``_step.c``, a CPython extension module built
 and loaded by ``kernel.py``, takes the call's arrays once, bound in one
@@ -77,9 +81,12 @@ genome's table of 8192 entries (16 KB) at code | previous move << 12,
 before it resets the code. The tables are built once per call by
 ``_decision_tables``, which runs each genome's action network as the
 reference does (stable_rows_matmul, + b, tanh, stable_rows_matmul, + b,
-sigmoid >= 0.5) on all of ``_INPUT_ROWS``. An entry is the decision the
-network makes on that row alone if gemm computes each row of a product
-independently of the other rows and of their count: the row invariance
+sigmoid >= 0.5) on the 1458 rows of ``_INPUT_ROWS`` that sensing can
+produce: a sensed cell holds a robot or a block, never both, so bits s and
+6 + s of a code are never both set. Every other entry is False and never
+read. An entry is the decision the network makes on that row alone if
+gemm computes each row of a product independently of the other rows and
+of their count: the row invariance
 that also makes a batched population bit-equal to single-genome calls and
 to the reference's padded two-row products. That invariance belongs to the
 BLAS kernel, not to gemm: OpenBLAS's Haswell, SkylakeX and Zen cores have
@@ -146,10 +153,11 @@ _FREE, _ROBOT, _BLOCK = 0, 1, 2
 
 # Every network input row, the one definition of a network input: row r
 # holds input i as bit i of r, so the row of a robot is its sensor code |
-# previous move << 12. The decision tables run every row; the emergent
-# sensing call copies each robot's row. The bits are unpacked from each r's
-# two little-endian bytes, so the build's temporaries are uint16 and uint8
-# and the import keeps little more than the table.
+# previous move << 12. The decision tables run the rows sensing can
+# produce; the emergent sensing call copies each robot's row. The bits are
+# unpacked from each r's two little-endian bytes, so the build's
+# temporaries are uint16 and uint8 and the import keeps little more than
+# the table.
 _INPUT_ROWS = np.unpackbits(
     np.arange(1 << NET_INPUTS, dtype="<u2").view(np.uint8).reshape(-1, 2),
     axis=1, count=NET_INPUTS, bitorder="little").astype(np.float64)
@@ -203,22 +211,35 @@ def _block_cells(occ: np.ndarray, K: int, B: int) -> np.ndarray:
     return bcell.reshape(K, B)
 
 
+@functools.cache
+def _reachable_rows() -> tuple[np.ndarray, np.ndarray]:
+    """The 1458 input rows sensing can produce, and their _INPUT_ROWS: a
+    sensed cell holds a robot or a block, never both, so no row sets both
+    bit s and bit 6 + s (3^6 sensor codes, 2 previous moves). Built on first
+    use, so a process that never builds a decision table never holds it."""
+    r = np.arange(1 << NET_INPUTS, dtype=np.uint16)
+    rows = np.flatnonzero((r & r >> 6 & 0o77) == 0)  # robot bits & block bits
+    return rows, _INPUT_ROWS[rows]
+
+
 def _decision_tables(nets: Sequence[ActionNetwork]) -> np.ndarray:
-    """(G, 8192, 2) bools: each action network's (move, turn right) on
-    every row of _INPUT_ROWS, that is at every sensor code | previous move
-    << 12, by the reference's test sigmoid(y) >= 0.5 for
-    y = tanh(x @ w_hidden + b_hidden) @ w_out + b_out."""
-    rows = len(_INPUT_ROWS)
-    tables = np.empty((len(nets), rows, ACTION_OUTPUTS), dtype=bool)
-    hid = np.empty((rows, HIDDEN_UNITS), dtype=np.float64)
-    y = np.empty((rows, ACTION_OUTPUTS), dtype=np.float64)
+    """(G, 8192, 2) bools: each action network's (move, turn right) at every
+    sensor code | previous move << 12 that sensing can produce, by the
+    reference's test sigmoid(y) >= 0.5 for
+    y = tanh(x @ w_hidden + b_hidden) @ w_out + b_out; False at every other
+    row, which the kernel never reads."""
+    rows, inputs = _reachable_rows()
+    tables = np.zeros((len(nets), len(_INPUT_ROWS), ACTION_OUTPUTS),
+                      dtype=bool)
+    hid = np.empty((len(rows), HIDDEN_UNITS), dtype=np.float64)
+    y = np.empty((len(rows), ACTION_OUTPUTS), dtype=np.float64)
     for net, table in zip(nets, tables):
-        stable_rows_matmul(_INPUT_ROWS, net.w_hidden, out=hid)
+        stable_rows_matmul(inputs, net.w_hidden, out=hid)
         hid += net.b_hidden
         np.tanh(hid, out=hid)
         stable_rows_matmul(hid, net.w_out, out=y)
         y += net.b_out
-        np.greater_equal(sigmoid_inplace(y), 0.5, out=table)
+        table[rows] = sigmoid_inplace(y) >= 0.5
     return tables
 
 
@@ -229,6 +250,7 @@ def simulate_batch(
     seeds: np.ndarray,
     observe: Optional[Callable[[int, np.ndarray, np.ndarray, np.ndarray],
                                Optional[int]]] = None,
+    window: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, int]:
     """Run seeds.shape[1] simulations per genome; return (error_sums, C).
 
@@ -242,6 +264,12 @@ def simulate_batch(
     robot cells and headings and the one grid of all K worlds. It must not
     write to them. It returns the next step whose state it needs, which
     must lie after t (one past T counts as T), or None for t + 1.
+
+    window, when given, is a (R, K, N) int64 and a (R, K, L * L) int32
+    array, 1 <= R <= T + 1, whose row r the kernel fills with the robot
+    cells and grid after T + 1 - R + r steps, once the step that makes
+    that state has run. The placement is no step's: at R = T + 1 the
+    caller copies row 0 from observe.
     """
     L, N, B, T = sim.side_length, sim.swarm_size, sim.block_count, sim.steps
     G = len(genomes)
@@ -313,10 +341,20 @@ def simulate_batch(
     # struct lives in this frame for the whole call, its address with it.
     arrays.update(occ=occ, pos=pos, rh=rh, code=code, sensed=_tables(L),
                   perms=perms, score=err)
+    first = 0
+    if window is not None:
+        first = T + 1 - len(window[0])
+        if not 0 <= first <= T or any(
+                a.shape != (T + 1 - first, K, n) or a.dtype != dtype
+                or not a.flags.c_contiguous
+                for a, n, dtype in zip(window, (N, L2), (np.int64, np.int32))):
+            raise ValueError("window must be a (R, K, N) int64 and a "
+                             "(R, K, L * L) int32 C array, 1 <= R <= T + 1")
+        arrays.update(window_pos=window[0], window_occ=window[1])
     lib = kernel.load()
     batch = kernel.Batch(
         worlds=K, robots=N, cells=L2, genome_robots=M, steps=T,
-        perm_size=perms.itemsize, target=target,
+        perm_size=perms.itemsize, target=target, window_first=first,
         **{name: a.ctypes.data for name, a in arrays.items()})
     address = ctypes.addressof(batch)
 
@@ -380,22 +418,23 @@ def simulate_traced(
     if T < tau:
         raise ValueError(
             f"run of {T} steps is shorter than the metrics window tau={tau}")
-    # The metrics window as stored per step: robot cells and the grid.
-    robot_cells = np.empty((tau + 1, N), dtype=np.int64)
-    grids = np.empty((tau + 1, L * L), dtype=np.int32)
+    # The metrics window as stored per step, filled by the kernel: robot
+    # cells and the grid of the one world.
+    robot_cells = np.empty((tau + 1, 1, N), dtype=np.int64)
+    grids = np.empty((tau + 1, 1, L * L), dtype=np.int32)
     snapshots: list[tuple[int, str]] = []
     start_blocks = None  # (B,) flat cells, read for the snapshot at t = 0
 
     def record(t: int, pos: np.ndarray, rh: np.ndarray,
                occ: np.ndarray) -> Optional[int]:
         """Keep what a result reads of the state after t steps of the
-        one-world batch: robot cells and grid in the metrics window, and
-        snapshots. Ask for the next snapshot or the window's first step,
-        whichever comes first, then for every step of the window."""
+        one-world batch that the kernel does not: a window state it is shown
+        (which the kernel has only kept if a step made it, not at t = 0),
+        and snapshots. Ask for the next snapshot."""
         nonlocal start_blocks
         i = t - (T - tau)
         if i >= 0:
-            robot_cells[i] = pos[0]
+            robot_cells[i] = pos
             grids[i] = occ
         if t % snapshot_every == 0 or t == T:
             blocks = _block_cells(occ, 1, B)[0]
@@ -405,13 +444,11 @@ def simulate_traced(
                       for c, h in zip(pos[0], rh[0])]
             snapshots.append((t, render_cells(
                 L, robots, [(int(c % L), int(c // L)) for c in blocks])))
-        if i >= 0:
-            return None
-        return min((t // snapshot_every + 1) * snapshot_every, T - tau)
+        return (t // snapshot_every + 1) * snapshot_every
 
     err, comparisons = simulate_batch(
         [genome], sim, scenario, np.array([[seed]], dtype=np.uint64),
-        observe=record,
+        observe=record, window=(robot_cells, grids),
     )
     blocks = _block_cells(grids.reshape(-1), tau + 1, B)
 
@@ -427,7 +464,7 @@ def simulate_traced(
         error_sum=float(err[0, 0]),
         start_blocks=cells(start_blocks),
         end_blocks=cells(blocks[-1]),
-        robot_window=xy(robot_cells),
+        robot_window=xy(robot_cells[:, 0]),
         block_window=xy(blocks),
         snapshots=snapshots,
     )

@@ -115,6 +115,17 @@ def test_bad_arguments_raise_before_the_pass_runs(name, arity):
                 fn(*args)
 
 
+def test_steps_outside_the_run_raise_before_the_pass_runs():
+    # A run of 5 steps in no world: only the range check reads the batch.
+    batch = kernel.Batch(worlds=0, steps=5)
+    steps = kernel.load().steps
+    for t0, t1 in ((0, 6), (3, 2), (-1, 2)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"steps(batch, {t0}, {t1}) outside 0 .. 5")):
+            steps(ctypes.addressof(batch), t0, t1)
+    assert steps(ctypes.addressof(batch), 0, 5) is None
+
+
 def test_batch_fields_match_the_c_struct():
     # ctypes lays out Batch by its field list alone: a member added to, or
     # moved in, one side only shifts every later one. int64_t members are

@@ -1,6 +1,7 @@
 """Batch engine: reference equivalence, batching invariance, determinism,
 trace recording, and conservation under load."""
 
+import itertools
 import math
 import warnings
 
@@ -210,7 +211,8 @@ def limit_genome(seed):
 
 class TestDecisionTables:
     """The fixed scenarios' per-genome decision tables equal the oracle's
-    action network on every one of the 8192 (sensors, last action) inputs."""
+    action network on every (sensors, last action) input that sensing can
+    produce, and are False on the others, which the engine never reads."""
 
     # Checked against the oracle on every row.
     GENOMES = ([spread_genome(i) for i in range(2)]
@@ -220,17 +222,21 @@ class TestDecisionTables:
     def test_tables_match_oracle_on_every_input(self):
         # One call for all genomes, so each is read at its own offset. A
         # band genome's action weights are 0 but its output biases, so each
-        # output is exactly its bias on every row: its table is constant,
-        # and the oracle is asked on the rows' corners.
+        # output is exactly its bias on every reachable row: its table is
+        # constant there, and the oracle is asked on the reachable rows'
+        # corners (no sensor, all six robot bits, all six block bits).
         genomes = self.GENOMES + TestDecisionBand.GENOMES
         tables = _decision_tables([decode(g)[0] for g in genomes])
         assert tables.shape == (len(genomes), 8192, 2)
         assert tables.nbytes // len(genomes) <= 16 * 1024
+        reachable, _ = simulation._reachable_rows()
+        unreachable = np.setdiff1d(np.arange(8192), reachable)
+        assert not tables[:, unreachable].any()
         for g, (genome, table) in enumerate(zip(genomes, tables)):
-            rows = range(8192)
+            rows = reachable
             if g >= len(self.GENOMES):
-                assert (table == table[0]).all()
-                rows = [0, 4095, 4096, 8191]
+                assert (table[reachable] == table[0]).all()
+                rows = [0, 63, 4032, 4096, 4096 + 63, 4096 + 4032]
             net = decode(genome)[0]
             expected = np.array([
                 oracle.act(net, ((r >> np.arange(12)) & 1).astype(np.float64),
@@ -238,6 +244,29 @@ class TestDecisionTables:
                 for r in rows])
             # (move, turn right): (action == MOVE, turn == +1)
             assert np.array_equal(table[rows], expected == [oracle.MOVE, 1])
+
+    def test_sensing_produces_only_reachable_rows(self):
+        # Each of the 3^6 contents of one robot's sensed cells (free, robot
+        # or block) senses as a code whose rows, with either previous move,
+        # are in the reachable set: the engine never reads another entry.
+        reachable = set(simulation._reachable_rows()[0].tolist())
+        assert len(reachable) == 3**6 * 2 == 1458
+        pose = RobotPose(3, 3, Heading(0))
+        ahead = oracle.sensed_cells(pose, 7)
+        codes = set()
+        for contents in itertools.product(("free", "robot", "block"),
+                                          repeat=6):
+            robots = [pose] + [RobotPose(*cell, Heading(0)) for cell, what
+                               in zip(ahead, contents) if what == "robot"]
+            blocks = [cell for cell, what in zip(ahead, contents)
+                      if what == "block"]
+            world = oracle.World(SimConfig(7, len(robots), len(blocks)),
+                                 robots, blocks)
+            code = sum(int(bit) << s
+                       for s, bit in enumerate(oracle.sense(world, 0)))
+            assert {code, code | 1 << 12} <= reachable
+            codes.add(code)
+        assert len(codes) == 3**6
 
     def test_fixed_step_runs_no_network(self, monkeypatch):
         # Only the per-call table build runs the network: its calls do not
@@ -390,17 +419,21 @@ class TestObserveHook:
 
     @pytest.mark.parametrize("scenario", [Scenario.EMERGENT,
                                           Scenario.CLUSTERS])
-    @pytest.mark.parametrize("every", [1, 7, 40])
+    @pytest.mark.parametrize("every, steps", [
+        (1, 40), (7, 40), (40, 40), (7, 18)],
+        ids=["1", "7", "40", "7-window-from-placement"])
     def test_traced_run_skips_only_unrecorded_steps(self, monkeypatch,
-                                                    scenario, every):
-        # The recorder asks for the next snapshot or the metrics window;
-        # the same recorder shown every step keeps the same results.
-        config = SimConfig(6, 3, 4, steps=40)  # window: steps 22 .. 40
+                                                    scenario, every, steps):
+        # The recorder asks for the next snapshot and the kernel keeps the
+        # metrics window; the same recorder shown every step, with no window
+        # bound, copies the window itself and keeps the same results. At 18
+        # steps the window (tau = 18) starts at the placement.
+        config = SimConfig(6, 3, 4, steps=steps)  # window: 22 .. 40, 0 .. 18
         genome = spread_genome(3)
         skipped = simulate_traced(genome, config, scenario, 41, every)
         batch = simulation.simulate_batch
 
-        def every_step(*args, observe):
+        def every_step(*args, observe, window):
             def each(t, pos, rh, occ):
                 observe(t, pos, rh, occ)
             return batch(*args, observe=each)
@@ -409,12 +442,38 @@ class TestObserveHook:
         shown = simulate_traced(genome, config, scenario, 41, every)
         assert skipped.snapshots == shown.snapshots
         assert [t for t, _ in shown.snapshots] == sorted(
-            {*range(0, 41, every), 40})
+            {*range(0, steps + 1, every), steps})
         assert skipped.error_sum == shown.error_sum
         assert skipped.start_blocks == shown.start_blocks
         assert skipped.end_blocks == shown.end_blocks
         assert np.array_equal(skipped.robot_window, shown.robot_window)
         assert np.array_equal(skipped.block_window, shown.block_window)
+
+    def test_fixed_traced_run_is_one_kernel_call(self, monkeypatch):
+        # With one snapshot at the end, a fixed scenario's traced run is
+        # one steps call between the observer's two looks.
+        calls = []
+        lib = simulation.kernel.load()
+
+        class Counting:
+            def steps(self, *args):
+                calls.append("steps")
+                return lib.steps(*args)
+
+        batch = simulation.simulate_batch
+
+        def counting_batch(*args, observe, window):
+            def each(t, pos, rh, occ):
+                calls.append("observe")
+                return observe(t, pos, rh, occ)
+            return batch(*args, observe=each, window=window)
+
+        monkeypatch.setattr(simulation.kernel, "load", lambda: Counting())
+        monkeypatch.setattr(simulation, "simulate_batch", counting_batch)
+        config = SimConfig(6, 3, 4, steps=40)
+        simulate_traced(spread_genome(3), config, Scenario.CLUSTERS, 41,
+                        snapshot_every=40)
+        assert calls == ["observe", "steps", "observe"]
 
 
 def never_moving_genome():

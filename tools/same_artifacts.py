@@ -177,23 +177,32 @@ def _first_difference(ours: Path, theirs: Path, rev: str) -> str | None:
     return None
 
 
+def extract(rev: str, dest: Path) -> str | None:
+    """Write the files of ``git archive <rev>`` into dest; None, or why git
+    cannot archive rev: the first line of its stderr."""
+    archive = subprocess.run(["git", "archive", rev], cwd=REPO,
+                             capture_output=True)
+    if archive.returncode:
+        reason = archive.stderr.decode(errors="replace").strip() or \
+            f"git exited with status {archive.returncode}"
+        return reason.splitlines()[0]
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--against", required=True, metavar="REV",
                         help="git revision to compare the working tree with")
     args = parser.parse_args(argv)
-    archive = subprocess.run(["git", "archive", args.against], cwd=REPO,
-                             capture_output=True)
-    if archive.returncode:
-        reason = archive.stderr.decode(errors="replace").strip() or \
-            f"git exited with status {archive.returncode}"
-        print(f"same_artifacts: cannot archive {args.against}: "
-              f"{reason.splitlines()[0]}", file=sys.stderr)
-        return 2
     with tempfile.TemporaryDirectory(prefix="same_artifacts-") as tmp:
         tmp = Path(tmp)
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp / "rev", filter="data")
+        reason = extract(args.against, tmp / "rev")
+        if reason is not None:
+            print(f"same_artifacts: cannot archive {args.against}: {reason}",
+                  file=sys.stderr)
+            return 2
         for tree, src in (("rev", tmp / "rev" / "src"), ("work", REPO / "src")):
             env = dict(os.environ, PYTHONPATH=str(src))
             (tmp / tree / "sets").mkdir(parents=True, exist_ok=True)
