@@ -2,9 +2,9 @@
  * one simulate_batch call: sensing, the fixed scenarios' scores (a popcount
  * against the target code), actuation, which makes every scenario's
  * decisions, and the emergent step's float work other than products, tanh
- * and exp. steps actuates, world by world: a whole fixed stretch, or one
- * emergent step, and copies the metrics window's states into its buffers
- * when they are bound. Its float arithmetic is IEEE + - * / and fabs only,
+ * and exp. steps actuates, world by world: a whole fixed run, or one
+ * emergent step, and copies each state the caller keeps into its rows when
+ * they are bound. Its float arithmetic is IEEE + - * / and fabs only,
  * and one exact comparison, actuate's e = exp(-y) <= 1 + 2^-52 in place of
  * the reference's sigmoid(y) >= 0.5; built with -ffp-contract=off, so
  * every CPU gives the same bits. A CPython extension module, _step, built
@@ -28,7 +28,6 @@ struct batch {
     int64_t genome_robots;          /* M = W * N robots per genome */
     int64_t steps, perm_size;       /* T; bytes per entry of perms */
     int64_t target;                 /* fixed scenarios: predicted code */
-    int64_t window_first;           /* the state window row 0 holds */
     int32_t *occ;                   /* (K * L * L) grid codes */
     int64_t *pos, *rh;              /* (K * N) flat cells, headings */
     int64_t *code;                  /* (K * N) sensor code | move << 12 */
@@ -48,12 +47,13 @@ struct batch {
     const double *out_bias;         /* (G, 12) */
     const double *a_hidden_bias;    /* (G, 8) */
     const double *a_out_bias;       /* (G, 2) */
-    /* the metrics window, NULL unless simulate_traced binds it: row r is
-     * the state after window_first + r steps, which steps copies once the
-     * step that makes it has run (the placement, row 0 at window_first =
-     * 0, is no step's: the caller copies it) */
-    int64_t *window_pos;            /* (T + 1 - window_first, K * N) */
-    int32_t *window_occ;            /* (T + 1 - window_first, K * L * L) */
+    /* the kept states, NULL unless the caller keeps some: kept_row[t] is
+     * the row that holds the state after t steps, or -1; steps copies it
+     * once the step that makes it has run (the caller copies the
+     * placement, which is no step's) */
+    const int64_t *kept_row;        /* (T + 1) */
+    int64_t *kept_pos, *kept_rh;    /* (R, K * N) */
+    int32_t *kept_occ;              /* (R, K * L * L) */
 };
 
 static int64_t order(const struct batch *b, int64_t i)
@@ -130,9 +130,9 @@ static void actuate(const struct batch *b, int64_t k, int64_t t)
  * world's sum still adds its terms in step order. With the decision tables
  * bound (a fixed scenario) a step first senses and adds each sensor code's
  * mismatch count with the target to its world's sum; an emergent step has
- * been sensed and scored by emergent_sense before its one-step call. With
- * the window bound, each step that ends at or after window_first copies the
- * world's robot cells and grid into the window's row for that state. */
+ * been sensed and scored by emergent_sense before its one-step call. A step
+ * that makes a kept state copies the world's robot cells, headings and grid
+ * into that state's row. */
 static void steps(const struct batch *b, int64_t t0, int64_t t1)
 {
     int64_t K = b->worlds, N = b->robots, L2 = b->cells;
@@ -145,11 +145,13 @@ static void steps(const struct batch *b, int64_t t0, int64_t t1)
                         (b->code[i] ^ b->target) & ((1 << SENSOR_BITS) - 1));
             }
             actuate(b, k, t);
-            int64_t row = t + 1 - b->window_first;
-            if (b->window_pos && row >= 0) {
-                memcpy(b->window_pos + (row * K + k) * N, b->pos + k * N,
+            int64_t row = b->kept_row ? b->kept_row[t + 1] : -1;
+            if (row >= 0) {
+                memcpy(b->kept_pos + (row * K + k) * N, b->pos + k * N,
                        sizeof *b->pos * N);
-                memcpy(b->window_occ + (row * K + k) * L2, b->occ + k * L2,
+                memcpy(b->kept_rh + (row * K + k) * N, b->rh + k * N,
+                       sizeof *b->rh * N);
+                memcpy(b->kept_occ + (row * K + k) * L2, b->occ + k * L2,
                        sizeof *b->occ * L2);
             }
         }
@@ -321,7 +323,7 @@ static int int_args(const char *name, PyObject *const *args,
     }
 
 /* steps(batch, t0, t1), which first checks 0 <= t0 <= t1 <= T: a step
- * outside the run would read past the step orders and the window. */
+ * outside the run would read past the step orders and kept_row. */
 static PyObject *py_steps(PyObject *self, PyObject *const *args,
                           Py_ssize_t nargs)
 {

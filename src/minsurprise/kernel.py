@@ -8,16 +8,16 @@ the user cache dir, ``$XDG_CACHE_HOME/minsurprise``, or
 name keyed by the source, the compile command and the extension suffix.
 The library is written to a temp file and renamed into place, so processes
 that build at once never load a partial file. A build also deletes the
-cached libraries built more than 30 days before it; a cache hit deletes
-nothing.
+cached libraries built more than 30 days before it, leaving any it cannot;
+a cache hit deletes nothing.
 
 Each of the module's functions takes the address of a ``Batch``,
 ``ctypes.addressof(batch)``, then its step numbers as ints; the caller
 keeps the ``Batch`` and its arrays alive for the call. ``steps(batch, t0,
 t1)`` actuates each world's steps t0 .. t1 - 1 before the next world's,
-copying each state from ``window_first`` on into the window buffers when
-they are bound, and raises ValueError unless 0 <= t0 <= t1 <= T; the
-others are passes of the emergent step.
+copying each state that ``kept_row`` lists into its row of the kept
+buffers, and raises ValueError unless 0 <= t0 <= t1 <= T; the others are
+passes of the emergent step.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ class Batch(ctypes.Structure):
     __slots__ = ()  # a misspelt field name raises rather than binding nothing
     _fields_ = ([(name, ctypes.c_int64) for name in (
         "worlds", "robots", "cells", "genome_robots", "steps", "perm_size",
-        "target", "window_first")]
+        "target")]
         + [(name, ctypes.c_void_p) for name in (
             "occ", "pos", "rh", "code", "sensed", "perms", "score",
             "decisions", "input_rows", "inputs", "out", "product", "hidden",
             "hidden_bias", "self_weight", "out_bias", "a_hidden_bias",
-            "a_out_bias", "window_pos", "window_occ")])
+            "a_out_bias", "kept_row", "kept_pos", "kept_rh", "kept_occ")])
 
 
 def compile_command() -> list[str]:
@@ -105,7 +105,7 @@ def build(source_path: Path = SOURCE) -> Path:
             try:
                 if old != target and old.stat().st_mtime < cutoff:
                     old.unlink()
-            except FileNotFoundError:  # another process removed it first
+            except OSError:  # gone already, or not ours to delete
                 pass
     except OSError as exc:
         raise BuildError(f"cannot compile {source_path.name} with "

@@ -20,18 +20,15 @@ the *next* step's sensors), target codes yield T.
 Grid. All K worlds share one flat int32 grid, L * L cells each: 0 free,
 1 robot, 2 + b block b. A push copies the block's code, so block identity
 needs no other state. Block cells by id are read off the grid only where a
-result reads them: snapshots when taken (the one at t = 0 gives the start
-blocks), the metrics window once after the run. ``simulate_traced`` keeps
-the metrics window, the tau + 1 states T - tau .. T, through
-``simulate_batch``'s ``window``: two buffers into which the kernel's
-``steps`` copies the robot cells and grid after each step that makes one
-of those states. It takes snapshots through its ``record``, an
-observer of the engine's one ``observe`` hook, which sees robot cells,
-headings and grid after setup, at the end and after each step it asks for:
-it returns the next step whose state it needs, or None for the next one.
-``record`` asks for the next snapshot only, and copies the window's first
-state when that is the placement (T = tau), which no step makes; the tests'
-invariant sweep asks for every step.
+result reads them. ``simulate_batch``'s ``keep`` names the states a caller
+reads, by step count, and three buffers: it copies the placement into
+their row at setup, and the kernel's ``steps`` copies the robot cells,
+headings and grid after each other kept step. ``simulate_traced`` keeps
+the snapshots' states (the one at t = 0 gives the start blocks) and the
+metrics window, the tau + 1 states T - tau .. T, and reads them off the
+rows after the run; the tests' invariant sweep keeps every state. Each
+kept state costs 4L^2 + 16N bytes per world: at L = 20, a replay that
+keeps all T + 1 = 1001 of them holds about 2 MB. The GA keeps none.
 
 Compiled step. The C kernel ``_step.c``, a CPython extension module built
 and loaded by ``kernel.py``, takes the call's arrays once, bound in one
@@ -40,10 +37,9 @@ the fixed scenarios' scores (a popcount against the target code) and both
 emergent networks' float work between their products, which share one
 product and one output buffer; its ``steps(batch, t0, t1)`` makes every
 scenario's decisions and actuates. An emergent step is six calls, one of
-them ``steps`` for that step. A fixed scenario runs all the steps up to the
-next one observe asks for in one call, so an unobserved batch is one call.
-numpy keeps the products (``stable_rows_matmul``), tanh and exp, and the
-fixed scenarios' decision-table build. The kernel's float arithmetic is
+them ``steps`` for that step. A fixed scenario's run is one ``steps``
+call. numpy keeps the products (``stable_rows_matmul``), tanh and exp, and
+the fixed scenarios' decision-table build. The kernel's float arithmetic is
 IEEE + - * / and fabs only, in the reference's order, and one exact
 comparison (see Emergent step), built with -ffp-contract=off, so its bits
 are the same on every CPU.
@@ -119,7 +115,7 @@ from __future__ import annotations
 import ctypes
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -248,9 +244,8 @@ def simulate_batch(
     sim: SimConfig,
     scenario: Scenario,
     seeds: np.ndarray,
-    observe: Optional[Callable[[int, np.ndarray, np.ndarray, np.ndarray],
-                               Optional[int]]] = None,
-    window: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    keep: Optional[tuple[np.ndarray, np.ndarray, np.ndarray,
+                         np.ndarray]] = None,
 ) -> tuple[np.ndarray, int]:
     """Run seeds.shape[1] simulations per genome; return (error_sums, C).
 
@@ -259,17 +254,10 @@ def simulate_batch(
     that world, to be turned into a fitness by ``metrics.score_run``, and C
     the comparison count.
 
-    observe(t, pos, rh, occ), when given, sees the state after t steps, for
-    t = 0 (the placement), then for each step it asks for, and t = T: (K, N)
-    robot cells and headings and the one grid of all K worlds. It must not
-    write to them. It returns the next step whose state it needs, which
-    must lie after t (one past T counts as T), or None for t + 1.
-
-    window, when given, is a (R, K, N) int64 and a (R, K, L * L) int32
-    array, 1 <= R <= T + 1, whose row r the kernel fills with the robot
-    cells and grid after T + 1 - R + r steps, once the step that makes
-    that state has run. The placement is no step's: at R = T + 1 the
-    caller copies row 0 from observe.
+    keep, when given, is (steps, pos, rh, occ): R increasing step counts in
+    0 .. T, two (R, K, N) int64 C arrays and a (R, K, L * L) int32 one.
+    Row r of them receives the robot cells, headings and grid of every
+    world after steps[r] steps (0: the placement).
     """
     L, N, B, T = sim.side_length, sim.swarm_size, sim.block_count, sim.steps
     G = len(genomes)
@@ -283,8 +271,26 @@ def simulate_batch(
     K = G * W
     M = W * N
     emergent = scenario is Scenario.EMERGENT
-
     L2 = L * L
+    kept = {}
+    if keep is not None:
+        steps, *rows = keep
+        steps = np.asarray(steps)
+        R = len(steps) if steps.ndim == 1 else -1
+        if (R < 0 or steps.dtype.kind not in "iu" or len(rows) != 3
+                or np.any(steps[1:] <= steps[:-1])
+                or R and not 0 <= steps[0] <= steps[-1] <= T
+                or any(a.shape != (R, K, n) or a.dtype != t
+                       or not a.flags.c_contiguous for a, n, t in zip(
+                           rows, (N, N, L2), (np.int64, np.int64, np.int32)))):
+            raise ValueError("keep must be R increasing steps in 0 .. T, two "
+                             "(R, K, N) int64 and a (R, K, L * L) int32 C "
+                             "array")
+        # kept_row[t]: the row of the state after t steps, or -1
+        kept = dict(kept_row=np.full(T + 1, -1, dtype=np.int64),
+                    kept_pos=rows[0], kept_rh=rows[1], kept_occ=rows[2])
+        kept["kept_row"][steps] = np.arange(R)
+
     pos = np.empty((K, N), dtype=np.int64)  # robot flat cells
     rh = np.empty((K, N), dtype=np.int64)  # headings
     perms = np.empty((K, T, N), dtype=_int_type(N))
@@ -300,6 +306,9 @@ def simulate_batch(
         occ[k, cells[N:]] = block_codes
         keys = rng.random((T, N))
         perms[k] = np.argsort(keys, axis=-1)
+    if kept and kept["kept_row"][0] == 0:  # the placement, no step's state
+        for name, a in (("kept_pos", pos), ("kept_rh", rh), ("kept_occ", occ)):
+            kept[name][0] = a
     occ = occ.reshape(-1)
 
     # Each robot's sensor code | previous move << 12 (no move before the
@@ -340,41 +349,20 @@ def simulate_batch(
     # The kernel's view of this call, its array addresses bound once; the
     # struct lives in this frame for the whole call, its address with it.
     arrays.update(occ=occ, pos=pos, rh=rh, code=code, sensed=_tables(L),
-                  perms=perms, score=err)
-    first = 0
-    if window is not None:
-        first = T + 1 - len(window[0])
-        if not 0 <= first <= T or any(
-                a.shape != (T + 1 - first, K, n) or a.dtype != dtype
-                or not a.flags.c_contiguous
-                for a, n, dtype in zip(window, (N, L2), (np.int64, np.int32))):
-            raise ValueError("window must be a (R, K, N) int64 and a "
-                             "(R, K, L * L) int32 C array, 1 <= R <= T + 1")
-        arrays.update(window_pos=window[0], window_occ=window[1])
+                  perms=perms, score=err, **kept)
     lib = kernel.load()
     batch = kernel.Batch(
         worlds=K, robots=N, cells=L2, genome_robots=M, steps=T,
-        perm_size=perms.itemsize, target=target, window_first=first,
+        perm_size=perms.itemsize, target=target,
         **{name: a.ctypes.data for name, a in arrays.items()})
     address = ctypes.addressof(batch)
 
-    def ask(t: int) -> int:
-        """Show observe the state after t steps; the next step it needs."""
-        wanted = observe(t, pos, rh, occ)
-        wanted = t + 1 if wanted is None else min(wanted, T)
-        if wanted <= t < T:
-            raise ValueError(f"observe after step {t} asked for step {wanted}")
-        return wanted
-
-    # Steps run up to stop, the next state observe sees, in one kernel call
-    # for a fixed prediction and one step at a time for the emergent one.
-    t, stop = 0, T if observe is None else ask(0)
-    while t < T:
-        if not emergent:
-            # Sense, score each code against the target, actuate.
-            lib.steps(address, t, stop)
-            t = stop
-        else:
+    if not emergent:
+        # Every step in one call: sense, score each code against the
+        # target, actuate.
+        lib.steps(address, 0, T)
+    else:
+        for t in range(T):
             # Sense, copy each robot's input row, score the prediction.
             lib.emergent_sense(address, t)
             # Action network, up to exp(-output), in product and a_out.
@@ -396,9 +384,6 @@ def simulate_batch(
                 stable_rows_matmul(hidden, p_wo, out=out)
                 lib.prediction_output(address)
                 np.exp(out, out=out)
-            t += 1
-        if t == stop and observe is not None:
-            stop = ask(t)
 
     comparisons = T - 1 if emergent else T
     return err.reshape(G, W), comparisons
@@ -418,39 +403,26 @@ def simulate_traced(
     if T < tau:
         raise ValueError(
             f"run of {T} steps is shorter than the metrics window tau={tau}")
-    # The metrics window as stored per step, filled by the kernel: robot
-    # cells and the grid of the one world.
-    robot_cells = np.empty((tau + 1, 1, N), dtype=np.int64)
-    grids = np.empty((tau + 1, 1, L * L), dtype=np.int32)
-    snapshots: list[tuple[int, str]] = []
-    start_blocks = None  # (B,) flat cells, read for the snapshot at t = 0
-
-    def record(t: int, pos: np.ndarray, rh: np.ndarray,
-               occ: np.ndarray) -> Optional[int]:
-        """Keep what a result reads of the state after t steps of the
-        one-world batch that the kernel does not: a window state it is shown
-        (which the kernel has only kept if a step made it, not at t = 0),
-        and snapshots. Ask for the next snapshot."""
-        nonlocal start_blocks
-        i = t - (T - tau)
-        if i >= 0:
-            robot_cells[i] = pos
-            grids[i] = occ
-        if t % snapshot_every == 0 or t == T:
-            blocks = _block_cells(occ, 1, B)[0]
-            if t == 0:
-                start_blocks = blocks
-            robots = [RobotPose(int(c % L), int(c // L), Heading(int(h)))
-                      for c, h in zip(pos[0], rh[0])]
-            snapshots.append((t, render_cells(
-                L, robots, [(int(c % L), int(c // L)) for c in blocks])))
-        return (t // snapshot_every + 1) * snapshot_every
-
+    # The states a result reads: the snapshots' before the metrics window,
+    # then the window's, the last tau + 1. (np.union1d would import numpy.ma,
+    # 1.7 MiB.)
+    steps = np.concatenate((np.arange(0, T - tau, snapshot_every),
+                            np.arange(T - tau, T + 1)))
+    pos = np.empty((len(steps), 1, N), dtype=np.int64)
+    rh = np.empty_like(pos)
+    occ = np.empty((len(steps), 1, L * L), dtype=np.int32)
     err, comparisons = simulate_batch(
         [genome], sim, scenario, np.array([[seed]], dtype=np.uint64),
-        observe=record, window=(robot_cells, grids),
+        keep=(steps, pos, rh, occ),
     )
-    blocks = _block_cells(grids.reshape(-1), tau + 1, B)
+    blocks = _block_cells(occ.reshape(-1), len(steps), B)
+    snapshots = []
+    for r, t in enumerate(steps.tolist()):
+        if t % snapshot_every == 0 or t == T:
+            robots = [RobotPose(int(c % L), int(c // L), Heading(int(h)))
+                      for c, h in zip(pos[r, 0], rh[r, 0])]
+            snapshots.append((t, render_cells(
+                L, robots, [(int(c % L), int(c // L)) for c in blocks[r]])))
 
     def xy(flat: np.ndarray) -> np.ndarray:
         return np.stack((flat % L, flat // L), axis=-1)
@@ -462,9 +434,9 @@ def simulate_traced(
         sim=sim,
         comparisons=comparisons,
         error_sum=float(err[0, 0]),
-        start_blocks=cells(start_blocks),
+        start_blocks=cells(blocks[0]),
         end_blocks=cells(blocks[-1]),
-        robot_window=xy(robot_cells[:, 0]),
-        block_window=xy(blocks),
+        robot_window=xy(pos[-tau - 1:, 0]),
+        block_window=xy(blocks[-tau - 1:]),
         snapshots=snapshots,
     )

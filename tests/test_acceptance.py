@@ -189,8 +189,7 @@ def test_criterion_2_conservation_fuzz():
         seeds = rng.integers(0, 2**63, (worlds, 1)).astype(np.uint64)
         # the sweep asserts occupancy consistency, entity conservation and
         # coordinate ranges on the engine's state after every step
-        simulate_batch(genomes, config, Scenario.EMERGENT, seeds,
-                       observe=invariant_sweep(config))
+        invariant_sweep(genomes, config, Scenario.EMERGENT, seeds)
         sims += worlds
         groups += 1
     report("2 conservation fuzz", True,

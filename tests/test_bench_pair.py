@@ -10,8 +10,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import bench_pair  # noqa: E402
 
-METRICS = [{"name": "op_s_p50", "better": "lower"},
-           {"name": "world_steps_per_s", "better": "higher"}]
+METRICS = [{"name": "op_s_p50", "better": "lower", "bound": 0.25},
+           {"name": "world_steps_per_s", "better": "higher", "bound": 0.25}]
 
 
 def result(failed=0, **metrics):
@@ -113,3 +113,27 @@ def test_gain_rule(better, shift, shown):
     op = bench_pair.summarise(runs, METRICS)["w"]["op_s_p50"]
     assert op["pairs_change_better"] == better
     assert op["gain_shown"] is shown
+
+
+@pytest.mark.parametrize("name, parent, change, worse, unresolved", [
+    # medians 1.0 and 1.2: worse, but within the bound of 25%
+    ("op_s_p50", [0.9, 1.0, 1.1], [1.1, 1.2, 1.3], False, False),
+    # medians 1.0 and 1.3: worse by more than the bound
+    ("op_s_p50", [0.9, 1.0, 1.1], [1.2, 1.3, 1.4], True, False),
+    # the parent's quartile distance (0.6) above the bound (0.25 of 1.0)
+    ("op_s_p50", [0.4, 1.0, 1.6], [0.5, 0.9, 1.5], False, True),
+    # as wide, yet every change run beats every parent run
+    ("op_s_p50", [1.0, 1.6, 2.2], [0.3, 0.6, 0.9], False, False),
+    # higher is better: medians 10 and 7 fall by more than the bound
+    ("world_steps_per_s", [9.0, 10.0, 11.0], [6.0, 7.0, 8.0], True, False),
+    # and a spread of 8 around 10 is unresolved
+    ("world_steps_per_s", [6.0, 10.0, 14.0], [7.0, 10.0, 13.0], False, True),
+], ids=["within-bound", "worse-than-bound", "unresolved", "beats-every-run",
+        "higher-worse-than-bound", "higher-unresolved"])
+def test_no_regression_rule(name, parent, change, worse, unresolved):
+    runs = [run_record("w", seed, side, result(**{name: value}))
+            for seed, pc in enumerate(zip(parent, change), start=1)
+            for side, value in zip(("parent", "change"), pc)]
+    verdict = bench_pair.summarise(runs, METRICS)["w"][name]
+    assert verdict["worse_than_bound"] is worse
+    assert verdict["unresolved"] is unresolved

@@ -66,7 +66,10 @@ def test_parallel_cold_builds_leave_one_library(empty_cache):
     assert library.startswith("_step-") and library.endswith(".so")
 
 
-def test_build_prunes_month_old_libraries_only(empty_cache, monkeypatch):
+@pytest.mark.parametrize("denied", [False, True],
+                         ids=["removable", "unlink-denied"])
+def test_build_prunes_month_old_libraries_only(empty_cache, monkeypatch,
+                                               denied):
     cache = empty_cache / "minsurprise"
     cache.mkdir(parents=True)
     old, fresh = cache / "_step-old.so", cache / "_step-fresh.so"
@@ -78,12 +81,22 @@ def test_build_prunes_month_old_libraries_only(empty_cache, monkeypatch):
     glob = Path.glob
     monkeypatch.setattr(Path, "glob", lambda self, pattern: [
         self / "_step-gone.so", *glob(self, pattern)])
+    if denied:  # an old library this process may not delete stays
+        unlink = Path.unlink
+
+        def guarded(self, missing_ok=False):
+            if self == old:
+                raise PermissionError(13, "Permission denied", str(self))
+            unlink(self, missing_ok)
+
+        monkeypatch.setattr(Path, "unlink", guarded)
     target = kernel.build()
-    assert cached_files(empty_cache) == sorted([fresh.name, target.name])
+    kept = sorted([fresh.name, target.name] + [old.name] * denied)
+    assert cached_files(empty_cache) == kept
     # a cache hit prunes nothing
     os.utime(fresh, (month_ago, month_ago))
     assert kernel.build() == target
-    assert cached_files(empty_cache) == sorted([fresh.name, target.name])
+    assert cached_files(empty_cache) == kept
 
 
 # Each function of the kernel module: the number of ints it takes, the

@@ -53,11 +53,9 @@ class TestReferenceEquivalence:
             ref_err, ref_comp, _, _ = reference_simulation(
                 genome, config, scenario, seed
             )
-            errs, comp = simulate_batch(
+            errs, comp = invariant_sweep(
                 [genome], config, scenario,
-                np.array([[seed]], dtype=np.uint64),
-                observe=invariant_sweep(config, 5),
-            )
+                np.array([[seed]], dtype=np.uint64), every=5)
             assert comp == ref_comp
             assert errs[0, 0] == ref_err  # bitwise, not approximate
 
@@ -85,8 +83,7 @@ class TestReferenceEquivalence:
                                np.zeros(PREDICTION_LENGTH))
         genomes = [always_moving, spread_genome(5)]
         seeds = np.array([[31], [32]], dtype=np.uint64)
-        batched, _ = simulate_batch(genomes, config, scenario, seeds,
-                                    observe=invariant_sweep(config))
+        batched, _ = invariant_sweep(genomes, config, scenario, seeds)
         for g, genome in enumerate(genomes):
             ref_err, _, _, _ = reference_simulation(
                 genome, config, scenario, int(seeds[g, 0]))
@@ -123,9 +120,8 @@ class TestReferenceEquivalence:
         for genome in (always_moving, spread_genome(5)):
             ref_err, _, ref_robots, ref_blocks = reference_simulation(
                 genome, config, scenario, 41)
-            errs, _ = simulate_batch([genome], config, scenario,
-                                     np.array([[41]], dtype=np.uint64),
-                                     observe=invariant_sweep(config))
+            errs, _ = invariant_sweep([genome], config, scenario,
+                                      np.array([[41]], dtype=np.uint64))
             assert errs[0, 0] == ref_err  # bitwise
             trace = simulate_traced(genome, config, scenario, 41,
                                     snapshot_every=config.steps)
@@ -169,9 +165,8 @@ class TestDecisionBand:
                                           Scenario.CLUSTERS])
     def test_decisions_match_reference(self, scenario):
         config = SimConfig(6, 4, 6, steps=30)
-        batched, _ = simulate_batch(self.GENOMES, config, scenario,
-                                    self.SEEDS,
-                                    observe=invariant_sweep(config))
+        batched, _ = invariant_sweep(self.GENOMES, config, scenario,
+                                     self.SEEDS)
         for g, genome in enumerate(self.GENOMES):
             seed = int(self.SEEDS[g, 0])
             ref_err, _, ref_robots, ref_blocks = reference_simulation(
@@ -335,123 +330,122 @@ class TestVerifyState:
             verify_state(self.L, self.N, self.B, occ, pos, rh)
 
     def test_sweep_checks_every_kth_step_and_the_last(self, monkeypatch):
-        checked = []
+        kept, checked = [], []
+        batch = oracle.simulate_batch
+
+        def keeping(*args, keep):
+            kept.append(keep)
+            return batch(*args, keep=keep)
+
+        monkeypatch.setattr(oracle, "simulate_batch", keeping)
         monkeypatch.setattr(oracle, "verify_state",
-                            lambda *args: checked.append(t))
-        observe = invariant_sweep(SimConfig(5, 2, 3, steps=25), every=10)
-        occ, pos, rh = self.state()
-        for t in range(26):
-            observe(t, pos, rh, occ)
-        assert checked == [0, 10, 20, 25]
+                            lambda *args: checked.append(args))
+        config = SimConfig(self.L, self.N, self.B, steps=25)
+        invariant_sweep([spread_genome(0)], config, Scenario.CLUSTERS,
+                        np.array([[1, 2]], dtype=np.uint64), every=10)
+        (steps, pos, rh, occ), = kept
+        assert steps.tolist() == [0, 10, 20, 25]
+        assert len(checked) == 4
+        for r, (L, N, B, *state) in enumerate(checked):
+            assert (L, N, B) == (self.L, self.N, self.B)
+            for a, b in zip(state, (occ[r].reshape(-1), pos[r], rh[r])):
+                assert np.array_equal(a, b)
 
 
-class TestObserveHook:
-    """observe(t, pos, rh, occ) sees the state after setup and after every
-    step, in order, and leaves the results unchanged."""
+class TestKeptRows:
+    """keep=(steps, pos, rh, occ) receives the state of every world after
+    each listed step, in the rows of its buffers, and changes no result."""
+
+    CONFIG = SimConfig(8, 12, 8, steps=30)  # dense: the order matters
+    GENOMES = [spread_genome(1), spread_genome(2)]
+    SEEDS = np.array([[7, 8], [9, 10]], dtype=np.uint64)
+
+    @pytest.mark.parametrize("edit", [
+        lambda k: (np.array([5, 5]), *k[1:]),
+        lambda k: (np.array([5, 3]), *k[1:]),
+        lambda k: (np.array([0, 31]), *k[1:]),
+        lambda k: (np.array([-1, 3]), *k[1:]),
+        lambda k: (np.array([0.0, 3.0]), *k[1:]),
+        lambda k: (np.array([[0, 3]]), *k[1:]),
+        lambda k: (k[0], k[1][:, :1], *k[2:]),
+        lambda k: (*k[:3], k[3][:, :, :-1]),
+        lambda k: (k[0], k[1], k[2].astype(np.int32), k[3]),
+        lambda k: (*k[:3], k[3].astype(np.int64)),
+        lambda k: (k[0], np.empty((2, 4, 24), np.int64)[:, :, ::2], *k[2:]),
+        lambda k: k[:3],
+    ], ids=["repeated-step", "decreasing", "after-T", "negative",
+            "float-steps", "2-d-steps", "pos-shape", "occ-shape",
+            "rh-dtype", "occ-dtype", "not-c-contiguous", "three-items"])
+    def test_malformed_keep_raises_before_any_kernel_call(self, monkeypatch,
+                                                          edit):
+        def no_kernel():
+            raise AssertionError("the kernel was loaded")
+
+        monkeypatch.setattr(simulation.kernel, "load", no_kernel)
+        keep = edit(oracle.keep_buffers(self.CONFIG, 4, [0, 3]))
+        with pytest.raises(ValueError):
+            simulate_batch(self.GENOMES, self.CONFIG, Scenario.CLUSTERS,
+                           self.SEEDS, keep=keep)
 
     @pytest.mark.parametrize("scenario", [Scenario.EMERGENT,
                                           Scenario.CLUSTERS])
-    @pytest.mark.parametrize("seeds", [[[7]], [[7, 8], [9, 10]]],
-                             ids=["one-world", "four-worlds"])
-    def test_called_once_per_state_in_order(self, seeds, scenario):
-        config = SimConfig(8, 3, 5, steps=30)
-        genomes = [spread_genome(g) for g in range(len(seeds))]
-        seeds = np.array(seeds, dtype=np.uint64)
-        K = seeds.size
-        calls = []
-
-        def observe(t, pos, rh, occ):
-            assert pos.shape == rh.shape == (K, config.swarm_size)
-            assert occ.shape == (K * config.side_length ** 2,)
-            calls.append(t)
-
-        observed, comp = simulate_batch(genomes, config, scenario, seeds,
-                                        observe=observe)
-        assert calls == list(range(config.steps + 1))
-        plain, plain_comp = simulate_batch(genomes, config, scenario, seeds)
-        assert comp == plain_comp
-        assert np.array_equal(observed, plain)  # bitwise
+    def test_rows_at_some_steps_equal_those_of_every_step(self, scenario):
+        T = self.CONFIG.steps
+        every = oracle.keep_buffers(self.CONFIG, 4, np.arange(T + 1))
+        some = oracle.keep_buffers(self.CONFIG, 4, [*range(0, T + 1, 7), T])
+        for keep in (every, some):
+            simulate_batch(self.GENOMES, self.CONFIG, scenario, self.SEEDS,
+                           keep=keep)
+        for a, b in zip(every[1:], some[1:]):
+            assert np.array_equal(a[some[0]], b)
+        assert not np.array_equal(every[1][0], every[1][-1])  # robots moved
 
     @pytest.mark.parametrize("scenario", [Scenario.EMERGENT,
                                           Scenario.CLUSTERS])
-    def test_skipped_steps_change_nothing(self, scenario):
-        # An observer that asks for step T at t = 0 sees only the placement
-        # and the end: a fixed run's steps between are one kernel call,
-        # which runs each of the 4 worlds through them before the next. One
-        # that asks for step 13 first splits that stretch in two. The worlds
-        # are dense enough that the robots' order within a step matters.
-        config = SimConfig(8, 12, 8, steps=30)
-        T = config.steps
-        genomes = [spread_genome(1), spread_genome(2)]
-        seeds = np.array([[7, 8], [9, 10]], dtype=np.uint64)
-
-        def run(wanted):
-            seen = {}
-
-            def observe(t, pos, rh, occ):
-                seen[t] = (pos.copy(), rh.copy(), occ.copy())
-                return wanted(t)
-            err, _ = simulate_batch(genomes, config, scenario, seeds,
-                                    observe=observe)
-            return err, seen
-
-        every_err, every = run(lambda t: None)
-        ends_err, ends = run(lambda t: T)
-        split_err, split = run(lambda t: 13 if t < 13 else T)
-        plain, _ = simulate_batch(genomes, config, scenario, seeds)
-        assert sorted(every) == list(range(T + 1)) and sorted(ends) == [0, T]
-        assert sorted(split) == [0, 13, T]
-        assert np.array_equal(every_err, plain)  # bitwise
-        assert np.array_equal(ends_err, plain)
-        assert np.array_equal(split_err, plain)
-        for t in (0, T):
-            for a, b in zip(every[t], ends[t]):
-                assert np.array_equal(a, b)
-        for t in (0, 13, T):
-            for a, b in zip(every[t], split[t]):
-                assert np.array_equal(a, b)
-
-    def test_observer_must_ask_for_a_later_step(self):
-        with pytest.raises(ValueError, match="after step 0 asked for step 0"):
-            simulate_batch([spread_genome(1)], SimConfig(8, 3, 5, steps=30),
-                           Scenario.CLUSTERS, np.array([[7]], np.uint64),
-                           observe=lambda t, pos, rh, occ: t)
+    @pytest.mark.parametrize("steps", [[], [0], [30], [3, 17],
+                                       list(range(31))],
+                             ids=["none", "placement", "end", "two", "all"])
+    def test_keeping_rows_changes_no_error_sum(self, scenario, steps):
+        plain = simulate_batch(self.GENOMES, self.CONFIG, scenario,
+                               self.SEEDS)
+        kept = simulate_batch(self.GENOMES, self.CONFIG, scenario, self.SEEDS,
+                              keep=oracle.keep_buffers(self.CONFIG, 4, steps))
+        assert kept[1] == plain[1]
+        assert np.array_equal(kept[0], plain[0])  # bitwise
 
     @pytest.mark.parametrize("scenario", [Scenario.EMERGENT,
                                           Scenario.CLUSTERS])
     @pytest.mark.parametrize("every, steps", [
         (1, 40), (7, 40), (40, 40), (7, 18)],
         ids=["1", "7", "40", "7-window-from-placement"])
-    def test_traced_run_skips_only_unrecorded_steps(self, monkeypatch,
-                                                    scenario, every, steps):
-        # The recorder asks for the next snapshot and the kernel keeps the
-        # metrics window; the same recorder shown every step, with no window
-        # bound, copies the window itself and keeps the same results. At 18
-        # steps the window (tau = 18) starts at the placement.
+    def test_traced_runs_keep_the_same_states(self, scenario, every, steps):
+        # A traced run keeps its snapshots' states and the metrics window;
+        # at every = 1 it keeps every state. At 18 steps the window (tau =
+        # 18) starts at the placement, which no step makes.
         config = SimConfig(6, 3, 4, steps=steps)  # window: 22 .. 40, 0 .. 18
         genome = spread_genome(3)
-        skipped = simulate_traced(genome, config, scenario, 41, every)
-        batch = simulation.simulate_batch
-
-        def every_step(*args, observe, window):
-            def each(t, pos, rh, occ):
-                observe(t, pos, rh, occ)
-            return batch(*args, observe=each)
-
-        monkeypatch.setattr(simulation, "simulate_batch", every_step)
-        shown = simulate_traced(genome, config, scenario, 41, every)
-        assert skipped.snapshots == shown.snapshots
-        assert [t for t, _ in shown.snapshots] == sorted(
-            {*range(0, steps + 1, every), steps})
-        assert skipped.error_sum == shown.error_sum
-        assert skipped.start_blocks == shown.start_blocks
-        assert skipped.end_blocks == shown.end_blocks
-        assert np.array_equal(skipped.robot_window, shown.robot_window)
-        assert np.array_equal(skipped.block_window, shown.block_window)
+        trace = simulate_traced(genome, config, scenario, 41, every)
+        full = simulate_traced(genome, config, scenario, 41, 1)
+        times = sorted({*range(0, steps + 1, every), steps})
+        assert [t for t, _ in trace.snapshots] == times
+        assert trace.snapshots == [full.snapshots[t] for t in times]
+        ref_err, _, ref_robots, ref_blocks = reference_simulation(
+            genome, config, scenario, 41)
+        assert trace.error_sum == full.error_sum == ref_err  # bitwise
+        start = oracle.random_world(config, np.random.default_rng(41))
+        assert trace.start_blocks == frozenset(start.blocks)
+        assert trace.end_blocks == frozenset(ref_blocks)
+        assert trace.snapshots[0][1] == render_cells(6, start.robots,
+                                                     start.blocks)
+        assert np.array_equal(trace.robot_window, full.robot_window)
+        assert np.array_equal(trace.block_window, full.block_window)
+        assert trace.robot_window[-1].tolist() == \
+            [[x, y] for x, y, _ in ref_robots]
+        if steps == 18:
+            assert trace.robot_window[0].tolist() == \
+                [[p.x, p.y] for p in start.robots]
 
     def test_fixed_traced_run_is_one_kernel_call(self, monkeypatch):
-        # With one snapshot at the end, a fixed scenario's traced run is
-        # one steps call between the observer's two looks.
         calls = []
         lib = simulation.kernel.load()
 
@@ -460,20 +454,11 @@ class TestObserveHook:
                 calls.append("steps")
                 return lib.steps(*args)
 
-        batch = simulation.simulate_batch
-
-        def counting_batch(*args, observe, window):
-            def each(t, pos, rh, occ):
-                calls.append("observe")
-                return observe(t, pos, rh, occ)
-            return batch(*args, observe=each, window=window)
-
         monkeypatch.setattr(simulation.kernel, "load", lambda: Counting())
-        monkeypatch.setattr(simulation, "simulate_batch", counting_batch)
         config = SimConfig(6, 3, 4, steps=40)
         simulate_traced(spread_genome(3), config, Scenario.CLUSTERS, 41,
                         snapshot_every=40)
-        assert calls == ["observe", "steps", "observe"]
+        assert calls == ["steps"]
 
 
 def never_moving_genome():
@@ -537,8 +522,7 @@ class TestDenseWorlds:
                                                 monkeypatch):
         L = config.side_length
         seeds = self.SEEDS
-        batched, comp = simulate_batch(self.GENOMES, config, scenario, seeds,
-                                       observe=invariant_sweep(config))
+        batched, comp = invariant_sweep(self.GENOMES, config, scenario, seeds)
         events = {"train": 0, "shared_target": 0, "double_push": 0}
         for g, genome in enumerate(self.GENOMES):
             for w in range(seeds.shape[1]):
@@ -550,9 +534,8 @@ class TestDenseWorlds:
                     events[key] += counts[key]
                 assert comp == ref_comp
                 assert batched[g, w] == ref_err  # bitwise
-                alone, _ = simulate_batch([genome], config, scenario,
-                                          seeds[g:g + 1, w:w + 1],
-                                          observe=invariant_sweep(config))
+                alone, _ = invariant_sweep([genome], config, scenario,
+                                           seeds[g:g + 1, w:w + 1])
                 assert alone[0, 0] == ref_err
                 trace = simulate_traced(genome, config, scenario, seed,
                                         snapshot_every=config.steps)
@@ -596,15 +579,11 @@ class TestDenseWorlds:
         results = []
         for width in (np.int8, np.int16, np.int64):
             monkeypatch.setattr(simulation, "_int_type", lambda n: width)
-            end = []
-
-            def observe(t, pos, rh, occ):
-                if t == config.steps:
-                    end.extend(a.copy() for a in (pos, rh, occ))
-
+            end = oracle.keep_buffers(config, self.SEEDS.size,
+                                      [config.steps])
             err, _ = simulate_batch(self.GENOMES, config, scenario,
-                                    self.SEEDS, observe=observe)
-            results.append([err, *end])
+                                    self.SEEDS, keep=end)
+            results.append([err, *end[1:]])
         for other in results[1:]:
             assert all(np.array_equal(a, b)
                        for a, b in zip(results[0], other, strict=True))
@@ -622,9 +601,8 @@ class TestLoneMovers:
     @pytest.mark.parametrize("scenario", [Scenario.EMERGENT, Scenario.CLUSTERS])
     def test_lone_movers_in_world_one_match_reference(self, scenario):
         config = SimConfig(6, 12, 12, steps=40)
-        batched, comp = simulate_batch(self.GENOMES, config, scenario,
-                                       self.SEEDS,
-                                       observe=invariant_sweep(config))
+        batched, comp = invariant_sweep(self.GENOMES, config, scenario,
+                                        self.SEEDS)
         blocks_moved = []
         for g, genome in enumerate(self.GENOMES):
             seed = int(self.SEEDS[g, 0])
@@ -634,9 +612,8 @@ class TestLoneMovers:
                 config, np.random.default_rng(seed)).blocks
             assert comp == ref_comp
             assert batched[g, 0] == ref_err  # bitwise
-            alone, _ = simulate_batch([genome], config, scenario,
-                                      self.SEEDS[g:g + 1],
-                                      observe=invariant_sweep(config))
+            alone, _ = invariant_sweep([genome], config, scenario,
+                                       self.SEEDS[g:g + 1])
             assert alone[0, 0] == ref_err
             blocks_moved.append(ref_blocks != start_blocks)
         assert blocks_moved == [False, True]  # only world 1 pushes
@@ -791,5 +768,5 @@ class TestTraces:
             genomes = [spread_genome(int(rng.integers(1000)))
                        for _ in range(3)]
             seeds = rng.integers(0, 2**63, (3, 4)).astype(np.uint64)
-            simulate_batch(genomes, config, Scenario.EMERGENT, seeds,
-                           observe=invariant_sweep(config, 10))
+            invariant_sweep(genomes, config, Scenario.EMERGENT, seeds,
+                            every=10)

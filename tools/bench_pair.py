@@ -17,9 +17,14 @@ The output file holds the machine, every run's environment record (without
 its per-operation times) and result line, and per workload a summary of
 each end-to-end metric over the pairs: both sides' medians, quartiles and
 ranges, the parent's quartile distance, the change's median over the
-parent's, the pairs in which the change is better and whether the gain
-rule holds (better in at least 9 of 10 pairs, and in the median by more
-than the parent's quartile distance), and each side's failed operations.
+parent's, the pairs in which the change is better, whether the gain rule
+holds (better in at least 9 of 10 pairs, and in the median by more than
+the parent's quartile distance), and the no-regression rule's two
+verdicts with the metric's ``bound``: ``worse_than_bound`` (the change's
+median worse than the parent's by more than bound times the parent's) and
+``unresolved`` (the parent's quartile distance over its median above the
+bound, unless every change run beats every parent run); and each side's
+failed operations.
 Exits 1 if a run exits non-zero or prints ``"correct": false``, 2 if git
 cannot archive a side.
 """
@@ -100,6 +105,9 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             better = sum((c > p) if higher else (c < p)
                          for p, c in zip(parent, change))
             distance = q_parent[2] - q_parent[0]
+            allowed = metric["bound"] * abs(q_parent[1])
+            beats_all = (min(change) > max(parent) if higher
+                         else max(change) < min(parent))
             work[name] = {
                 "pairs": len(values),
                 "parent_median": q_parent[1],
@@ -114,6 +122,8 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
                 "pairs_change_better": better,
                 "gain_shown": (10 * better >= 9 * len(values)
                                and (gap if higher else -gap) > distance),
+                "worse_than_bound": (-gap if higher else gap) > allowed,
+                "unresolved": distance > allowed and not beats_all,
             }
     return summary
 

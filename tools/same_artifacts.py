@@ -13,6 +13,8 @@ tree and in the working tree, each in its own process with its own
   ``scenario=pairs``, a config written into the set's own dir;
 - ``posteval`` and ``replay --every 250`` of the 15 cached genomes, each at
   the ``posteval_seed`` of its ``run.json``;
+- ``replay-every-1``: ``replay --every 1`` of each scenario's cached
+  ``row0_run0`` at its ``posteval_seed``, a snapshot of every state;
 - ``render`` and ``classify`` of the 30 cached snapshots;
 - ``labels``: ``classify_blocks`` of 100 seeded random block sets per
   L = 3..20, each of a random density, about a fifth with a full row or
@@ -147,6 +149,9 @@ def produce() -> None:
                  "--seed", seed)
             _cli("replay" / record, "replay", genome, config, "--seed", seed,
                  "--every", "250")
+            if run.name == "row0_run0":
+                _cli(Path("replay-every-1", f"{scenario}.txt"), "replay",
+                     genome, config, "--seed", seed, "--every", "1")
             for snapshot in sorted(run.glob("*_snapshot.txt")):
                 for command in ("render", "classify"):
                     _cli(Path(command, scenario, run.name, snapshot.name),
