@@ -68,13 +68,18 @@ def compile_command() -> list[str]:
 
 
 def library_path(source: bytes, command: list[str]) -> Path:
-    """Where the library built from source by command is cached."""
+    """Where the library built from source by command is cached. Without
+    a home directory or an absolute XDG_CACHE_HOME, there is no such place."""
     key = hashlib.sha256(b"\0".join(
         [source, *map(str.encode, command),
          sysconfig.get_config_var("EXT_SUFFIX").encode()])).hexdigest()
     root = Path(os.environ.get("XDG_CACHE_HOME", ""))
     if not root.is_absolute():  # unset, empty, or relative (invalid by XDG)
-        root = Path.home() / ".cache"
+        try:
+            root = Path.home() / ".cache"
+        except RuntimeError:  # no HOME, and no passwd entry for the user
+            raise BuildError("no home directory to cache the kernel in: set "
+                             "XDG_CACHE_HOME to an absolute path") from None
     return root / "minsurprise" / f"_step-{key}.so"
 
 

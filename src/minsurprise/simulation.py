@@ -21,14 +21,11 @@ Grid. All K worlds share one flat int32 grid, L * L cells each: 0 free,
 1 robot, 2 + b block b. A push copies the block's code, so block identity
 needs no other state. Block cells by id are read off the grid only where a
 result reads them. ``simulate_batch``'s ``keep`` names the states a caller
-reads, by step count, and three buffers: it copies the placement into
-their row at setup, and the kernel's ``steps`` copies the robot cells,
-headings and grid after each other kept step. ``simulate_traced`` keeps
-the snapshots' states (the one at t = 0 gives the start blocks) and the
-metrics window, the tau + 1 states T - tau .. T, and reads them off the
-rows after the run; the tests' invariant sweep keeps every state. Each
-kept state costs 4L^2 + 16N bytes per world: at L = 20, a replay that
-keeps all T + 1 = 1001 of them holds about 2 MB. The GA keeps none.
+reads, by step count; the call returns a row of robot cells, headings and
+grid for each, 4L^2 + 16N bytes per world, filled with the placement at
+setup and by the kernel's ``steps`` after each other kept step.
+``simulate_traced`` keeps the snapshots' states and the metrics window,
+the tests' invariant sweep every state, the GA none.
 
 Compiled step. The C kernel ``_step.c``, a CPython extension module built
 and loaded by ``kernel.py``, takes the call's arrays once, bound in one
@@ -244,9 +241,8 @@ def simulate_batch(
     sim: SimConfig,
     scenario: Scenario,
     seeds: np.ndarray,
-    keep: Optional[tuple[np.ndarray, np.ndarray, np.ndarray,
-                         np.ndarray]] = None,
-) -> tuple[np.ndarray, int]:
+    keep: Optional[Sequence[int]] = None,
+) -> tuple:
     """Run seeds.shape[1] simulations per genome; return (error_sums, C).
 
     seeds has shape (G, W); world k = g * W + w runs genome g with seed
@@ -254,10 +250,10 @@ def simulate_batch(
     that world, to be turned into a fitness by ``metrics.score_run``, and C
     the comparison count.
 
-    keep, when given, is (steps, pos, rh, occ): R increasing step counts in
-    0 .. T, two (R, K, N) int64 C arrays and a (R, K, L * L) int32 one.
-    Row r of them receives the robot cells, headings and grid of every
-    world after steps[r] steps (0: the placement).
+    keep, when given, is R increasing step counts in 0 .. T, and the call
+    returns (error_sums, C, (pos, rh, occ)): fresh (R, K, N) int64 robot
+    cells and headings and (R, K, L * L) int32 grids, whose row r holds
+    every world's state after keep[r] steps (0: the placement).
     """
     L, N, B, T = sim.side_length, sim.swarm_size, sim.block_count, sim.steps
     G = len(genomes)
@@ -274,21 +270,17 @@ def simulate_batch(
     L2 = L * L
     kept = {}
     if keep is not None:
-        steps, *rows = keep
-        steps = np.asarray(steps)
+        steps = np.asarray(keep) if len(keep) else np.arange(0)
         R = len(steps) if steps.ndim == 1 else -1
-        if (R < 0 or steps.dtype.kind not in "iu" or len(rows) != 3
+        if (R < 0 or steps.dtype.kind not in "iu"
                 or np.any(steps[1:] <= steps[:-1])
-                or R and not 0 <= steps[0] <= steps[-1] <= T
-                or any(a.shape != (R, K, n) or a.dtype != t
-                       or not a.flags.c_contiguous for a, n, t in zip(
-                           rows, (N, N, L2), (np.int64, np.int64, np.int32)))):
-            raise ValueError("keep must be R increasing steps in 0 .. T, two "
-                             "(R, K, N) int64 and a (R, K, L * L) int32 C "
-                             "array")
+                or R and not 0 <= steps[0] <= steps[-1] <= T):
+            raise ValueError("keep must be R increasing steps in 0 .. T")
         # kept_row[t]: the row of the state after t steps, or -1
         kept = dict(kept_row=np.full(T + 1, -1, dtype=np.int64),
-                    kept_pos=rows[0], kept_rh=rows[1], kept_occ=rows[2])
+                    kept_pos=np.empty((R, K, N), dtype=np.int64),
+                    kept_rh=np.empty((R, K, N), dtype=np.int64),
+                    kept_occ=np.empty((R, K, L2), dtype=np.int32))
         kept["kept_row"][steps] = np.arange(R)
 
     pos = np.empty((K, N), dtype=np.int64)  # robot flat cells
@@ -385,8 +377,10 @@ def simulate_batch(
                 lib.prediction_output(address)
                 np.exp(out, out=out)
 
-    comparisons = T - 1 if emergent else T
-    return err.reshape(G, W), comparisons
+    result = err.reshape(G, W), T - 1 if emergent else T
+    if keep is None:
+        return result
+    return *result, (kept["kept_pos"], kept["kept_rh"], kept["kept_occ"])
 
 
 def simulate_traced(
@@ -397,7 +391,10 @@ def simulate_traced(
     snapshot_every: int,
 ) -> RunTrace:
     """Run one fully recorded simulation: the metrics window, plus a
-    snapshot every ``snapshot_every`` steps and at the last step."""
+    snapshot every ``snapshot_every`` steps and at the last step. It keeps
+    the window's tau + 1 = L^2 / 2 + 1 states and the snapshots' before it,
+    4L^2 + 16N bytes each: about 2 L^4 bytes of grids (3.2 GB at L = 200),
+    and ``_block_cells``' temporaries over them."""
     L, N, B, T = sim.side_length, sim.swarm_size, sim.block_count, sim.steps
     tau = metrics_window(L)
     if T < tau:
@@ -408,13 +405,9 @@ def simulate_traced(
     # 1.7 MiB.)
     steps = np.concatenate((np.arange(0, T - tau, snapshot_every),
                             np.arange(T - tau, T + 1)))
-    pos = np.empty((len(steps), 1, N), dtype=np.int64)
-    rh = np.empty_like(pos)
-    occ = np.empty((len(steps), 1, L * L), dtype=np.int32)
-    err, comparisons = simulate_batch(
+    err, comparisons, (pos, rh, occ) = simulate_batch(
         [genome], sim, scenario, np.array([[seed]], dtype=np.uint64),
-        keep=(steps, pos, rh, occ),
-    )
+        keep=steps)
     blocks = _block_cells(occ.reshape(-1), len(steps), B)
     snapshots = []
     for r, t in enumerate(steps.tolist()):

@@ -9,7 +9,8 @@ uniforms per step, and run the same floating-point kernels
 ``sigmoid_inplace``).
 
 ``invariant_sweep`` runs the engine keeping the states of a run and
-asserts that its grid, robot cells and headings stay consistent in each.
+asserts that the grid, robot cells and headings of each row it returns
+are consistent.
 
 Coordinate convention: x grows East, y grows South, so North is -y. All
 coordinates are reduced modulo the grid side length (the grid is a torus).
@@ -377,24 +378,15 @@ def verify_state(L, N, B, occ, pos, rh):
         "block ids are not 0..B-1"
 
 
-def keep_buffers(config, K, steps):
-    """``simulate_batch``'s ``keep`` for K worlds: the given steps and empty
-    (R, K, N) robot cells and headings and (R, K, L * L) grids."""
-    steps = np.asarray(steps, dtype=np.int64)
-    pos = np.empty((len(steps), K, config.swarm_size), dtype=np.int64)
-    occ = np.empty((len(steps), K, config.side_length ** 2), dtype=np.int32)
-    return steps, pos, np.empty_like(pos), occ
-
-
 def invariant_sweep(genomes, config, scenario, seeds, every=1):
     """``simulate_batch`` keeping the state after every ``every``-th step
-    and after the last; runs ``verify_state`` on each kept state and
+    and after the last; runs ``verify_state`` on each returned row and
     returns the call's (error sums, comparisons)."""
     L, N, B, T = (config.side_length, config.swarm_size, config.block_count,
                   config.steps)
-    keep = keep_buffers(config, np.size(seeds),
-                        np.append(np.arange(0, T, every), T))
-    result = simulate_batch(genomes, config, scenario, seeds, keep=keep)
-    for _, pos, rh, occ in zip(*keep):
+    errs, comparisons, rows = simulate_batch(
+        genomes, config, scenario, seeds,
+        keep=np.append(np.arange(0, T, every), T))
+    for pos, rh, occ in zip(*rows):
         verify_state(L, N, B, occ.reshape(-1), pos, rh)
-    return result
+    return errs, comparisons

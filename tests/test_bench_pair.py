@@ -137,3 +137,17 @@ def test_no_regression_rule(name, parent, change, worse, unresolved):
     verdict = bench_pair.summarise(runs, METRICS)["w"][name]
     assert verdict["worse_than_bound"] is worse
     assert verdict["unresolved"] is unresolved
+
+
+def test_pair_ratios_cancel_drift_between_pairs():
+    # The host drifts: each pair runs at its own speed, and the change
+    # takes 0.9 of its parent in every pair. The sides' medians overlap,
+    # so no gain is shown, but the per-pair ratios read 0.9 throughout.
+    parent = [1.0, 2.0, 3.0]
+    runs = [run_record("w", seed, side, result(op_s_p50=value))
+            for seed, p in enumerate(parent, start=1)
+            for side, value in (("parent", p), ("change", 0.9 * p))]
+    op = bench_pair.summarise(runs, METRICS)["w"]["op_s_p50"]
+    assert op["pair_ratio_median"] == pytest.approx(0.9)
+    assert op["pair_ratio_quartiles"] == pytest.approx([0.9, 0.9])
+    assert op["gain_shown"] is False

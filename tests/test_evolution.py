@@ -292,6 +292,29 @@ class TestEvolve:
             assert 0.0 <= mean <= best <= 1.0
             assert 0.0 <= median <= best
 
+    def test_a_world_never_predicted_well_scores_zero(self, monkeypatch):
+        # A full 3x3 torus of 9 robots and no blocks: every robot senses a
+        # robot in all six cells at every step, so under clusters all 12
+        # sensors miss the target and every fitness is exactly 0.0. The GA
+        # then selects parents by the zero-total fallback.
+        config = small_config(sim=SimConfig(3, 9, 0, steps=30),
+                              scenario=Scenario.CLUSTERS)
+        evaluated = evaluate_population(initial_population(config, 0),
+                                        config, 0, 0)
+        assert [e.per_run for e in evaluated] == [(0.0, 0.0)] * 4
+        totals = []
+        real = evolution.select_proportionate
+
+        def selecting(fitnesses, rng):
+            totals.append(sum(fitnesses))
+            return real(fitnesses, rng)
+
+        monkeypatch.setattr(evolution, "select_proportionate", selecting)
+        best, history = evolve(config)
+        assert history.rows == [(0, 0.0, 0.0, 0.0), (1, 0.0, 0.0, 0.0)]
+        assert best.fitness == 0.0
+        assert totals == [0.0] * 3  # three parents beside the elite
+
     def test_elite_copied_verbatim(self, monkeypatch):
         config = small_config(population_size=4, generations=2)
         freeze_objective(monkeypatch)

@@ -216,6 +216,33 @@ def test_a_relative_or_empty_cache_home_means_the_home_cache(
     assert path.parent == tmp_path / ".cache" / "minsurprise"
 
 
+@pytest.mark.parametrize("command", ["evolve", "posteval", "replay"])
+def test_no_home_directory_is_one_build_error_line(tmp_path, monkeypatch,
+                                                   capsys, command):
+    # No HOME and no passwd entry (a container run as an arbitrary UID):
+    # Path.home() raises, and no shared fallback dir is trusted instead.
+    def no_home():
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    monkeypatch.setattr(Path, "home", no_home)
+    monkeypatch.setattr(kernel, "_module", None)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMOKE)
+    genome = tmp_path / "g.genome"
+    save_genome(genome, random_genome(np.random.default_rng(0)))
+    out = tmp_path / "out"
+    argv = (["evolve", str(cfg), "--out", str(out)] if command == "evolve"
+            else [command, str(genome), str(cfg)])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("build error: ")
+    assert "XDG_CACHE_HOME" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()  # no run started
+
+
 def test_failing_compiler_names_its_first_error_line(empty_cache, tmp_path):
     broken = tmp_path / "_step.c"
     broken.write_text("int broken(void) { return }\n")

@@ -334,8 +334,9 @@ class TestVerifyState:
         batch = oracle.simulate_batch
 
         def keeping(*args, keep):
-            kept.append(keep)
-            return batch(*args, keep=keep)
+            result = batch(*args, keep=keep)
+            kept.append((keep, result[2]))
+            return result
 
         monkeypatch.setattr(oracle, "simulate_batch", keeping)
         monkeypatch.setattr(oracle, "verify_state",
@@ -343,7 +344,7 @@ class TestVerifyState:
         config = SimConfig(self.L, self.N, self.B, steps=25)
         invariant_sweep([spread_genome(0)], config, Scenario.CLUSTERS,
                         np.array([[1, 2]], dtype=np.uint64), every=10)
-        (steps, pos, rh, occ), = kept
+        (steps, (pos, rh, occ)), = kept
         assert steps.tolist() == [0, 10, 20, 25]
         assert len(checked) == 4
         for r, (L, N, B, *state) in enumerate(checked):
@@ -353,36 +354,30 @@ class TestVerifyState:
 
 
 class TestKeptRows:
-    """keep=(steps, pos, rh, occ) receives the state of every world after
-    each listed step, in the rows of its buffers, and changes no result."""
+    """keep=steps returns the state of every world after each listed step,
+    in the rows of fresh arrays, and changes no result."""
 
     CONFIG = SimConfig(8, 12, 8, steps=30)  # dense: the order matters
     GENOMES = [spread_genome(1), spread_genome(2)]
     SEEDS = np.array([[7, 8], [9, 10]], dtype=np.uint64)
 
-    @pytest.mark.parametrize("edit", [
-        lambda k: (np.array([5, 5]), *k[1:]),
-        lambda k: (np.array([5, 3]), *k[1:]),
-        lambda k: (np.array([0, 31]), *k[1:]),
-        lambda k: (np.array([-1, 3]), *k[1:]),
-        lambda k: (np.array([0.0, 3.0]), *k[1:]),
-        lambda k: (np.array([[0, 3]]), *k[1:]),
-        lambda k: (k[0], k[1][:, :1], *k[2:]),
-        lambda k: (*k[:3], k[3][:, :, :-1]),
-        lambda k: (k[0], k[1], k[2].astype(np.int32), k[3]),
-        lambda k: (*k[:3], k[3].astype(np.int64)),
-        lambda k: (k[0], np.empty((2, 4, 24), np.int64)[:, :, ::2], *k[2:]),
-        lambda k: k[:3],
+    @pytest.mark.parametrize("keep", [
+        np.array([5, 5]),
+        np.array([5, 3]),
+        np.array([0, 31]),
+        np.array([-1, 3]),
+        np.array([0.0, 3.0]),
+        np.array([[0, 3]]),
+        (np.array([0, 3]), np.empty((2, 4, 12), np.int64),
+         np.empty((2, 4, 12), np.int64), np.empty((2, 4, 64), np.int32)),
     ], ids=["repeated-step", "decreasing", "after-T", "negative",
-            "float-steps", "2-d-steps", "pos-shape", "occ-shape",
-            "rh-dtype", "occ-dtype", "not-c-contiguous", "three-items"])
+            "float-steps", "2-d-steps", "steps-and-buffers"])
     def test_malformed_keep_raises_before_any_kernel_call(self, monkeypatch,
-                                                          edit):
+                                                          keep):
         def no_kernel():
             raise AssertionError("the kernel was loaded")
 
         monkeypatch.setattr(simulation.kernel, "load", no_kernel)
-        keep = edit(oracle.keep_buffers(self.CONFIG, 4, [0, 3]))
         with pytest.raises(ValueError):
             simulate_batch(self.GENOMES, self.CONFIG, Scenario.CLUSTERS,
                            self.SEEDS, keep=keep)
@@ -391,14 +386,32 @@ class TestKeptRows:
                                           Scenario.CLUSTERS])
     def test_rows_at_some_steps_equal_those_of_every_step(self, scenario):
         T = self.CONFIG.steps
-        every = oracle.keep_buffers(self.CONFIG, 4, np.arange(T + 1))
-        some = oracle.keep_buffers(self.CONFIG, 4, [*range(0, T + 1, 7), T])
-        for keep in (every, some):
-            simulate_batch(self.GENOMES, self.CONFIG, scenario, self.SEEDS,
-                           keep=keep)
-        for a, b in zip(every[1:], some[1:]):
-            assert np.array_equal(a[some[0]], b)
-        assert not np.array_equal(every[1][0], every[1][-1])  # robots moved
+        some_steps = [*range(0, T + 1, 7), T]
+        every, some = (simulate_batch(self.GENOMES, self.CONFIG, scenario,
+                                      self.SEEDS, keep=steps)[2]
+                       for steps in (np.arange(T + 1), some_steps))
+        for a, b in zip(every, some, strict=True):
+            assert np.array_equal(a[some_steps], b)
+        assert not np.array_equal(every[0][0], every[0][-1])  # robots moved
+
+    def test_rows_are_fresh_arrays_and_no_keep_returns_two_items(self):
+        def rows():
+            return simulate_batch(self.GENOMES, self.CONFIG,
+                                  Scenario.CLUSTERS, self.SEEDS,
+                                  keep=[0, 3, 30])[2]
+
+        first, second = rows(), rows()
+        L2 = self.CONFIG.side_length ** 2
+        layout = [((3, 4, 12), np.int64), ((3, 4, 12), np.int64),
+                  ((3, 4, L2), np.int32)]  # robot cells, headings, grids
+        for a, b, (shape, dtype) in zip(first, second, layout, strict=True):
+            assert a.shape == shape and a.dtype == dtype
+            assert a.flags.c_contiguous and a.flags.owndata
+            assert np.array_equal(a, b) and not np.shares_memory(a, b)
+        assert not any(np.shares_memory(a, b)
+                       for a in first for b in first if a is not b)
+        assert len(simulate_batch(self.GENOMES, self.CONFIG,
+                                  Scenario.CLUSTERS, self.SEEDS)) == 2
 
     @pytest.mark.parametrize("scenario", [Scenario.EMERGENT,
                                           Scenario.CLUSTERS])
@@ -409,9 +422,10 @@ class TestKeptRows:
         plain = simulate_batch(self.GENOMES, self.CONFIG, scenario,
                                self.SEEDS)
         kept = simulate_batch(self.GENOMES, self.CONFIG, scenario, self.SEEDS,
-                              keep=oracle.keep_buffers(self.CONFIG, 4, steps))
+                              keep=steps)
         assert kept[1] == plain[1]
         assert np.array_equal(kept[0], plain[0])  # bitwise
+        assert [len(rows) for rows in kept[2]] == [len(steps)] * 3
 
     @pytest.mark.parametrize("scenario", [Scenario.EMERGENT,
                                           Scenario.CLUSTERS])
@@ -579,11 +593,9 @@ class TestDenseWorlds:
         results = []
         for width in (np.int8, np.int16, np.int64):
             monkeypatch.setattr(simulation, "_int_type", lambda n: width)
-            end = oracle.keep_buffers(config, self.SEEDS.size,
-                                      [config.steps])
-            err, _ = simulate_batch(self.GENOMES, config, scenario,
-                                    self.SEEDS, keep=end)
-            results.append([err, *end[1:]])
+            err, _, end = simulate_batch(self.GENOMES, config, scenario,
+                                         self.SEEDS, keep=[config.steps])
+            results.append([err, *end])
         for other in results[1:]:
             assert all(np.array_equal(a, b)
                        for a, b in zip(results[0], other, strict=True))

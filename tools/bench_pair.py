@@ -17,7 +17,9 @@ The output file holds the machine, every run's environment record (without
 its per-operation times) and result line, and per workload a summary of
 each end-to-end metric over the pairs: both sides' medians, quartiles and
 ranges, the parent's quartile distance, the change's median over the
-parent's, the pairs in which the change is better, whether the gain rule
+parent's, the median and quartiles of the per-pair ratios change/parent
+(a pair's two runs are adjacent in time, so drift between pairs cancels
+in them), the pairs in which the change is better, whether the gain rule
 holds (better in at least 9 of 10 pairs, and in the median by more than
 the parent's quartile distance), and the no-regression rule's two
 verdicts with the metric's ``bound``: ``worse_than_bound`` (the change's
@@ -108,6 +110,7 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             allowed = metric["bound"] * abs(q_parent[1])
             beats_all = (min(change) > max(parent) if higher
                          else max(change) < min(parent))
+            ratios = quartiles([c / p for p, c in values if p]) or [None] * 3
             work[name] = {
                 "pairs": len(values),
                 "parent_median": q_parent[1],
@@ -119,6 +122,8 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
                 "change_range": [min(change), max(change)],
                 "change_over_parent": (q_change[1] / q_parent[1]
                                        if q_parent[1] else None),
+                "pair_ratio_median": ratios[1],
+                "pair_ratio_quartiles": [ratios[0], ratios[2]],
                 "pairs_change_better": better,
                 "gain_shown": (10 * better >= 9 * len(values)
                                and (gap if higher else -gap) > distance),
